@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import EmbeddingSet, _check_seed
+from .episodes import EmbeddingSet, _check_int
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
 from .vecmath import pairwise_distances
 
@@ -39,23 +39,13 @@ class MixtureSpec:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 1:
-            raise InvalidInputError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise InvalidInputError(f"dim must be an integer >= 1, got {self.dim!r}")
         if not isinstance(self.separation, (int, float)) or isinstance(self.separation, bool):
             raise InvalidInputError(f"separation must be a real number, got {self.separation!r}")
         if not (math.isfinite(self.separation) and self.separation >= 0.0):
             raise InvalidInputError(f"separation must be finite and >= 0, got {self.separation}")
-        if not isinstance(self.samples_per_class, (int, np.integer)) or self.samples_per_class < 1:
-            raise InvalidInputError(
-                f"samples_per_class must be an integer >= 1, got {self.samples_per_class!r}"
-            )
-        object.__setattr__(self, "num_classes", int(self.num_classes))
-        object.__setattr__(self, "dim", int(self.dim))
+        for name, lo in (("num_classes", 1), ("dim", 1), ("samples_per_class", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         object.__setattr__(self, "separation", float(self.separation))
-        object.__setattr__(self, "samples_per_class", int(self.samples_per_class))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:

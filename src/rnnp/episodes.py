@@ -20,10 +20,11 @@ from .errors import InvalidInputError
 from .vecmath import as_matrix
 
 
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def _check_int(name: str, value, lo: int) -> int:
+    """value as a Python int; bool and non-integers or values below lo are errors."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lo:
+        raise InvalidInputError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,9 @@ class Episode:
     seed: int = 0
 
     def __post_init__(self):
+        for name, lo in (("n_way", 2), ("k_shot", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         n, k = self.n_way, self.k_shot
-        if not (isinstance(n, (int, np.integer)) and n >= 2):
-            raise InvalidInputError(f"n_way must be an integer >= 2, got {n!r}")
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
-            raise InvalidInputError(f"k_shot must be an integer >= 1, got {k!r}")
-        object.__setattr__(self, "n_way", int(n))
-        object.__setattr__(self, "k_shot", int(k))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
 
         sup = as_matrix(self.support_features).copy()
         qry = as_matrix(self.query_features).copy()
@@ -158,7 +154,7 @@ class CorruptionSpec:
         if not 0.0 <= self.rate <= 1.0:
             raise InvalidInputError(f"rate must lie in [0, 1], got {self.rate}")
         object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
 def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
@@ -181,13 +177,10 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
         InvalidInputError: fewer than n_way classes, or any pool class
             with fewer than k_shot + queries_per_class members.
     """
-    if not (isinstance(n_way, (int, np.integer)) and n_way >= 2):
-        raise InvalidInputError(f"n_way must be an integer >= 2, got {n_way!r}")
-    if not (isinstance(k_shot, (int, np.integer)) and k_shot >= 1):
-        raise InvalidInputError(f"k_shot must be an integer >= 1, got {k_shot!r}")
-    if not (isinstance(queries_per_class, (int, np.integer)) and queries_per_class >= 1):
-        raise InvalidInputError(f"queries_per_class must be an integer >= 1, got {queries_per_class!r}")
-    seed = _check_seed(seed)
+    n_way = _check_int("n_way", n_way, 2)
+    k_shot = _check_int("k_shot", k_shot, 1)
+    queries_per_class = _check_int("queries_per_class", queries_per_class, 1)
+    seed = _check_int("seed", seed, 0)
 
     classes = sorted(pool.class_index)
     if len(classes) < n_way:

@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import MixtureSpec, generate_mixture, load_embeddings
-from .episodes import CorruptionSpec, EmbeddingSet, corrupt_labels, sample_episode, _check_seed
+from .episodes import CorruptionSpec, EmbeddingSet, _check_int, corrupt_labels, sample_episode
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
 from .nnp import PrototypeSet, _classify_arrays, compute_prototypes
-from .refine import RnnpConfig, _direct_prototypes, _refine_arrays, build_hybrids
+from .refine import RnnpConfig, _cluster_batch, _direct_prototypes, build_hybrids
 
 CORRUPTION_SEED_SALT = 0x9E3779B97F4A7C15
 
@@ -51,6 +51,8 @@ class MethodSpec:
             raise InvalidInputError("method 'rnnp' needs its hyper-parameters")
         if self.method == "nnp" and self.rnnp is not None:
             raise InvalidInputError("method 'nnp' takes no hyper-parameters")
+        if self.label is not None and not isinstance(self.label, str):
+            raise InvalidInputError(f"label must be a string, got {self.label!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.method)
 
@@ -67,6 +69,8 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MethodSpec":
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"a method must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         method = d.pop("method", None)
         label = d.pop("label", None)
@@ -108,17 +112,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.mixture is None) == (self.data_path is None):
             raise InvalidInputError("exactly one of mixture / data_path must be set")
+        if self.data_path is not None and not isinstance(self.data_path, (str, os.PathLike)):
+            # An integer would be opened as a file descriptor.
+            raise InvalidInputError(f"data_path must be a path, got {self.data_path!r}")
         if self.data_path is not None and self.data_format not in ("csv", "jsonl"):
             raise InvalidInputError("data_format must be 'csv' or 'jsonl' when data_path is set")
-        for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1), ("n_episodes", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < lo:
-                raise InvalidInputError(f"{name} must be an integer >= {lo}, got {v!r}")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        if not isinstance(self.best_of, (int, np.integer)) or self.best_of < 1:
-            raise InvalidInputError(f"best_of must be an integer >= 1, got {self.best_of!r}")
-        if self.workers is not None and (not isinstance(self.workers, (int, np.integer)) or self.workers < 1):
-            raise InvalidInputError(f"workers must be an integer >= 1 or None, got {self.workers!r}")
+        for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1), ("n_episodes", 1),
+                         ("seed", 0), ("best_of", 1)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
+        if self.workers is not None:
+            object.__setattr__(self, "workers", _check_int("workers", self.workers, 1))
 
         methods = tuple(self.methods)
         if not methods:
@@ -134,9 +137,13 @@ class ExperimentConfig:
                 )
         object.__setattr__(self, "methods", methods)
 
-        rates = tuple(float(r) for r in self.corruption_rates)
-        if not rates:
-            raise InvalidInputError("corruption_rates must not be empty")
+        rates = self.corruption_rates
+        if not isinstance(rates, (list, tuple)) or not rates or not all(
+                isinstance(r, (int, float, np.integer, np.floating)) and not isinstance(r, bool)
+                for r in rates):
+            raise InvalidInputError(
+                f"corruption_rates must be a non-empty list of numbers, got {rates!r}")
+        rates = tuple(float(r) for r in rates)
         for i, r in enumerate(rates):
             if not 0.0 <= r <= 1.0:
                 raise InvalidInputError(f"corruption_rates[{i}] must lie in [0, 1], got {r}")
@@ -167,6 +174,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         known = {
             "mixture", "data_path", "data_format", "n_way", "k_shot", "queries_per_class",
@@ -181,10 +190,9 @@ class ExperimentConfig:
                 d["mixture"] = MixtureSpec(**d["mixture"])
             except TypeError as exc:
                 raise InvalidInputError(f"bad mixture keys: {exc}") from exc
-        if "methods" in d:
-            d["methods"] = tuple(MethodSpec.from_dict(m) for m in d["methods"])
-        if "corruption_rates" in d:
-            d["corruption_rates"] = tuple(d["corruption_rates"])
+        if not isinstance(d.get("methods"), list):
+            raise InvalidInputError("config needs 'methods', a list of method objects")
+        d["methods"] = tuple(MethodSpec.from_dict(m) for m in d["methods"])
         return cls(**d)
 
 
@@ -211,32 +219,22 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
 def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     """Accuracy plus (correct_before, mean correct_after) for one episode.
 
-    Equivalent to calling classify_rnnp per query; hybrids and initial
-    prototypes are built once since they do not depend on the query.
+    Equivalent to calling classify_rnnp per query: every query is its own
+    clustering problem, and one batched kernel call runs them all.
     """
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
+    queries = episode.query_features
     if rcfg.hybrid_labeling == "labeled_direct":
         _, direct = _direct_prototypes(episode, rcfg)
-        preds = [_classify_arrays(direct.prototypes, q, rcfg.metric)[1]
-                 for q in episode.query_features]
-        acc = episode_accuracy(preds, episode.query_labels)
-        return acc, before, float(before)
+        preds = _classify_arrays(direct.prototypes, queries, rcfg.metric)[1]
+        return episode_accuracy(preds, episode.query_labels), before, float(before)
 
-    hybrids = build_hybrids(episode, rcfg)[0]
-    pool_rows = np.vstack([episode.support_features, hybrids,
-                           np.zeros((1, episode.dim))])
-    kn = episode.support_features.shape[0]
-    preds = []
-    afters = []
-    for q in episode.query_features:
-        pool_rows[-1] = q
-        centers, resp = _refine_arrays(pool_rows, initial.prototypes, rcfg)
-        preds.append(_classify_arrays(centers, q, rcfg.metric)[1])
-        rectified = np.argmax(resp[:kn], axis=1)
-        afters.append(int(np.sum(rectified == true)))
-    acc = episode_accuracy(preds, episode.query_labels)
-    return acc, before, float(np.mean(afters))
+    shared = np.vstack([episode.support_features, build_hybrids(episode, rcfg)[0]])
+    centers, resp = _cluster_batch(shared, queries[:, None, :], initial.prototypes, rcfg)
+    preds = _classify_arrays(centers, queries, rcfg.metric)[1]
+    afters = np.sum(np.argmax(resp[:, :len(true)], axis=2) == true, axis=1)
+    return episode_accuracy(preds, episode.query_labels), before, float(np.mean(afters))
 
 
 def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) -> dict:
@@ -260,8 +258,8 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
             continue
         for m in config.methods:
             if m.method == "nnp":
-                preds = [_classify_arrays(protos.prototypes, q, "sqeuclidean")[1]
-                         for q in corrupted.query_features]
+                preds = _classify_arrays(protos.prototypes, corrupted.query_features,
+                                         "sqeuclidean")[1]
                 out[(m.label, rate)] = {
                     "accuracy": episode_accuracy(preds, corrupted.query_labels)
                 }

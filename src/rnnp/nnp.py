@@ -82,21 +82,13 @@ def compute_prototypes(episode: Episode, label_source: str = "observed") -> Prot
     return PrototypeSet(prototypes=protos)
 
 
-def _classify_arrays(prototypes: np.ndarray, query: np.ndarray,
-                     metric: str) -> tuple[np.ndarray, int]:
-    """The arithmetic of classify() on bare arrays; hot-loop entry point."""
-    dists = _pairwise_raw(query[None, :], prototypes, metric)[0]
-    probs = _softmax_raw(-dists)
-    return probs, int(np.argmax(probs))
-
-
-def class_scores(prototypes: PrototypeSet, query: FeatureVec,
-                 metric: str = "sqeuclidean") -> np.ndarray:
-    """Raw probability vector for one query."""
-    q = as_vector(query)
-    if q.shape[0] != prototypes.dim:
-        raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {prototypes.dim}")
-    return _classify_arrays(prototypes.prototypes, q, metric)[0]
+def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray,
+                     metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """classify() for a (Q, d) stack of queries on bare arrays; hot-loop entry
+    point. prototypes is (N, d), shared by all queries, or (Q, N, d), one set
+    per query. Returns the (Q, N) probabilities and (Q,) predictions."""
+    probs = _softmax_raw(-_pairwise_raw(queries, prototypes, metric))
+    return probs, np.argmax(probs, axis=1)
 
 
 def classify(prototypes: PrototypeSet, query: FeatureVec,
@@ -111,5 +103,5 @@ def classify(prototypes: PrototypeSet, query: FeatureVec,
     q = as_vector(query)
     if q.shape[0] != prototypes.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {prototypes.dim}")
-    probs, pred = _classify_arrays(prototypes.prototypes, q, metric)
-    return ClassProbabilities(probs=probs), pred
+    probs, pred = _classify_arrays(prototypes.prototypes, q[None, :], metric)
+    return ClassProbabilities(probs=probs[0]), int(pred[0])

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode, _check_seed
+from .episodes import Episode, _check_int
 from .errors import DegenerateInputError, InvalidInputError
 from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
-from .vecmath import VALID_METRICS, _pairwise_raw, _softmax_raw, as_matrix, as_vector
+from .vecmath import VALID_METRICS, _softmax_raw, _unit_rows, as_matrix, as_vector
 
 CLUSTERING_MODES = ("soft", "hard")
 HYBRID_SOURCES = ("same_class", "different_class", "gaussian_noise")
@@ -63,15 +63,12 @@ class RnnpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.beta, (int, np.integer)) or isinstance(self.beta, bool) or self.beta < 1:
-            raise InvalidInputError(f"beta must be an integer >= 1, got {self.beta!r}")
+        for name, lo in (("beta", 1), ("iterations", 0), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
             raise InvalidInputError(f"alpha must be a real number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if (not isinstance(self.iterations, (int, np.integer))
-                or isinstance(self.iterations, bool) or self.iterations < 0):
-            raise InvalidInputError(f"iterations must be an integer >= 0, got {self.iterations!r}")
         if self.clustering_mode not in CLUSTERING_MODES:
             raise InvalidInputError(f"clustering_mode must be one of {CLUSTERING_MODES}")
         if self.hybrid_source not in HYBRID_SOURCES:
@@ -82,10 +79,7 @@ class RnnpConfig:
             raise InvalidInputError("gaussian_noise hybrids have no parent class to label them with")
         if self.metric not in VALID_METRICS:
             raise InvalidInputError(f"metric must be one of {VALID_METRICS}")
-        object.__setattr__(self, "beta", int(self.beta))
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -197,32 +191,79 @@ def generate_hybrids(episode: Episode, config: RnnpConfig) -> np.ndarray:
     return build_hybrids(episode, config)[0]
 
 
-def _assign_raw(pool: np.ndarray, centers: np.ndarray, mode: str, metric: str,
-                pool_sqnorms: np.ndarray | None = None) -> np.ndarray:
+def _prepare(rows: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """What the distance reads of each row along the last axis: (rows,
+    squared norms) for sqeuclidean, (unit rows, None) for cosine."""
     if metric == "sqeuclidean":
-        # Expanded identity: one small matmul instead of a (m, n, d)
-        # difference tensor. The loop passes pool_sqnorms in so the pool
-        # term is computed once per refinement, not once per round.
-        pn = pool_sqnorms if pool_sqnorms is not None \
-            else np.einsum("md,md->m", pool, pool)
-        cn = np.einsum("nd,nd->n", centers, centers)
-        dists = pn[:, None] - 2.0 * (pool @ centers.T) + cn[None, :]
+        return rows, np.einsum("...d,...d->...", rows, rows)
+    return _unit_rows(rows), None
+
+
+def _assign(shared, own, centers: np.ndarray, mode: str,
+            metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities of the shared rows (Q, m, N) and of each problem's
+    own rows (Q, r, N) for that problem's centers (Q, N, d).
+
+    shared and own come from _prepare. All Q*N centers meet the shared rows
+    in one GEMM; the own rows add r dot products per center. sqeuclidean
+    uses the expanded identity |p|^2 - 2 p.c + |c|^2. The shared block is a
+    transposed view of a (Q, N, m) array, so reductions over the N centers
+    run along whole rows of m.
+    """
+    q, n, d = centers.shape
+    c, cn = _prepare(centers, metric)
+    dots = (c.reshape(q * n, d) @ shared[0].T).reshape(q, n, -1).transpose(0, 2, 1)
+    own_dots = np.einsum("qnd,qrd->qrn", c, own[0])
+    if metric == "sqeuclidean":
+        dists = (shared[1][:, None] - 2.0 * dots + cn[:, None, :],
+                 own[1][..., None] - 2.0 * own_dots + cn[:, None, :])
     else:
-        dists = _pairwise_raw(pool, centers, metric)
+        dists = (1.0 - dots, 1.0 - own_dots)
     if mode == "soft":
-        return _softmax_raw(-dists)
-    resp = np.zeros_like(dists)
-    resp[np.arange(dists.shape[0]), np.argmin(dists, axis=1)] = 1.0
-    return resp
+        return tuple(_softmax_raw(-x) for x in dists)
+    # One-hot on the nearest center; exact ties go to the lowest index.
+    return tuple((np.argmin(x, axis=-1)[..., None] == np.arange(n)).astype(np.float64)
+                 for x in dists)
 
 
-def _update_raw(pool: np.ndarray, resp: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    mass = resp.sum(axis=0)
-    new = resp.T @ pool
+def _update(shared: np.ndarray, own: np.ndarray, resp: np.ndarray, own_resp: np.ndarray,
+            previous: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted means (Q, N, d) of each problem's rows.
+
+    The shared rows enter through one GEMM over all Q*N centers, the own
+    rows as a rank-r term. A center whose total responsibility is below
+    EMPTY_CLUSTER_EPS keeps its previous value.
+    """
+    q, n, d = previous.shape
+    weights = resp.transpose(0, 2, 1).reshape(q * n, -1)
+    sums = (weights @ shared).reshape(q, n, d) + np.einsum("qrn,qrd->qnd", own_resp, own)
+    mass = weights.sum(axis=1).reshape(q, n) + own_resp.sum(axis=1)
     alive = mass >= EMPTY_CLUSTER_EPS
-    new[alive] /= mass[alive, None]
-    new[~alive] = previous[~alive]
-    return new
+    return np.where(alive[..., None], sums / np.where(alive, mass, 1.0)[..., None], previous)
+
+
+def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
+                   config: RnnpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Soft (or hard) k-means for Q independent problems at once.
+
+    Problem q clusters the shared (m, d) rows plus its own r rows own[q]
+    (own is (Q, r, d); r may be 0), starting from centers, (N, d) for every
+    problem or (Q, N, d). No problem reads another's rows or centers, so
+    each result is the one that problem gives alone.
+
+    Returns the final centers (Q, N, d) and the assignment computed in the
+    last round (Q, m + r, N), own rows last: the one the final center
+    update used, or with zero iterations the one at the initial centers.
+    """
+    centers = np.broadcast_to(centers, own.shape[:1] + centers.shape[-2:])
+    rows, own_rows = _prepare(shared, config.metric), _prepare(own, config.metric)
+    resp = None
+    for _ in range(config.iterations):
+        resp = _assign(rows, own_rows, centers, config.clustering_mode, config.metric)
+        centers = _update(shared, own, *resp, centers)
+    if resp is None:
+        resp = _assign(rows, own_rows, centers, config.clustering_mode, config.metric)
+    return centers, np.concatenate(resp, axis=1)
 
 
 def soft_assign(features, centers: PrototypeSet, mode: str = "soft",
@@ -236,7 +277,11 @@ def soft_assign(features, centers: PrototypeSet, mode: str = "soft",
     """
     if mode not in CLUSTERING_MODES:
         raise InvalidInputError(f"mode must be one of {CLUSTERING_MODES}")
-    return _assign_raw(as_matrix(features), centers.prototypes, mode, metric)
+    if metric not in VALID_METRICS:
+        raise InvalidInputError(f"metric must be one of {VALID_METRICS}")
+    feats = as_matrix(features)
+    no_rows = _prepare(np.empty((1, 0, feats.shape[1])), metric)
+    return _assign(_prepare(feats, metric), no_rows, centers.prototypes[None], mode, metric)[0][0]
 
 
 def update_centers(features, responsibilities,
@@ -267,26 +312,8 @@ def update_centers(features, responsibilities,
                 f"cluster {dead} has zero total responsibility and no previous center to keep"
             )
         prev = np.zeros((resp.shape[1], feats.shape[1]))
-    return PrototypeSet(prototypes=_update_raw(feats, resp, prev))
-
-
-def _refine_arrays(pool: np.ndarray, centers0: np.ndarray,
-                   config: RnnpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run the clustering loop; returns (final centers, final assignment).
-
-    The returned assignment is the one computed in the last round, i.e.
-    the one the final center update used; with zero iterations it is
-    evaluated at the initial centers.
-    """
-    centers = centers0
-    resp = None
-    pn = np.einsum("md,md->m", pool, pool) if config.metric == "sqeuclidean" else None
-    for _ in range(config.iterations):
-        resp = _assign_raw(pool, centers, config.clustering_mode, config.metric, pn)
-        centers = _update_raw(pool, resp, centers)
-    if resp is None:
-        resp = _assign_raw(pool, centers, config.clustering_mode, config.metric, pn)
-    return centers, resp
+    no_rows, no_resp = np.empty((1, 0, feats.shape[1])), np.empty((1, 0, resp.shape[1]))
+    return PrototypeSet(prototypes=_update(feats, no_rows, resp[None], no_resp, prev[None])[0])
 
 
 def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:
@@ -308,12 +335,12 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     initial = compute_prototypes(episode, "observed")
     hybrids = build_hybrids(episode, config)[0]
     pool = np.vstack([episode.support_features, hybrids, q[None, :]])
-    centers, resp = _refine_arrays(pool, initial.prototypes, config)
-    kn = episode.support_features.shape[0]
-    support_resp = resp[:kn]
+    no_rows = np.empty((1, 0, episode.dim))
+    centers, resp = _cluster_batch(pool, no_rows, initial.prototypes, config)
+    support_resp = resp[0, :episode.support_features.shape[0]]
     return RefinementTrace(
         initial_prototypes=initial,
-        refined_prototypes=PrototypeSet(prototypes=centers),
+        refined_prototypes=PrototypeSet(prototypes=centers[0]),
         support_responsibilities=support_resp,
         rectified_labels=np.argmax(support_resp, axis=1),
     )

@@ -70,21 +70,21 @@ def cosine_distance(a, b) -> float:
     return float(1.0 - np.dot(va, vb) / (na * nb))
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Vectors along the last axis at unit norm; a zero vector stays zero,
+    so its cosine similarity to anything is exactly 0 rather than NaN."""
+    norms = np.sqrt(np.einsum("...d,...d->...", x, x))
+    return x / np.where(norms > 0.0, norms, 1.0)[..., None]
+
+
 def _pairwise_raw(r: np.ndarray, c: np.ndarray, metric: str) -> np.ndarray:
-    """pairwise_distances without input validation; hot-loop entry point."""
+    """pairwise_distances without input validation; hot-loop entry point.
+    c is (n, d), shared by every row, or (m, n, d), one set per row."""
     if metric == "sqeuclidean":
-        diff = r[:, None, :] - c[None, :, :]
+        diff = r[:, None, :] - c
         return np.einsum("mnd,mnd->mn", diff, diff)
     if metric == "cosine":
-        rn = np.sqrt(np.einsum("md,md->m", r, r))
-        cn = np.sqrt(np.einsum("nd,nd->n", c, c))
-        # Zero-norm vectors get similarity 0 rather than NaN.
-        rs = np.where(rn > 0.0, rn, 1.0)
-        cs = np.where(cn > 0.0, cn, 1.0)
-        sims = (r / rs[:, None]) @ (c / cs[:, None]).T
-        sims[rn == 0.0, :] = 0.0
-        sims[:, cn == 0.0] = 0.0
-        return 1.0 - sims
+        return 1.0 - np.matmul(_unit_rows(c), _unit_rows(r)[:, :, None])[..., 0]
     raise InvalidInputError(f"unknown metric {metric!r}; expected one of {VALID_METRICS}")
 
 

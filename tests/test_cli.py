@@ -98,6 +98,21 @@ class TestEval:
                      "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: [cfg],
+        lambda cfg: {**cfg, "corruption_rates": 0.4},
+        lambda cfg: {**cfg, "methods": {"method": "nnp"}},
+        lambda cfg: {k: v for k, v in cfg.items() if k != "methods"},
+        lambda cfg: {**cfg, "methods": [{"method": "nnp", "label": 5}]},
+    ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label"])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, edit):
+        path = tmp_path / "config.json"
+        write_config(tmp_path)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edit(cfg)), encoding="utf-8")
+        assert main(["eval", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_corruption_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["eval", "--config", cfg, "--out", str(tmp_path),

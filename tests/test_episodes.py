@@ -11,7 +11,10 @@ from rnnp.episodes import (
     count_corrupted,
     sample_episode,
 )
+from rnnp.datagen import MixtureSpec
 from rnnp.errors import InvalidInputError
+from rnnp.harness import default_config
+from rnnp.refine import RnnpConfig
 
 
 def make_pool(num_classes=20, per_class=25, dim=8, seed=0):
@@ -205,3 +208,45 @@ class TestEpisodeValidation:
                 query_features=np.zeros((2, 2)),
                 query_labels=np.array([0, 1]),
             )
+
+
+def _episode(**overrides):
+    args = dict(n_way=2, k_shot=1, support_features=np.zeros((2, 2)),
+                support_true_labels=[0, 1], support_observed_labels=[0, 1],
+                query_features=np.zeros((2, 2)), query_labels=[0, 1])
+    return Episode(**{**args, **overrides})
+
+
+def _mixture(**overrides):
+    return MixtureSpec(**{**dict(num_classes=3, dim=2, separation=1.0,
+                                 samples_per_class=5, seed=0), **overrides})
+
+
+# Every integer field or argument, each given True: bool is an int subclass
+# but never a meaningful count, size or seed.
+BOOL_SITES = {
+    "MixtureSpec.num_classes": lambda: _mixture(num_classes=True),
+    "MixtureSpec.dim": lambda: _mixture(dim=True),
+    "MixtureSpec.samples_per_class": lambda: _mixture(samples_per_class=True),
+    "MixtureSpec.seed": lambda: _mixture(seed=True),
+    "Episode.n_way": lambda: _episode(n_way=True),
+    "Episode.k_shot": lambda: _episode(k_shot=True),
+    "Episode.seed": lambda: _episode(seed=True),
+    "sample_episode.n_way": lambda: sample_episode(make_pool(), True, 1, 1, 0),
+    "sample_episode.k_shot": lambda: sample_episode(make_pool(), 2, True, 1, 0),
+    "sample_episode.queries_per_class": lambda: sample_episode(make_pool(), 2, 1, True, 0),
+    "sample_episode.seed": lambda: sample_episode(make_pool(), 2, 1, 1, True),
+    "CorruptionSpec.seed": lambda: CorruptionSpec(rate=0.0, seed=True),
+    "RnnpConfig.beta": lambda: RnnpConfig(beta=True),
+    "RnnpConfig.iterations": lambda: RnnpConfig(beta=1, iterations=True),
+    "RnnpConfig.seed": lambda: RnnpConfig(beta=1, seed=True),
+    **{f"ExperimentConfig.{name}": (lambda name=name: default_config(**{name: True}))
+       for name in ("n_way", "k_shot", "queries_per_class", "n_episodes", "seed",
+                    "best_of", "workers")},
+}
+
+
+@pytest.mark.parametrize("build", list(BOOL_SITES.values()), ids=list(BOOL_SITES))
+def test_bool_is_rejected_as_an_integer(build):
+    with pytest.raises(InvalidInputError):
+        build()

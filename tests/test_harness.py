@@ -53,6 +53,8 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(methods=(MethodSpec(method="nnp"),),
                              mixture=tiny_mixture(), data_path="x.csv", data_format="csv")
+        with pytest.raises(InvalidInputError):  # an int would be opened as a file descriptor
+            ExperimentConfig(methods=(MethodSpec(method="nnp"),), data_path=0, data_format="csv")
 
     def test_rejects_non_integral_rate_for_k_shot(self):
         with pytest.raises(InvalidInputError):

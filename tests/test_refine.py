@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels, sample_episode
 from rnnp.errors import DegenerateInputError, InvalidInputError
-from rnnp.nnp import PrototypeSet, classify, compute_prototypes
+from rnnp.nnp import PrototypeSet, _classify_arrays, classify, compute_prototypes
 from rnnp.refine import (
     RefinementTrace,
     RnnpConfig,
+    _cluster_batch,
+    build_hybrids,
     classify_rnnp,
     generate_hybrids,
     rectification_delta,
@@ -510,3 +514,50 @@ class TestAgainstReferenceLoop:
                 err_msg=f"trial {trial}",
             )
             assert pred == ref["predicted_class"], f"trial {trial}"
+
+
+class TestBatchedRefinement:
+    """Each query of a batch is its own clustering problem (no transduction)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_way=st.integers(2, 5),
+        k_shot=st.integers(2, 6),
+        dim=st.integers(1, 8),
+        batch=st.integers(1, 20),
+        beta=st.integers(1, 5),
+        iterations=st.integers(0, 4),
+        mode=st.sampled_from(["soft", "hard"]),
+        metric=st.sampled_from(["sqeuclidean", "cosine"]),
+    )
+    def test_batch_equals_each_query_alone(self, seed, n_way, k_shot, dim, batch, beta,
+                                           iterations, mode, metric):
+        rng = np.random.default_rng(seed)
+        ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=4,
+                           spread=float(rng.uniform(0.5, 6.0)))
+        # Fewer than K corrupted per class, so every class keeps an observed support.
+        wrong = int(rng.integers(0, k_shot))
+        ep = corrupt_labels(ep, CorruptionSpec(rate=wrong / k_shot, seed=seed))
+        cfg = RnnpConfig(beta=min(beta, k_shot - 1), iterations=iterations,
+                         clustering_mode=mode, metric=metric, seed=seed % 1000)
+        # A shuffled batch of any size, queries repeated when it outgrows the episode.
+        order = rng.permutation(np.arange(batch) % ep.query_features.shape[0])
+        queries = ep.query_features[order]
+
+        shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
+        initial = compute_prototypes(ep, "observed").prototypes
+        centers, resp = _cluster_batch(shared, queries[:, None, :], initial, cfg)
+        preds = _classify_arrays(centers, queries, metric)[1]
+        kn = ep.support_features.shape[0]
+        assert centers.shape == (batch, n_way, dim)
+        assert resp.shape == (batch, shared.shape[0] + 1, n_way)
+        for i, q in enumerate(queries):
+            _, pred, trace = classify_rnnp(ep, q, cfg)
+            assert preds[i] == pred
+            assert np.array_equal(np.argmax(resp[i, :kn], axis=1), trace.rectified_labels)
+            np.testing.assert_allclose(centers[i], trace.refined_prototypes.prototypes,
+                                       rtol=0, atol=1e-12)
+            alone, alone_resp = _cluster_batch(shared, q[None, None, :], initial, cfg)
+            np.testing.assert_allclose(centers[i], alone[0], rtol=0, atol=1e-12)
+            assert np.array_equal(np.argmax(resp[i], axis=1), np.argmax(alone_resp[0], axis=1))
