@@ -17,13 +17,13 @@ from rnnp import (
     CorruptionSpec,
     MixtureSpec,
     RnnpConfig,
+    build_hybrids,
     classify,
     classify_rnnp,
     compute_prototypes,
     corrupt_labels,
     count_corrupted,
     episode_accuracy,
-    generate_hybrids,
     generate_mixture,
     rectification_delta,
     sample_episode,
@@ -70,7 +70,7 @@ def main():
     # Robust classifier: hybrids + per-query soft clustering
     # ------------------------------------------------------------------
     cfg = RnnpConfig(alpha=0.8, beta=4, iterations=3)
-    hybrids = generate_hybrids(episode, cfg)
+    hybrids = build_hybrids(episode, cfg)[0]
     banner("Hybrid pool")
     print(f"each support blends with beta={cfg.beta} same-class partners at "
           f"alpha={cfg.alpha}, giving {hybrids.shape[0]} unlabeled hybrids "

@@ -50,21 +50,14 @@ from .refine import (
     HYBRID_SOURCES,
     RefinementTrace,
     RnnpConfig,
+    build_hybrids,
     classify_rnnp,
-    generate_hybrids,
     rectification_delta,
     refine_for_query,
     soft_assign,
     update_centers,
 )
-from .vecmath import (
-    VALID_METRICS,
-    cosine_distance,
-    pairwise_distances,
-    softmax,
-    squared_euclidean,
-    weighted_mean,
-)
+from .vecmath import pairwise_distances, softmax, squared_euclidean
 
 __version__ = "0.1.0"
 
@@ -89,17 +82,15 @@ __all__ = [
     "PrototypeSet",
     "RefinementTrace",
     "RnnpConfig",
-    "VALID_METRICS",
     "bayes_accuracy",
+    "build_hybrids",
     "classify",
     "classify_rnnp",
     "compute_prototypes",
     "corrupt_labels",
-    "cosine_distance",
     "count_corrupted",
     "default_config",
     "episode_accuracy",
-    "generate_hybrids",
     "generate_mixture",
     "load_embeddings",
     "load_pool",
@@ -120,6 +111,5 @@ __all__ = [
     "softmax",
     "squared_euclidean",
     "update_centers",
-    "weighted_mean",
     "write_embeddings",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -70,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="benchmark all configured methods")
     _add_common(ev)
-    ev.add_argument("--best-of", type=int, dest="best_of",
-                    help="repeat under shifted seeds, keep best mean per method and rate")
     ev.set_defaults(func=_cmd_eval)
 
     sw = sub.add_parser("sweep", help="sweep one hyper-parameter axis")
@@ -118,8 +117,6 @@ def _build_config(args, *, rnnp_only: bool) -> ExperimentConfig:
         top["corruption_rates"] = _parse_rates(args.corruption)
     if args.workers is not None:
         top["workers"] = args.workers
-    if getattr(args, "best_of", None) is not None:
-        top["best_of"] = args.best_of
     if top:
         config = replace(config, **top)
 
@@ -150,19 +147,10 @@ def _build_config(args, *, rnnp_only: bool) -> ExperimentConfig:
     return config
 
 
-def _require_single_rate(config: ExperimentConfig):
-    if len(config.corruption_rates) != 1:
-        raise InvalidInputError(
-            "this command needs exactly one corruption rate; pass e.g. --corruption 0.4"
-        )
-
-
 def _cmd_generate(args) -> int:
     spec = MixtureSpec(num_classes=args.classes, dim=args.dim, separation=args.separation,
                        samples_per_class=args.samples, seed=args.seed)
     pool = generate_mixture(spec)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"embeddings.{args.format}")
     write_embeddings(pool, path, args.format)
@@ -185,7 +173,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args, rnnp_only=True)
-    _require_single_rate(config)
     try:
         values = [float(part) for part in args.values.split(",")]
     except ValueError as exc:
@@ -201,7 +188,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_rectify(args) -> int:
     config = _build_config(args, rnnp_only=True)
-    _require_single_rate(config)
     result = run_rectification_analysis(config)
     print(f"mean correct labels: {result['mean_correct_before']:.3f} before, "
           f"{result['mean_correct_after']:.3f} after refinement "

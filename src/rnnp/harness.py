@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -59,12 +59,7 @@ class MethodSpec:
     def to_dict(self) -> dict:
         d = {"method": self.method, "label": self.label}
         if self.rnnp is not None:
-            d.update(
-                alpha=self.rnnp.alpha, beta=self.rnnp.beta, iterations=self.rnnp.iterations,
-                clustering_mode=self.rnnp.clustering_mode, hybrid_source=self.rnnp.hybrid_source,
-                hybrid_labeling=self.rnnp.hybrid_labeling, metric=self.rnnp.metric,
-                seed=self.rnnp.seed,
-            )
+            d.update(asdict(self.rnnp))
         return d
 
     @classmethod
@@ -91,8 +86,8 @@ class MethodSpec:
 class ExperimentConfig:
     """Everything one run needs; JSON config files mirror it field-for-field.
 
-    workers and output_dir are runtime knobs: they never influence results
-    and are excluded from report snapshots.
+    workers is a runtime knob: it never influences results and is excluded
+    from report snapshots.
     """
 
     methods: tuple
@@ -105,9 +100,7 @@ class ExperimentConfig:
     n_episodes: int = 1000
     corruption_rates: tuple = (0.0, 0.2, 0.4)
     seed: int = 7
-    best_of: int = 1
     workers: int | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         if (self.mixture is None) == (self.data_path is None):
@@ -118,7 +111,7 @@ class ExperimentConfig:
         if self.data_path is not None and self.data_format not in ("csv", "jsonl"):
             raise InvalidInputError("data_format must be 'csv' or 'jsonl' when data_path is set")
         for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1), ("n_episodes", 1),
-                         ("seed", 0), ("best_of", 1)):
+                         ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if self.workers is not None:
             object.__setattr__(self, "workers", _check_int("workers", self.workers, 1))
@@ -154,35 +147,18 @@ class ExperimentConfig:
         object.__setattr__(self, "corruption_rates", rates)
 
     def to_dict(self) -> dict:
-        return {
-            "mixture": None if self.mixture is None else {
-                "num_classes": self.mixture.num_classes, "dim": self.mixture.dim,
-                "separation": self.mixture.separation,
-                "samples_per_class": self.mixture.samples_per_class, "seed": self.mixture.seed,
-            },
-            "data_path": self.data_path,
-            "data_format": self.data_format,
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
-            "queries_per_class": self.queries_per_class,
-            "n_episodes": self.n_episodes,
-            "corruption_rates": list(self.corruption_rates),
-            "methods": [m.to_dict() for m in self.methods],
-            "seed": self.seed,
-            "best_of": self.best_of,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        d.update(mixture=None if self.mixture is None else asdict(self.mixture),
+                 corruption_rates=list(self.corruption_rates),
+                 methods=[m.to_dict() for m in self.methods])
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
-        known = {
-            "mixture", "data_path", "data_format", "n_way", "k_shot", "queries_per_class",
-            "n_episodes", "corruption_rates", "methods", "seed", "best_of", "workers",
-            "output_dir",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         if d.get("mixture") is not None:
@@ -227,12 +203,12 @@ def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     queries = episode.query_features
     if rcfg.hybrid_labeling == "labeled_direct":
         _, direct = _direct_prototypes(episode, rcfg)
-        preds = _classify_arrays(direct.prototypes, queries, rcfg.metric)[1]
+        preds = _classify_arrays(direct.prototypes, queries)[1]
         return episode_accuracy(preds, episode.query_labels), before, float(before)
 
     shared = np.vstack([episode.support_features, build_hybrids(episode, rcfg)[0]])
     centers, resp = _cluster_batch(shared, queries[:, None, :], initial.prototypes, rcfg)
-    preds = _classify_arrays(centers, queries, rcfg.metric)[1]
+    preds = _classify_arrays(centers, queries)[1]
     afters = np.sum(np.argmax(resp[:, :len(true)], axis=2) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), before, float(np.mean(afters))
 
@@ -258,8 +234,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
             continue
         for m in config.methods:
             if m.method == "nnp":
-                preds = _classify_arrays(protos.prototypes, corrupted.query_features,
-                                         "sqeuclidean")[1]
+                preds = _classify_arrays(protos.prototypes, corrupted.query_features)[1]
                 out[(m.label, rate)] = {
                     "accuracy": episode_accuracy(preds, corrupted.query_labels)
                 }
@@ -283,7 +258,12 @@ def _worker_task(index):
     return _evaluate_episode(_WORKER_POOL, _WORKER_CONFIG, index)
 
 
-def _run_single(config: ExperimentConfig) -> list:
+def run_experiment(config: ExperimentConfig) -> list:
+    """Evaluate every configured method at every corruption rate.
+
+    Reports come back method-major (all rates of the first method, then
+    the second, ...).
+    """
     pool = load_pool(config)
     if len(pool.class_index) < config.n_way:
         raise InvalidInputError(
@@ -338,28 +318,6 @@ def _run_single(config: ExperimentConfig) -> list:
     return reports
 
 
-def run_experiment(config: ExperimentConfig) -> list:
-    """Evaluate every configured method at every corruption rate.
-
-    Reports come back method-major (all rates of the first method, then
-    the second, ...). With best_of > 1 the whole run repeats under shifted
-    base seeds and, per (method, rate), the report with the best mean
-    accuracy is kept; note that picked runs may differ between slots, so
-    best-of output is for headline reporting, not paired comparison.
-    """
-    if config.best_of == 1:
-        return _run_single(config)
-    runs = []
-    for r in range(config.best_of):
-        shifted = replace(config, seed=config.seed + r * 10_000_019)
-        runs.append(_run_single(shifted))
-    best = []
-    for slot in range(len(runs[0])):
-        candidates = [run[slot] for run in runs]
-        best.append(max(candidates, key=lambda rep: rep.mean_accuracy))
-    return best
-
-
 def _single_rnnp_method(config: ExperimentConfig) -> MethodSpec:
     rnnp_methods = [m for m in config.methods if m.method == "rnnp"]
     if len(rnnp_methods) != 1 or len(config.methods) != 1:
@@ -391,7 +349,7 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
             v = float(v)
         swept = replace(method.rnnp, **{sweep_axis: v})
         cfg = replace(config, methods=(replace(method, rnnp=swept),))
-        report = _run_single(cfg)[0] if cfg.best_of == 1 else run_experiment(cfg)[0]
+        report = run_experiment(cfg)[0]
         report.config["sweep"] = {"axis": sweep_axis, "value": v}
         reports.append(report)
     return reports

@@ -82,26 +82,24 @@ def compute_prototypes(episode: Episode, label_source: str = "observed") -> Prot
     return PrototypeSet(prototypes=protos)
 
 
-def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray,
-                     metric: str) -> tuple[np.ndarray, np.ndarray]:
+def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """classify() for a (Q, d) stack of queries on bare arrays; hot-loop entry
     point. prototypes is (N, d), shared by all queries, or (Q, N, d), one set
     per query. Returns the (Q, N) probabilities and (Q,) predictions."""
-    probs = _softmax_raw(-_pairwise_raw(queries, prototypes, metric))
+    probs = _softmax_raw(-_pairwise_raw(queries, prototypes))
     return probs, np.argmax(probs, axis=1)
 
 
-def classify(prototypes: PrototypeSet, query: FeatureVec,
-             metric: str = "sqeuclidean") -> tuple[ClassProbabilities, int]:
+def classify(prototypes: PrototypeSet, query: FeatureVec) -> tuple[ClassProbabilities, int]:
     """Classify one query against a prototype set.
 
-    Probabilities are a softmax over the negated query-to-prototype
-    distances (computed with max-subtraction so large distances cannot
-    underflow everything at once). The predicted class is the argmax;
+    Probabilities are a softmax over the negated squared Euclidean
+    query-to-prototype distances (computed with max-subtraction so large
+    distances cannot underflow everything at once). The predicted class is the argmax;
     exact ties resolve to the lowest class index.
     """
     q = as_vector(query)
     if q.shape[0] != prototypes.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {prototypes.dim}")
-    probs, pred = _classify_arrays(prototypes.prototypes, q[None, :], metric)
+    probs, pred = _classify_arrays(prototypes.prototypes, q[None, :])
     return ClassProbabilities(probs=probs[0]), int(pred[0])

@@ -22,7 +22,7 @@ import numpy as np
 from .episodes import Episode, _check_int
 from .errors import DegenerateInputError, InvalidInputError
 from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
-from .vecmath import VALID_METRICS, _softmax_raw, _unit_rows, as_matrix, as_vector
+from .vecmath import _softmax_raw, as_matrix, as_vector
 
 CLUSTERING_MODES = ("soft", "hard")
 HYBRID_SOURCES = ("same_class", "different_class", "gaussian_noise")
@@ -49,7 +49,6 @@ class RnnpConfig:
     hybrid_labeling: "unlabeled_cluster" lets hybrids float free in the
         clustering; "labeled_direct" skips clustering and folds each
         hybrid into its parent's class mean.
-    metric: distance used throughout ("sqeuclidean" or "cosine").
     seed: drives partner subsampling and noise draws.
     """
 
@@ -59,7 +58,6 @@ class RnnpConfig:
     clustering_mode: str = "soft"
     hybrid_source: str = "same_class"
     hybrid_labeling: str = "unlabeled_cluster"
-    metric: str = "sqeuclidean"
     seed: int = 0
 
     def __post_init__(self):
@@ -77,8 +75,6 @@ class RnnpConfig:
             raise InvalidInputError(f"hybrid_labeling must be one of {HYBRID_LABELINGS}")
         if self.hybrid_source == "gaussian_noise" and self.hybrid_labeling == "labeled_direct":
             raise InvalidInputError("gaussian_noise hybrids have no parent class to label them with")
-        if self.metric not in VALID_METRICS:
-            raise InvalidInputError(f"metric must be one of {VALID_METRICS}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
@@ -158,67 +154,48 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
         return rng.normal(loc, scale, size=(kn * beta, sup.shape[1])), None
 
     obs = episode.support_observed_labels
-    same = config.hybrid_source == "same_class"
-    feats = np.empty((kn * beta, sup.shape[1]), dtype=np.float64)
-    parents = np.empty(kn * beta, dtype=np.int64)
-    alpha = config.alpha
-    row = 0
+    if config.hybrid_source == "same_class":
+        mates = obs[:, None] == obs
+        np.fill_diagonal(mates, False)
+    else:
+        mates = obs[:, None] != obs
+    partners = np.empty((kn, beta), dtype=np.int64)
     for s in range(kn):
-        if same:
-            cands = np.flatnonzero(obs == obs[s])
-            cands = cands[cands != s]
-        else:
-            cands = np.flatnonzero(obs != obs[s])
+        cands = np.flatnonzero(mates[s])
         m = len(cands)
         if m > beta:
-            chosen = cands[rng.permutation(m)[:beta]]
-        elif m == beta:
-            chosen = cands
+            partners[s] = cands[rng.permutation(m)[:beta]]
         elif m > 0:
-            chosen = cands[np.arange(beta) % m]
+            partners[s] = cands[np.arange(beta) % m]
         else:
-            chosen = np.full(beta, s)
-        z_s = sup[s]
-        for j in chosen:
-            feats[row] = alpha * z_s + (1.0 - alpha) * sup[j]
-            parents[row] = obs[s]
-            row += 1
-    return feats, parents
+            partners[s] = s
+    alpha = config.alpha
+    feats = alpha * sup[:, None, :] + (1.0 - alpha) * sup[partners]
+    return feats.reshape(kn * beta, -1), np.repeat(obs, beta)
 
 
-def generate_hybrids(episode: Episode, config: RnnpConfig) -> np.ndarray:
-    """Hybrid features only; see build_hybrids for the full contract."""
-    return build_hybrids(episode, config)[0]
+def _prepare(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What the distance reads of each row: (rows, squared norms along the
+    last axis)."""
+    return rows, np.einsum("...d,...d->...", rows, rows)
 
 
-def _prepare(rows: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """What the distance reads of each row along the last axis: (rows,
-    squared norms) for sqeuclidean, (unit rows, None) for cosine."""
-    if metric == "sqeuclidean":
-        return rows, np.einsum("...d,...d->...", rows, rows)
-    return _unit_rows(rows), None
-
-
-def _assign(shared, own, centers: np.ndarray, mode: str,
-            metric: str) -> tuple[np.ndarray, np.ndarray]:
+def _assign(shared, own, centers: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities of the shared rows (Q, m, N) and of each problem's
     own rows (Q, r, N) for that problem's centers (Q, N, d).
 
     shared and own come from _prepare. All Q*N centers meet the shared rows
-    in one GEMM; the own rows add r dot products per center. sqeuclidean
-    uses the expanded identity |p|^2 - 2 p.c + |c|^2. The shared block is a
-    transposed view of a (Q, N, m) array, so reductions over the N centers
-    run along whole rows of m.
+    in one GEMM; the own rows add r dot products per center. Squared
+    distances use the expanded identity |p|^2 - 2 p.c + |c|^2. The shared
+    block is a transposed view of a (Q, N, m) array, so reductions over the
+    N centers run along whole rows of m.
     """
     q, n, d = centers.shape
-    c, cn = _prepare(centers, metric)
+    c, cn = _prepare(centers)
     dots = (c.reshape(q * n, d) @ shared[0].T).reshape(q, n, -1).transpose(0, 2, 1)
     own_dots = np.einsum("qnd,qrd->qrn", c, own[0])
-    if metric == "sqeuclidean":
-        dists = (shared[1][:, None] - 2.0 * dots + cn[:, None, :],
-                 own[1][..., None] - 2.0 * own_dots + cn[:, None, :])
-    else:
-        dists = (1.0 - dots, 1.0 - own_dots)
+    dists = (shared[1][:, None] - 2.0 * dots + cn[:, None, :],
+             own[1][..., None] - 2.0 * own_dots + cn[:, None, :])
     if mode == "soft":
         return tuple(_softmax_raw(-x) for x in dists)
     # One-hot on the nearest center; exact ties go to the lowest index.
@@ -256,32 +233,29 @@ def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
     update used, or with zero iterations the one at the initial centers.
     """
     centers = np.broadcast_to(centers, own.shape[:1] + centers.shape[-2:])
-    rows, own_rows = _prepare(shared, config.metric), _prepare(own, config.metric)
+    rows, own_rows = _prepare(shared), _prepare(own)
     resp = None
     for _ in range(config.iterations):
-        resp = _assign(rows, own_rows, centers, config.clustering_mode, config.metric)
+        resp = _assign(rows, own_rows, centers, config.clustering_mode)
         centers = _update(shared, own, *resp, centers)
     if resp is None:
-        resp = _assign(rows, own_rows, centers, config.clustering_mode, config.metric)
+        resp = _assign(rows, own_rows, centers, config.clustering_mode)
     return centers, np.concatenate(resp, axis=1)
 
 
-def soft_assign(features, centers: PrototypeSet, mode: str = "soft",
-                metric: str = "sqeuclidean") -> np.ndarray:
+def soft_assign(features, centers: PrototypeSet, mode: str = "soft") -> np.ndarray:
     """Responsibility of every center for every feature; rows sum to 1.
 
-    Soft rows are a softmax over the negated distances to the centers
+    Soft rows are a softmax over the negated squared distances to the centers
     (max-subtraction inside, so remote features cannot underflow to an
     all-zero row). Hard rows are one-hot on the nearest center, exact
     ties to the lowest index.
     """
     if mode not in CLUSTERING_MODES:
         raise InvalidInputError(f"mode must be one of {CLUSTERING_MODES}")
-    if metric not in VALID_METRICS:
-        raise InvalidInputError(f"metric must be one of {VALID_METRICS}")
     feats = as_matrix(features)
-    no_rows = _prepare(np.empty((1, 0, feats.shape[1])), metric)
-    return _assign(_prepare(feats, metric), no_rows, centers.prototypes[None], mode, metric)[0][0]
+    no_rows = _prepare(np.empty((1, 0, feats.shape[1])))
+    return _assign(_prepare(feats), no_rows, centers.prototypes[None], mode)[0][0]
 
 
 def update_centers(features, responsibilities,
@@ -370,7 +344,7 @@ def classify_rnnp(episode: Episode, query,
     """
     if config.hybrid_labeling == "unlabeled_cluster":
         trace = refine_for_query(episode, query, config)
-        probs, pred = classify(trace.refined_prototypes, query, metric=config.metric)
+        probs, pred = classify(trace.refined_prototypes, query)
         return probs, pred, trace
 
     q = as_vector(query)
@@ -386,7 +360,7 @@ def classify_rnnp(episode: Episode, query,
         support_responsibilities=one_hot,
         rectified_labels=episode.support_observed_labels.copy(),
     )
-    probs, pred = classify(direct, q, metric=config.metric)
+    probs, pred = classify(direct, q)
     return probs, pred, trace
 
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 
 # Signature alias: a 1-D float64 array of embedding coordinates.
 FeatureVec = np.ndarray
-
-VALID_METRICS = ("sqeuclidean", "cosine")
 
 
 def as_vector(values) -> FeatureVec:
@@ -57,57 +55,32 @@ def squared_euclidean(a, b) -> float:
     return float(np.dot(diff, diff))
 
 
-def cosine_distance(a, b) -> float:
-    """1 minus cosine similarity. A zero-norm vector has similarity 0 to everything."""
-    va = as_vector(a)
-    vb = as_vector(b)
-    if va.shape != vb.shape:
-        raise InvalidInputError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = np.sqrt(np.dot(va, va))
-    nb = np.sqrt(np.dot(vb, vb))
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return float(1.0 - np.dot(va, vb) / (na * nb))
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Vectors along the last axis at unit norm; a zero vector stays zero,
-    so its cosine similarity to anything is exactly 0 rather than NaN."""
-    norms = np.sqrt(np.einsum("...d,...d->...", x, x))
-    return x / np.where(norms > 0.0, norms, 1.0)[..., None]
-
-
-def _pairwise_raw(r: np.ndarray, c: np.ndarray, metric: str) -> np.ndarray:
+def _pairwise_raw(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """pairwise_distances without input validation; hot-loop entry point.
     c is (n, d), shared by every row, or (m, n, d), one set per row."""
-    if metric == "sqeuclidean":
-        diff = r[:, None, :] - c
-        return np.einsum("mnd,mnd->mn", diff, diff)
-    if metric == "cosine":
-        return 1.0 - np.matmul(_unit_rows(c), _unit_rows(r)[:, :, None])[..., 0]
-    raise InvalidInputError(f"unknown metric {metric!r}; expected one of {VALID_METRICS}")
+    diff = r[:, None, :] - c
+    return np.einsum("mnd,mnd->mn", diff, diff)
 
 
-def pairwise_distances(rows, centers, metric: str = "sqeuclidean") -> np.ndarray:
-    """Distance from every row vector to every center.
+def pairwise_distances(rows, centers) -> np.ndarray:
+    """Squared Euclidean distance from every row vector to every center.
 
     Args:
         rows: (m, d) stack of vectors.
         centers: (n, d) stack of vectors.
-        metric: "sqeuclidean" or "cosine".
 
     Returns:
         (m, n) float64 array of distances.
 
-    The squared-Euclidean path sums squared coordinate differences
-    directly (no expanded dot-product identity), so entries are exactly
-    non-negative and exactly zero for identical vectors.
+    Entries sum squared coordinate differences directly (no expanded
+    dot-product identity), so they are exactly non-negative and exactly
+    zero for identical vectors.
     """
     r = as_matrix(rows)
     c = as_matrix(centers)
     if r.shape[1] != c.shape[1]:
         raise InvalidInputError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
-    return _pairwise_raw(r, c, metric)
+    return _pairwise_raw(r, c)
 
 
 def _softmax_raw(s: np.ndarray) -> np.ndarray:
@@ -131,28 +104,3 @@ def softmax(scores) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise InvalidInputError("scores contain NaN or Inf")
     return _softmax_raw(s)
-
-
-def weighted_mean(vectors, weights) -> FeatureVec:
-    """Weighted mean (sum of w_i * v_i) / (sum of w_i) of a stack of vectors.
-
-    Invariant to uniform positive rescaling of the weights.
-
-    Raises:
-        DegenerateInputError: empty input or non-positive total weight.
-        InvalidInputError: length mismatch or a negative weight.
-    """
-    if hasattr(vectors, "__len__") and len(vectors) == 0:
-        raise DegenerateInputError("weighted_mean of an empty vector list")
-    mat = as_matrix(vectors)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != mat.shape[0]:
-        raise InvalidInputError(f"expected {mat.shape[0]} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInputError("weights contain NaN or Inf")
-    if np.any(w < 0.0):
-        raise InvalidInputError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0.0:
-        raise DegenerateInputError("total weight is zero")
-    return (w @ mat) / total

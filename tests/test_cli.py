@@ -104,7 +104,11 @@ class TestEval:
         lambda cfg: {**cfg, "methods": {"method": "nnp"}},
         lambda cfg: {k: v for k, v in cfg.items() if k != "methods"},
         lambda cfg: {**cfg, "methods": [{"method": "nnp", "label": 5}]},
-    ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label"])
+        lambda cfg: {**cfg, "best_of": 2},
+        lambda cfg: {**cfg, "output_dir": "runs/a"},
+        lambda cfg: {**cfg, "methods": [{"method": "rnnp", "beta": 2, "metric": "cosine"}]},
+    ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label",
+            "best_of", "output_dir", "rnnp_metric"])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "config.json"
         write_config(tmp_path)
@@ -112,6 +116,12 @@ class TestEval:
         path.write_text(json.dumps(edit(cfg)), encoding="utf-8")
         assert main(["eval", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_best_of_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--best-of", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--best-of" in capsys.readouterr().err
 
     def test_bad_corruption_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

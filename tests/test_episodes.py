@@ -241,8 +241,7 @@ BOOL_SITES = {
     "RnnpConfig.iterations": lambda: RnnpConfig(beta=1, iterations=True),
     "RnnpConfig.seed": lambda: RnnpConfig(beta=1, seed=True),
     **{f"ExperimentConfig.{name}": (lambda name=name: default_config(**{name: True}))
-       for name in ("n_way", "k_shot", "queries_per_class", "n_episodes", "seed",
-                    "best_of", "workers")},
+       for name in ("n_way", "k_shot", "queries_per_class", "n_episodes", "seed", "workers")},
 }
 
 

@@ -90,9 +90,8 @@ class TestConfigValidation:
         assert again.mixture == cfg.mixture
 
     def test_runtime_knobs_stay_out_of_snapshot(self):
-        d = tiny_config(workers=4, output_dir="/tmp/somewhere").to_dict()
+        d = tiny_config(workers=4).to_dict()
         assert "workers" not in d
-        assert "output_dir" not in d
 
     def test_from_dict_rejects_unknown_keys(self):
         d = tiny_config().to_dict()
@@ -174,16 +173,6 @@ class TestRunExperiment:
         assert reports[0].episode_indices == reports[1].episode_indices
         idx = reports[0].episode_indices
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
-
-    def test_best_of_takes_the_best_mean_per_slot(self):
-        cfg = tiny_config(methods=(MethodSpec(method="nnp"),), n_episodes=4,
-                          corruption_rates=(0.4,))
-        from dataclasses import replace
-
-        runs = [run_experiment(replace(cfg, seed=cfg.seed + r * 10_000_019))
-                for r in range(3)]
-        best = run_experiment(replace(cfg, best_of=3))
-        assert best[0].mean_accuracy == max(run[0].mean_accuracy for run in runs)
 
 
 class TestSweep:

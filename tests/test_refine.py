@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels, sample_episode
@@ -16,14 +16,13 @@ from rnnp.refine import (
     _cluster_batch,
     build_hybrids,
     classify_rnnp,
-    generate_hybrids,
     rectification_delta,
     refine_for_query,
     soft_assign,
     update_centers,
 )
 
-from _reference import reference_refine
+from _reference import reference_hybrids, reference_refine
 
 
 def small_episode(seed=0, n_way=3, k_shot=5, dim=6, queries=4, spread=6.0):
@@ -104,19 +103,19 @@ class TestGenerateHybrids:
             query_features=np.zeros((1, 2)),
             query_labels=np.array([0]),
         )
-        hybrids = generate_hybrids(ep, RnnpConfig(beta=1, alpha=0.8))
+        hybrids = build_hybrids(ep, RnnpConfig(beta=1, alpha=0.8))[0]
         # First support (1,0) has single classmate (0,1).
         np.testing.assert_allclose(hybrids[0], [0.8, 0.2], rtol=1e-12)
 
     def test_full_pairing_count(self):
         ep = small_episode(n_way=5, k_shot=5)
-        hybrids = generate_hybrids(ep, RnnpConfig(beta=4))
+        hybrids = build_hybrids(ep, RnnpConfig(beta=4))[0]
         assert hybrids.shape == (100, ep.dim)
 
     def test_full_pairing_hits_every_classmate(self):
         ep = small_episode(n_way=2, k_shot=4, dim=3)
         cfg = RnnpConfig(beta=3, alpha=0.8)
-        hybrids = generate_hybrids(ep, cfg)
+        hybrids = build_hybrids(ep, cfg)[0]
         # With beta == K-1 the partners of support s are its classmates in
         # ascending row order, so every hybrid is checkable by hand.
         row = 0
@@ -139,25 +138,25 @@ class TestGenerateHybrids:
             query_features=np.zeros((1, 2)),
             query_labels=np.array([0]),
         )
-        hybrids = generate_hybrids(ep, RnnpConfig(beta=2, alpha=0.8))
+        hybrids = build_hybrids(ep, RnnpConfig(beta=2, alpha=0.8))[0]
         np.testing.assert_allclose(hybrids[:6], np.tile(v, (6, 1)), rtol=1e-12)
 
     def test_beta_above_k_minus_one_rejected(self):
         ep = small_episode(k_shot=3)
         with pytest.raises(InvalidInputError):
-            generate_hybrids(ep, RnnpConfig(beta=3))
+            build_hybrids(ep, RnnpConfig(beta=3))[0]
 
     def test_deterministic(self):
         ep = small_episode(seed=5, k_shot=6)
         cfg = RnnpConfig(beta=2, seed=9)
-        a = generate_hybrids(ep, cfg)
-        b = generate_hybrids(ep, cfg)
+        a = build_hybrids(ep, cfg)[0]
+        b = build_hybrids(ep, cfg)[0]
         assert np.array_equal(a, b)
 
     def test_subsampled_partners_stay_in_class(self):
         ep = small_episode(seed=3, n_way=3, k_shot=6, spread=50.0)
         cfg = RnnpConfig(beta=2, alpha=0.8, seed=4)
-        hybrids = generate_hybrids(ep, cfg)
+        hybrids = build_hybrids(ep, cfg)[0]
         assert hybrids.shape == (36, ep.dim)
         # With spread 50 the classes are far apart, so every hybrid must
         # sit near its own class mean if both parents share a class.
@@ -172,7 +171,7 @@ class TestGenerateHybrids:
     def test_different_class_partners(self):
         ep = small_episode(seed=3, n_way=3, k_shot=4, spread=50.0)
         cfg = RnnpConfig(beta=2, alpha=0.8, hybrid_source="different_class", seed=4)
-        hybrids = generate_hybrids(ep, cfg)
+        hybrids = build_hybrids(ep, cfg)[0]
         assert hybrids.shape == (24, ep.dim)
         # A cross-class blend at alpha=0.8 leaves the 20% foreign pull
         # visible: the hybrid is off its parent mean by a macroscopic amount.
@@ -185,7 +184,7 @@ class TestGenerateHybrids:
     def test_gaussian_noise_count_and_scale(self):
         ep = small_episode(seed=8, n_way=4, k_shot=5, dim=5)
         cfg = RnnpConfig(beta=3, hybrid_source="gaussian_noise", seed=21)
-        noise = generate_hybrids(ep, cfg)
+        noise = build_hybrids(ep, cfg)[0]
         assert noise.shape == (60, 5)
         mu = ep.support_features.mean(axis=0)
         sd = ep.support_features.std(axis=0)
@@ -203,9 +202,46 @@ class TestGenerateHybrids:
         )
         ep = sample_episode(pool, 5, 5, 5, seed=13)
         noisy = corrupt_labels(ep, CorruptionSpec(rate=0.4, seed=3))
-        hybrids = generate_hybrids(noisy, RnnpConfig(beta=4, seed=1))
+        hybrids = build_hybrids(noisy, RnnpConfig(beta=4, seed=1))[0]
         assert hybrids.shape == (100, 4)
         assert np.all(np.isfinite(hybrids))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        source=st.sampled_from(["same_class", "different_class"]),
+        n_way=st.integers(2, 4),
+        k_shot=st.integers(2, 6),
+        dim=st.integers(1, 5),
+        beta=st.integers(1, 6),
+        alpha=st.floats(0.05, 0.95),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+        seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    )
+    def test_matches_reference_bit_for_bit(self, data, source, n_way, k_shot, dim, beta,
+                                           alpha, scale, seeds):
+        kn = n_way * k_shot
+        # Any observed labelling, so observed groups of every size occur: a
+        # support can have more partners than beta, exactly beta, fewer, or none.
+        observed = data.draw(st.lists(st.integers(0, n_way - 1), min_size=kn, max_size=kn))
+        if source == "same_class":
+            beta = min(beta, k_shot - 1)
+        sup = np.random.default_rng(seeds[1]).normal(size=(kn, dim)) * scale
+        true = np.repeat(np.arange(n_way), k_shot)
+        ep = Episode(n_way=n_way, k_shot=k_shot, support_features=sup,
+                     support_true_labels=true, support_observed_labels=np.array(observed),
+                     query_features=sup[:1], query_labels=true[:1], seed=seeds[1])
+        cfg = RnnpConfig(beta=beta, alpha=alpha, hybrid_source=source, seed=seeds[0])
+        for s in range(kn):
+            mates = sum(1 for j, o in enumerate(observed)
+                        if (o == observed[s]) == (source == "same_class") and j != s)
+            event("partners: " + ("none" if mates == 0 else "> beta" if mates > beta
+                                  else "= beta" if mates == beta else "< beta"))
+
+        feats, parents = build_hybrids(ep, cfg)
+        want = reference_hybrids(sup.tolist(), observed, alpha, beta, source, *seeds)
+        assert np.array_equal(feats, np.array(want).reshape(kn * beta, dim))
+        assert np.array_equal(parents, np.repeat(observed, beta))
 
 
 class TestSoftAssign:
@@ -321,7 +357,7 @@ class TestRefineForQuery:
         q = ep.query_features[1]
         trace = refine_for_query(ep, q, cfg)
 
-        pool = np.vstack([ep.support_features, generate_hybrids(ep, cfg), q[None, :]])
+        pool = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0], q[None, :]])
         centers = compute_prototypes(ep, "observed")
         resp = None
         for _ in range(3):
@@ -529,10 +565,9 @@ class TestBatchedRefinement:
         beta=st.integers(1, 5),
         iterations=st.integers(0, 4),
         mode=st.sampled_from(["soft", "hard"]),
-        metric=st.sampled_from(["sqeuclidean", "cosine"]),
     )
     def test_batch_equals_each_query_alone(self, seed, n_way, k_shot, dim, batch, beta,
-                                           iterations, mode, metric):
+                                           iterations, mode):
         rng = np.random.default_rng(seed)
         ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=4,
                            spread=float(rng.uniform(0.5, 6.0)))
@@ -540,7 +575,7 @@ class TestBatchedRefinement:
         wrong = int(rng.integers(0, k_shot))
         ep = corrupt_labels(ep, CorruptionSpec(rate=wrong / k_shot, seed=seed))
         cfg = RnnpConfig(beta=min(beta, k_shot - 1), iterations=iterations,
-                         clustering_mode=mode, metric=metric, seed=seed % 1000)
+                         clustering_mode=mode, seed=seed % 1000)
         # A shuffled batch of any size, queries repeated when it outgrows the episode.
         order = rng.permutation(np.arange(batch) % ep.query_features.shape[0])
         queries = ep.query_features[order]
@@ -548,7 +583,7 @@ class TestBatchedRefinement:
         shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
         initial = compute_prototypes(ep, "observed").prototypes
         centers, resp = _cluster_batch(shared, queries[:, None, :], initial, cfg)
-        preds = _classify_arrays(centers, queries, metric)[1]
+        preds = _classify_arrays(centers, queries)[1]
         kn = ep.support_features.shape[0]
         assert centers.shape == (batch, n_way, dim)
         assert resp.shape == (batch, shared.shape[0] + 1, n_way)

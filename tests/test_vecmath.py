@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rnnp.errors import DegenerateInputError, InvalidInputError
-from rnnp.vecmath import (
-    cosine_distance,
-    pairwise_distances,
-    softmax,
-    squared_euclidean,
-    weighted_mean,
-)
+from rnnp.errors import InvalidInputError
+from rnnp.vecmath import pairwise_distances, softmax, squared_euclidean
 
 
 class TestSquaredEuclidean:
@@ -61,20 +55,6 @@ class TestSquaredEuclidean:
             squared_euclidean([np.nan], [0.0])
 
 
-class TestCosineDistance:
-    def test_parallel_is_zero(self):
-        np.testing.assert_allclose(cosine_distance([1.0, 2.0], [2.0, 4.0]), 0.0, atol=1e-12)
-
-    def test_orthogonal_is_one(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-    def test_opposite_is_two(self):
-        np.testing.assert_allclose(cosine_distance([1.0, 0.0], [-1.0, 0.0]), 2.0)
-
-    def test_zero_norm_convention(self):
-        assert cosine_distance([0.0, 0.0], [1.0, 1.0]) == 1.0
-
-
 class TestPairwiseDistances:
     def test_matches_scalar_function(self):
         rng = np.random.default_rng(42)
@@ -92,21 +72,6 @@ class TestPairwiseDistances:
         got = pairwise_distances(rows, rows)
         assert np.all(np.diag(got) == 0.0)
         assert np.all(got >= 0.0)
-
-    def test_cosine_matches_scalar(self):
-        rng = np.random.default_rng(9)
-        rows = rng.normal(size=(5, 4))
-        centers = rng.normal(size=(2, 4))
-        got = pairwise_distances(rows, centers, metric="cosine")
-        for i in range(5):
-            for j in range(2):
-                np.testing.assert_allclose(
-                    got[i, j], cosine_distance(rows[i], centers[j]), rtol=1e-12
-                )
-
-    def test_unknown_metric(self):
-        with pytest.raises(InvalidInputError):
-            pairwise_distances(np.eye(2), np.eye(2), metric="manhattan")
 
 
 class TestSoftmax:
@@ -135,43 +100,3 @@ class TestSoftmax:
         # Two scores 0 and -ln 3: 1/(1 + 1/3) = 0.75 by hand.
         probs = softmax(np.array([0.0, -math.log(3.0)]))
         np.testing.assert_allclose(probs, [0.75, 0.25], rtol=1e-12)
-
-
-class TestWeightedMean:
-    def test_unweighted_mean(self):
-        got = weighted_mean([[0.0, 0.0], [2.0, 2.0]], [1.0, 1.0])
-        np.testing.assert_allclose(got, [1.0, 1.0])
-
-    def test_convex_combination(self):
-        got = weighted_mean([[1.0, 0.0], [0.0, 1.0]], [3.0, 1.0])
-        np.testing.assert_allclose(got, [0.75, 0.25])
-
-    def test_single_vector_identity(self):
-        v = np.array([4.0, -1.0, 2.5])
-        np.testing.assert_allclose(weighted_mean([v], [0.3]), v)
-
-    def test_weight_scaling_invariance(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            vecs = rng.normal(size=(8, 3))
-            w = rng.uniform(0.1, 2.0, size=8)
-            base = weighted_mean(vecs, w)
-            scaled = weighted_mean(vecs, w * 37.5)
-            # components can sit near zero after cancellation, so allow atol
-            np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
-
-    def test_empty_input(self):
-        with pytest.raises(DegenerateInputError):
-            weighted_mean([], [])
-
-    def test_zero_total_weight(self):
-        with pytest.raises(DegenerateInputError):
-            weighted_mean([[1.0], [2.0]], [0.0, 0.0])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            weighted_mean([[1.0], [2.0]], [1.0, -0.5])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            weighted_mean([[1.0], [2.0]], [1.0])
