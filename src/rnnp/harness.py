@@ -209,7 +209,7 @@ def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     shared = np.vstack([episode.support_features, build_hybrids(episode, rcfg)[0]])
     centers, resp = _cluster_batch(shared, queries[:, None, :], initial.prototypes, rcfg)
     preds = _classify_arrays(centers, queries)[1]
-    afters = np.sum(np.argmax(resp[:, :len(true)], axis=2) == true, axis=1)
+    afters = np.sum(np.argmax(resp[:, :, :len(true)], axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), before, float(np.mean(afters))
 
 
@@ -244,6 +244,14 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; os.cpu_count() counts every CPU of the
+    machine, including ones the affinity mask excludes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _WORKER_POOL = None
 _WORKER_CONFIG = None
 
@@ -269,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         raise InvalidInputError(
             f"pool has {len(pool.class_index)} classes, episodes need {config.n_way}"
         )
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
+    workers = config.workers if config.workers is not None else _usable_cpus()
     n = config.n_episodes
     if workers <= 1 or n < 4:
         rows = [_evaluate_episode(pool, config, i) for i in range(n)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .episodes import Episode
 from .errors import DegenerateClassError, InvalidInputError
-from .vecmath import FeatureVec, _pairwise_raw, _softmax_raw, as_matrix, as_vector
+from .vecmath import FeatureVec, _pairwise_raw, _softmin_inplace, as_matrix, as_vector
 
 LABEL_SOURCES = ("observed", "true")
 
@@ -86,7 +86,7 @@ def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.nd
     """classify() for a (Q, d) stack of queries on bare arrays; hot-loop entry
     point. prototypes is (N, d), shared by all queries, or (Q, N, d), one set
     per query. Returns the (Q, N) probabilities and (Q,) predictions."""
-    probs = _softmax_raw(-_pairwise_raw(queries, prototypes))
+    probs = _softmin_inplace(_pairwise_raw(queries, prototypes))
     return probs, np.argmax(probs, axis=1)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .episodes import Episode, _check_int
 from .errors import DegenerateInputError, InvalidInputError
 from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
-from .vecmath import _softmax_raw, as_matrix, as_vector
+from .vecmath import _softmin_inplace, as_matrix, as_vector
 
 CLUSTERING_MODES = ("soft", "hard")
 HYBRID_SOURCES = ("same_class", "different_class", "gaussian_noise")
@@ -181,25 +181,28 @@ def _prepare(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assign(shared, own, centers: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities of the shared rows (Q, m, N) and of each problem's
-    own rows (Q, r, N) for that problem's centers (Q, N, d).
+    """Responsibilities of the shared rows (B, N, m) and of each problem's
+    own rows (Q, N, r) for the centers (B, N, d), where B is Q or 1 (one
+    center set that every problem starts from).
 
-    shared and own come from _prepare. All Q*N centers meet the shared rows
-    in one GEMM; the own rows add r dot products per center. Squared
-    distances use the expanded identity |p|^2 - 2 p.c + |c|^2. The shared
-    block is a transposed view of a (Q, N, m) array, so reductions over the
-    N centers run along whole rows of m.
+    shared and own come from _prepare. All B*N centers meet the shared rows
+    in one GEMM, whose output is already in (B, N, m) layout; the own rows
+    add r dot products per center. The squared distances are filled in
+    place as -2 p.c + |p|^2 + |c|^2, bit for bit |p|^2 - 2 p.c + |c|^2, and
+    every reduction over the N centers runs along axis 1.
     """
-    q, n, d = centers.shape
+    b, n, d = centers.shape
     c, cn = _prepare(centers)
-    dots = (c.reshape(q * n, d) @ shared[0].T).reshape(q, n, -1).transpose(0, 2, 1)
-    own_dots = np.einsum("qnd,qrd->qrn", c, own[0])
-    dists = (shared[1][:, None] - 2.0 * dots + cn[:, None, :],
-             own[1][..., None] - 2.0 * own_dots + cn[:, None, :])
+    dists = ((c.reshape(b * n, d) @ shared[0].T).reshape(b, n, -1),
+             np.einsum("qnd,qrd->qnr", c, own[0]))
+    for x, norms in zip(dists, (shared[1], own[1][:, None, :])):
+        x *= -2.0
+        x += norms
+        x += cn[..., None]
     if mode == "soft":
-        return tuple(_softmax_raw(-x) for x in dists)
+        return tuple(_softmin_inplace(x, axis=1) for x in dists)
     # One-hot on the nearest center; exact ties go to the lowest index.
-    return tuple((np.argmin(x, axis=-1)[..., None] == np.arange(n)).astype(np.float64)
+    return tuple((np.argmin(x, axis=1)[:, None] == np.arange(n)[:, None]).astype(np.float64)
                  for x in dists)
 
 
@@ -207,16 +210,18 @@ def _update(shared: np.ndarray, own: np.ndarray, resp: np.ndarray, own_resp: np.
             previous: np.ndarray) -> np.ndarray:
     """Responsibility-weighted means (Q, N, d) of each problem's rows.
 
-    The shared rows enter through one GEMM over all Q*N centers, the own
-    rows as a rank-r term. A center whose total responsibility is below
-    EMPTY_CLUSTER_EPS keeps its previous value.
+    resp (B, N, m) weighs the shared rows through one GEMM over all B*N
+    centers, own_resp (Q, N, r) the own rows as a rank-r term; B = 1 means
+    every problem shares that GEMM. A center whose total responsibility is
+    below EMPTY_CLUSTER_EPS keeps its previous value.
     """
-    q, n, d = previous.shape
-    weights = resp.transpose(0, 2, 1).reshape(q * n, -1)
-    sums = (weights @ shared).reshape(q, n, d) + np.einsum("qrn,qrd->qnd", own_resp, own)
-    mass = weights.sum(axis=1).reshape(q, n) + own_resp.sum(axis=1)
+    b, n, m = resp.shape
+    sums = (resp.reshape(b * n, m) @ shared).reshape(b, n, -1) \
+        + np.einsum("qnr,qrd->qnd", own_resp, own)
+    mass = resp.sum(axis=2) + own_resp.sum(axis=2)
     alive = mass >= EMPTY_CLUSTER_EPS
-    return np.where(alive[..., None], sums / np.where(alive, mass, 1.0)[..., None], previous)
+    sums /= np.where(alive, mass, 1.0)[..., None]
+    return sums if alive.all() else np.where(alive[..., None], sums, previous)
 
 
 def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
@@ -226,13 +231,16 @@ def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
     Problem q clusters the shared (m, d) rows plus its own r rows own[q]
     (own is (Q, r, d); r may be 0), starting from centers, (N, d) for every
     problem or (Q, N, d). No problem reads another's rows or centers, so
-    each result is the one that problem gives alone.
+    each result is the one that problem gives alone. A round runs at the
+    batch size of its centers: from shared (N, d) centers, the shared rows'
+    distances, assignment and weighted sums are computed once for all
+    problems, and only the own rows' terms are per problem.
 
     Returns the final centers (Q, N, d) and the assignment computed in the
-    last round (Q, m + r, N), own rows last: the one the final center
+    last round (Q, N, m + r), own rows last: the one the final center
     update used, or with zero iterations the one at the initial centers.
     """
-    centers = np.broadcast_to(centers, own.shape[:1] + centers.shape[-2:])
+    centers = centers.reshape((-1,) + centers.shape[-2:])
     rows, own_rows = _prepare(shared), _prepare(own)
     resp = None
     for _ in range(config.iterations):
@@ -240,7 +248,11 @@ def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
         centers = _update(shared, own, *resp, centers)
     if resp is None:
         resp = _assign(rows, own_rows, centers, config.clustering_mode)
-    return centers, np.concatenate(resp, axis=1)
+    batch = own.shape[:1]
+    shared_resp, own_resp = resp
+    resp = np.concatenate([np.broadcast_to(shared_resp, batch + shared_resp.shape[1:]), own_resp],
+                          axis=2)
+    return np.broadcast_to(centers, batch + centers.shape[1:]), resp
 
 
 def soft_assign(features, centers: PrototypeSet, mode: str = "soft") -> np.ndarray:
@@ -255,7 +267,7 @@ def soft_assign(features, centers: PrototypeSet, mode: str = "soft") -> np.ndarr
         raise InvalidInputError(f"mode must be one of {CLUSTERING_MODES}")
     feats = as_matrix(features)
     no_rows = _prepare(np.empty((1, 0, feats.shape[1])))
-    return _assign(_prepare(feats), no_rows, centers.prototypes[None], mode)[0][0]
+    return _assign(_prepare(feats), no_rows, centers.prototypes[None], mode)[0][0].T
 
 
 def update_centers(features, responsibilities,
@@ -286,8 +298,8 @@ def update_centers(features, responsibilities,
                 f"cluster {dead} has zero total responsibility and no previous center to keep"
             )
         prev = np.zeros((resp.shape[1], feats.shape[1]))
-    no_rows, no_resp = np.empty((1, 0, feats.shape[1])), np.empty((1, 0, resp.shape[1]))
-    return PrototypeSet(prototypes=_update(feats, no_rows, resp[None], no_resp, prev[None])[0])
+    no_rows, no_resp = np.empty((1, 0, feats.shape[1])), np.empty((1, resp.shape[1], 0))
+    return PrototypeSet(prototypes=_update(feats, no_rows, resp.T[None], no_resp, prev[None])[0])
 
 
 def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:
@@ -311,7 +323,7 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     pool = np.vstack([episode.support_features, hybrids, q[None, :]])
     no_rows = np.empty((1, 0, episode.dim))
     centers, resp = _cluster_batch(pool, no_rows, initial.prototypes, config)
-    support_resp = resp[0, :episode.support_features.shape[0]]
+    support_resp = resp[0, :, :episode.support_features.shape[0]].T
     return RefinementTrace(
         initial_prototypes=initial,
         refined_prototypes=PrototypeSet(prototypes=centers[0]),

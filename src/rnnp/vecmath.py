@@ -83,11 +83,16 @@ def pairwise_distances(rows, centers) -> np.ndarray:
     return _pairwise_raw(r, c)
 
 
-def _softmax_raw(s: np.ndarray) -> np.ndarray:
-    """softmax without input validation; hot-loop entry point."""
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmin_inplace(d: np.ndarray, axis: int = -1) -> np.ndarray:
+    """softmax(-d) along axis, written over d and returned; no validation.
+
+    Computed as exp(min d - d) normalised to sum 1, which is bit for bit the
+    max-shifted softmax of -d: min d - d equals (-d) - max(-d) exactly.
+    """
+    np.subtract(d.min(axis=axis, keepdims=True), d, out=d)
+    np.exp(d, out=d)
+    d /= d.sum(axis=axis, keepdims=True)
+    return d
 
 
 def softmax(scores) -> np.ndarray:
@@ -103,4 +108,4 @@ def softmax(scores) -> np.ndarray:
         raise InvalidInputError(f"expected a non-empty 1-D or 2-D score array, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise InvalidInputError("scores contain NaN or Inf")
-    return _softmax_raw(s)
+    return _softmin_inplace(-s)

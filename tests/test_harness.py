@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rnnp.datagen import MixtureSpec
+from rnnp import harness
 from rnnp.errors import InvalidInputError
 from rnnp.harness import (
     ExperimentConfig,
@@ -145,6 +146,25 @@ class TestRunExperiment:
         serial = [r.to_dict() for r in run_experiment(tiny_config(n_episodes=8, workers=1))]
         parallel = [r.to_dict() for r in run_experiment(tiny_config(n_episodes=8, workers=2))]
         assert serial == parallel
+
+    def test_default_workers_count_only_usable_cpus(self, monkeypatch):
+        # Eight CPUs on the machine, one in the affinity mask: no process pool.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert harness._usable_cpus() == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one usable CPU")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert len(run_experiment(tiny_config(n_episodes=8, workers=None))) == 4
+
+    def test_default_workers_without_affinity_use_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert harness._usable_cpus() == 3
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
 
     def test_rectification_fields_only_on_rnnp(self):
         reports = {(r.method, r.corruption_rate): r for r in run_experiment(tiny_config())}

@@ -552,47 +552,112 @@ class TestAgainstReferenceLoop:
             assert pred == ref["predicted_class"], f"trial {trial}"
 
 
+BATCH_PROBLEMS = dict(
+    seed=st.integers(0, 2**31 - 1),
+    n_way=st.integers(2, 5),
+    k_shot=st.integers(2, 6),
+    dim=st.integers(1, 8),
+    batch=st.integers(1, 20),
+    beta=st.integers(1, 5),
+    iterations=st.integers(0, 4),
+    mode=st.sampled_from(["soft", "hard"]),
+)
+
+
+def batch_problem(seed, n_way, k_shot, dim, batch, beta, iterations, mode):
+    """A corrupted episode, its config, a shuffled batch of its queries, and
+    the kernel's shared rows and start centers for that batch."""
+    rng = np.random.default_rng(seed)
+    ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=4,
+                       spread=float(rng.uniform(0.5, 6.0)))
+    # Fewer than K corrupted per class, so every class keeps an observed support.
+    wrong = int(rng.integers(0, k_shot))
+    ep = corrupt_labels(ep, CorruptionSpec(rate=wrong / k_shot, seed=seed))
+    cfg = RnnpConfig(beta=min(beta, k_shot - 1), iterations=iterations,
+                     clustering_mode=mode, seed=seed % 1000)
+    # A shuffled batch of any size, queries repeated when it outgrows the episode.
+    order = rng.permutation(np.arange(batch) % ep.query_features.shape[0])
+    shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
+    initial = compute_prototypes(ep, "observed").prototypes
+    return ep, cfg, ep.query_features[order], shared, initial
+
+
 class TestBatchedRefinement:
     """Each query of a batch is its own clustering problem (no transduction)."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n_way=st.integers(2, 5),
-        k_shot=st.integers(2, 6),
-        dim=st.integers(1, 8),
-        batch=st.integers(1, 20),
-        beta=st.integers(1, 5),
-        iterations=st.integers(0, 4),
-        mode=st.sampled_from(["soft", "hard"]),
-    )
+    @given(**BATCH_PROBLEMS)
     def test_batch_equals_each_query_alone(self, seed, n_way, k_shot, dim, batch, beta,
                                            iterations, mode):
-        rng = np.random.default_rng(seed)
-        ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=4,
-                           spread=float(rng.uniform(0.5, 6.0)))
-        # Fewer than K corrupted per class, so every class keeps an observed support.
-        wrong = int(rng.integers(0, k_shot))
-        ep = corrupt_labels(ep, CorruptionSpec(rate=wrong / k_shot, seed=seed))
-        cfg = RnnpConfig(beta=min(beta, k_shot - 1), iterations=iterations,
-                         clustering_mode=mode, seed=seed % 1000)
-        # A shuffled batch of any size, queries repeated when it outgrows the episode.
-        order = rng.permutation(np.arange(batch) % ep.query_features.shape[0])
-        queries = ep.query_features[order]
-
-        shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
-        initial = compute_prototypes(ep, "observed").prototypes
+        ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
+                                                          beta, iterations, mode)
         centers, resp = _cluster_batch(shared, queries[:, None, :], initial, cfg)
         preds = _classify_arrays(centers, queries)[1]
         kn = ep.support_features.shape[0]
         assert centers.shape == (batch, n_way, dim)
-        assert resp.shape == (batch, shared.shape[0] + 1, n_way)
+        assert resp.shape == (batch, n_way, shared.shape[0] + 1)
         for i, q in enumerate(queries):
             _, pred, trace = classify_rnnp(ep, q, cfg)
             assert preds[i] == pred
-            assert np.array_equal(np.argmax(resp[i, :kn], axis=1), trace.rectified_labels)
+            assert np.array_equal(np.argmax(resp[i, :, :kn], axis=0), trace.rectified_labels)
             np.testing.assert_allclose(centers[i], trace.refined_prototypes.prototypes,
                                        rtol=0, atol=1e-12)
             alone, alone_resp = _cluster_batch(shared, q[None, None, :], initial, cfg)
             np.testing.assert_allclose(centers[i], alone[0], rtol=0, atol=1e-12)
-            assert np.array_equal(np.argmax(resp[i], axis=1), np.argmax(alone_resp[0], axis=1))
+            assert np.array_equal(np.argmax(resp[i], axis=0), np.argmax(alone_resp[0], axis=0))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(**BATCH_PROBLEMS)
+    def test_shared_start_equals_broadcast_start(self, seed, n_way, k_shot, dim, batch, beta,
+                                                 iterations, mode):
+        # (N, d) start centers run the first round once for the whole batch;
+        # the same centers broadcast to (Q, N, d) run it once per query.
+        ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
+                                                          beta, iterations, mode)
+        own = queries[:, None, :]
+        centers, resp = _cluster_batch(shared, own, initial, cfg)
+        wide = np.broadcast_to(initial, (batch,) + initial.shape)
+        wide_centers, wide_resp = _cluster_batch(shared, own, wide, cfg)
+        kn = ep.support_features.shape[0]
+        assert centers.shape == wide_centers.shape and resp.shape == wide_resp.shape
+        assert np.array_equal(_classify_arrays(centers, queries)[1],
+                              _classify_arrays(wide_centers, queries)[1])
+        assert np.array_equal(np.argmax(resp[:, :, :kn], axis=1),
+                              np.argmax(wide_resp[:, :, :kn], axis=1))
+        np.testing.assert_allclose(centers, wide_centers, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_duplicate_centers(self, mode, iterations):
+        # Class 2's supports copy class 0's, so their start centers coincide.
+        ep = small_episode(seed=8, n_way=3, k_shot=4, dim=3, queries=3)
+        sup = ep.support_features.copy()
+        sup[8:12] = sup[0:4]
+        ep = Episode(n_way=3, k_shot=4, support_features=sup,
+                     support_true_labels=ep.support_true_labels,
+                     support_observed_labels=ep.support_observed_labels,
+                     query_features=ep.query_features, query_labels=ep.query_labels, seed=8)
+        cfg = RnnpConfig(beta=2, iterations=iterations, clustering_mode=mode)
+        shared = np.vstack([sup, build_hybrids(ep, cfg)[0]])
+        initial = compute_prototypes(ep, "observed").prototypes
+        assert np.array_equal(initial[0], initial[2])
+        queries = ep.query_features
+        centers, resp = _cluster_batch(shared, queries[:, None, :], initial, cfg)
+        for i, q in enumerate(queries):
+            ref = reference_refine(sup.tolist(), ep.support_observed_labels.tolist(), 3,
+                                   q.tolist(), alpha=cfg.alpha, beta=cfg.beta,
+                                   iterations=iterations, mode=mode, episode_seed=8)
+            np.testing.assert_allclose(centers[i], ref["refined_centers"], rtol=0, atol=1e-9)
+            if mode == "hard":
+                # Exact ties go to the lower index, as in the loop reference.
+                assert np.array_equal(resp[i, :, :12].T, ref["support_responsibilities"])
+                assert np.array_equal(np.argmax(resp[i, :, :12], axis=0),
+                                      ref["rectified_labels"])
+                if iterations <= 1:
+                    # Assigned at the start centers: no row reaches the upper copy.
+                    assert not resp[i, 2].any()
+                assert _classify_arrays(centers, queries)[1][i] == ref["predicted_class"]
+            else:
+                # Both copies take equal mass from every row and stay together.
+                np.testing.assert_allclose(resp[i, 0], resp[i, 2], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(centers[i, 0], centers[i, 2], rtol=0, atol=1e-12)

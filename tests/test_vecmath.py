@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rnnp.errors import InvalidInputError
-from rnnp.vecmath import pairwise_distances, softmax, squared_euclidean
+from rnnp.vecmath import _softmin_inplace, pairwise_distances, softmax, squared_euclidean
 
 
 class TestSquaredEuclidean:
@@ -100,3 +100,25 @@ class TestSoftmax:
         # Two scores 0 and -ln 3: 1/(1 + 1/3) = 0.75 by hand.
         probs = softmax(np.array([0.0, -math.log(3.0)]))
         np.testing.assert_allclose(probs, [0.75, 0.25], rtol=1e-12)
+
+
+class TestSoftminInplace:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_equals_old_softmax_bit_for_bit(self, n):
+        # The refinement kernel's soft step, along axis 1 of a (Q, N, m) block,
+        # against the max-shifted softmax(-d) over the last axis of the
+        # transposed (Q, m, N) view that it replaces.
+        rng = np.random.default_rng(n)
+        for offset in (0.0, 1e-3, 1.0, float(rng.uniform(0.0, 1e3)), 1e3):
+            for scale in (0.1, 10.0, 1e3):
+                d = rng.normal(scale=scale, size=(7, n, 33)) ** 2 + offset
+                s = -d.transpose(0, 2, 1)
+                e = np.exp(s - s.max(axis=-1, keepdims=True))
+                old = e / e.sum(axis=-1, keepdims=True)
+                new = d.copy()
+                assert _softmin_inplace(new, axis=1) is new
+                assert np.array_equal(new.transpose(0, 2, 1), old)
+                # softmax(s) is the same helper applied to -s.
+                flat = -d[:, :, 0]
+                e = np.exp(flat - flat.max(axis=-1, keepdims=True))
+                assert np.array_equal(softmax(flat), e / e.sum(axis=-1, keepdims=True))
