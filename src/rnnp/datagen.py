@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,25 @@ def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None
 def load_embeddings(path, file_format: str = "csv") -> EmbeddingSet:
     """Parse a CSV or JSONL embeddings file into a pool.
 
+    A CSV goes through one numpy pass when it is plain (see _load_csv_fast)
+    and through the line loop _parse_csv otherwise; both give the same
+    arrays, bit for bit, and any file the fast pass cannot vouch for gets
+    the line loop's verdict.
+
     Raises:
-        EmbeddingFormatError: empty file, malformed row, ragged
-            dimensions, or non-finite values; messages carry the
-            offending line number.
+        EmbeddingFormatError: empty file, bytes that are not UTF-8,
+            malformed row, ragged dimensions, non-finite values, or a label
+            outside int64; messages carry the offending line number.
     """
     if file_format not in FILE_FORMATS:
         raise InvalidInputError(f"file_format must be one of {FILE_FORMATS}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     if file_format == "csv":
-        labels, rows = _parse_csv(lines)
+        fast = _load_csv_fast(path)
+        if fast is not None:
+            return EmbeddingSet(features=fast[1], labels=fast[0])
+        labels, rows = _parse_csv(_read_lines(path))
     else:
-        labels, rows = _parse_jsonl(lines)
+        labels, rows = _parse_jsonl(_read_lines(path))
     if not rows:
         raise EmbeddingFormatError(f"{path}: file contains no samples")
     return EmbeddingSet(
@@ -135,13 +142,81 @@ def load_embeddings(path, file_format: str = "csv") -> EmbeddingSet:
     )
 
 
+def _read_lines(path) -> list[str]:
+    """The file's lines as open(path, encoding="utf-8").read().splitlines()."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The sentinel puts a line after a trailing line break, where the bad byte is.
+        line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        raise EmbeddingFormatError(
+            f"line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8") from exc
+    # str.splitlines breaks at \r\n and a lone \r as universal newlines would.
+    return text.splitlines()
+
+
+# ASCII characters that stop the fast CSV pass: str.splitlines breaks lines
+# at \v \f \x1c \x1d \x1e, and numpy strips \x1c-\x1f around a number as
+# whitespace where int() and float() do not. Outside ASCII they differ more.
+_NOT_PLAIN = "\v\f\x1c\x1d\x1e\x1f"
+
+
+def _plain_lines(fh):
+    """fh's lines; ValueError at the first one that is not plain ASCII."""
+    for line in fh:
+        if not line.isascii() or any(c in line for c in _NOT_PLAIN):
+            raise ValueError("not a plain ASCII line")
+        yield line
+
+
+def _load_csv_fast(path):
+    """(labels, features) of a plain CSV from one np.loadtxt pass, or None.
+
+    Both are strided views of one table, which EmbeddingSet copies. None
+    means the line loop must decide: the file is not plain ASCII,
+    the header or any row does not parse, numpy warns (a header-only
+    file), or a value is non-finite. On every file it accepts, the
+    result equals _parse_csv's bit for bit: numpy strips the same ASCII
+    whitespace as float() and converts a value with the same correctly
+    rounded PyOS_string_to_double, and it takes only signed decimal
+    digits as a label, where int() also takes underscores (those files
+    go to the line loop).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _plain_lines(fh)
+            dim = _csv_dim(next(lines, "").rstrip("\n"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, dtype=[("label", np.int64), ("f", np.float64, (dim,))],
+                                   delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if not np.isfinite(table["f"]).all():
+        return None
+    return table["label"], table["f"]
+
+
+def _csv_dim(header: str) -> int:
+    """Feature count named by the CSV header line."""
+    fields = header.split(",")
+    if fields[0] != "label" or len(fields) < 2:
+        raise EmbeddingFormatError("line 1: header must be 'label,f0,...'")
+    return len(fields) - 1
+
+
+def _check_label(num: int, label: int) -> int:
+    if not -2**63 <= label < 2**63:
+        raise EmbeddingFormatError(f"line {num}: label {label} is outside int64")
+    return label
+
+
 def _parse_csv(lines):
     if not lines:
         raise EmbeddingFormatError("line 1: empty file")
-    header = lines[0].split(",")
-    if header[0] != "label" or len(header) < 2:
-        raise EmbeddingFormatError("line 1: header must be 'label,f0,...'")
-    dim = len(header) - 1
+    dim = _csv_dim(lines[0])
     labels, rows = [], []
     for num, line in enumerate(lines[1:], start=2):
         if line == "":
@@ -156,7 +231,7 @@ def _parse_csv(lines):
             raise EmbeddingFormatError(f"line {num}: {exc}") from exc
         if not all(math.isfinite(v) for v in values):
             raise EmbeddingFormatError(f"line {num}: non-finite feature value")
-        labels.append(label)
+        labels.append(_check_label(num, label))
         rows.append(values)
     return labels, rows
 
@@ -186,6 +261,6 @@ def _parse_jsonl(lines):
             dim = len(feats)
         elif len(feats) != dim:
             raise EmbeddingFormatError(f"line {num}: expected {dim} features, got {len(feats)}")
-        labels.append(label)
+        labels.append(_check_label(num, label))
         rows.append([float(v) for v in feats])
     return labels, rows

@@ -272,7 +272,11 @@ def run_experiment(config: ExperimentConfig) -> list:
     Reports come back method-major (all rates of the first method, then
     the second, ...).
     """
-    pool = load_pool(config)
+    return _run_on_pool(config, load_pool(config))
+
+
+def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
+    """run_experiment on a pool already loaded for this config."""
     if len(pool.class_index) < config.n_way:
         raise InvalidInputError(
             f"pool has {len(pool.class_index)} classes, episodes need {config.n_way}"
@@ -347,7 +351,7 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
     method = _single_rnnp_method(config)
     if len(config.corruption_rates) != 1:
         raise InvalidInputError("sweep needs exactly one corruption rate")
-    reports = []
+    swept = []
     for v in values:
         if sweep_axis in ("beta", "iterations"):
             if isinstance(v, float) and not v.is_integer():
@@ -355,9 +359,12 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
             v = int(v)
         else:
             v = float(v)
-        swept = replace(method.rnnp, **{sweep_axis: v})
-        cfg = replace(config, methods=(replace(method, rnnp=swept),))
-        report = run_experiment(cfg)[0]
+        rnnp = replace(method.rnnp, **{sweep_axis: v})
+        swept.append((v, replace(config, methods=(replace(method, rnnp=rnnp),))))
+    pool = load_pool(config)
+    reports = []
+    for v, cfg in swept:
+        report = _run_on_pool(cfg, pool)[0]
         report.config["sweep"] = {"axis": sweep_axis, "value": v}
         reports.append(report)
     return reports

@@ -201,9 +201,26 @@ def _assign(shared, own, centers: np.ndarray, mode: str) -> tuple[np.ndarray, np
         x += cn[..., None]
     if mode == "soft":
         return tuple(_softmin_inplace(x, axis=1) for x in dists)
-    # One-hot on the nearest center; exact ties go to the lowest index.
-    return tuple((np.argmin(x, axis=1)[:, None] == np.arange(n)[:, None]).astype(np.float64)
-                 for x in dists)
+    return tuple(_first_min_onehot(x) for x in dists)
+
+
+def _first_min_onehot(x: np.ndarray) -> np.ndarray:
+    """One-hot along axis 1 of (B, N, rows) on the nearest center.
+
+    Equal bit for bit to a one-hot of np.argmin(x, axis=1): exact ties go
+    to the lowest index, and in a row holding NaN (distances that
+    overflowed) to its first NaN. argmin along axis 1 of this contiguous
+    block copies it into another order first; marking every minimum and
+    then clearing the later hits with a loop over the N centers does not.
+    """
+    hit = x == x.min(axis=1, keepdims=True)
+    hit |= np.isnan(x)
+    taken = hit[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        later = hit[:, j]
+        np.greater(later, taken, out=later)
+        taken |= later
+    return hit.astype(np.float64)
 
 
 def _update(shared: np.ndarray, own: np.ndarray, resp: np.ndarray, own_resp: np.ndarray,

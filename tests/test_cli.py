@@ -88,6 +88,20 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--workers", "1"]) == 0
 
+    @pytest.mark.parametrize("fmt, body, line", [
+        ("csv", b"label,f0\n1,0.5\n99999999999999999999,0.25\n", 3),
+        ("csv", b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
+        ("jsonl", b'{"label": 1, "features": [0.5]}\n{"label": 1e400, "features": [0.5]}\n', 2),
+        ("jsonl", b'{"label": -99999999999999999999, "features": [0.5]}\n', 1),
+    ], ids=["csv_label_overflow", "csv_not_utf8", "jsonl_float_label", "jsonl_label_overflow"])
+    def test_hostile_data_file_exits_2(self, tmp_path, capsys, fmt, body, line):
+        path = tmp_path / f"embeddings.{fmt}"
+        path.write_bytes(body)
+        cfg = write_config(tmp_path, mixture=None, data_path=str(path), data_format=fmt)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--workers", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, k_shot=0)
         assert main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from rnnp.datagen import (
     MixtureSpec,
+    _load_csv_fast,
+    _parse_csv,
     bayes_accuracy,
     generate_mixture,
     load_embeddings,
@@ -162,3 +166,190 @@ class TestFileRoundTrip:
         path.write_text('{"label": "a", "features": [0.5]}\n', encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_embeddings(path, "jsonl")
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809",
+                                       "9223372036854775808"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_label_outside_int64_rejected_with_line_number(self, tmp_path, fmt, label):
+        path = tmp_path / f"big.{fmt}"
+        if fmt == "csv":
+            path.write_text(f"label,f0\n1,0.5\n{label},0.25\n", encoding="utf-8")
+        else:
+            path.write_text(f'{{"label": 1, "features": [0.5]}}\n'
+                            f'{{"label": {label}, "features": [0.25]}}\n', encoding="utf-8")
+        line = 3 if fmt == "csv" else 2
+        with pytest.raises(EmbeddingFormatError, match=f"line {line}: label {label} is outside int64"):
+            load_embeddings(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_int64_extremes_load(self, tmp_path, fmt):
+        lo, hi = -2**63, 2**63 - 1
+        path = tmp_path / f"edge.{fmt}"
+        if fmt == "csv":
+            path.write_text(f"label,f0\n{lo},0.5\n{hi},0.25\n", encoding="utf-8")
+        else:
+            path.write_text(f'{{"label": {lo}, "features": [0.5]}}\n'
+                            f'{{"label": {hi}, "features": [0.25]}}\n', encoding="utf-8")
+        assert load_embeddings(path, fmt).labels.tolist() == [lo, hi]
+
+    @pytest.mark.parametrize("fmt, body, line", [
+        ("csv", b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
+        ("csv", b"label,f0\r\n1,0.5\r\n\xe9", 3),
+        ("csv", b"label,f\xc3\n1,0.5\n", 1),
+        ("jsonl", b'{"label": 1, "features": [0.5]}\r{"label": 2, "features": [\x80]}\n', 2),
+    ], ids=["csv_lf", "csv_crlf_last_line", "csv_header", "jsonl_cr"])
+    def test_non_utf8_byte_rejected_with_line_number(self, tmp_path, fmt, body, line):
+        path = tmp_path / f"latin.{fmt}"
+        path.write_bytes(body)
+        with pytest.raises(EmbeddingFormatError, match=f"^line {line}: byte 0x.. is not valid UTF-8$"):
+            load_embeddings(path, fmt)
+
+    def test_written_files_take_the_fast_pass(self, tmp_path):
+        pool = generate_mixture(MixtureSpec(5, 9, 3.0, 40, seed=2))
+        path = tmp_path / "pool.csv"
+        write_embeddings(pool, path, "csv")
+        labels, features = _load_csv_fast(path)
+        assert labels.dtype == np.int64 and np.array_equal(labels, pool.labels)
+        assert features.dtype == np.float64 and np.array_equal(features, pool.features)
+
+
+def line_loop(path):
+    """What the line loop alone makes of a CSV: (labels, features), or its message."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    try:
+        labels, rows = _parse_csv(lines)
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    if not rows:
+        return f"{path}: file contains no samples"
+    return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)
+
+
+# Ways a field or a line can differ from what write_embeddings writes; each
+# is one where np.loadtxt and the line loop were seen to disagree, or one
+# both must read the same.
+FIELD_EDITS = (
+    lambda f: f" {f} ",
+    lambda f: f"\t{f}",
+    lambda f: f"{f}\x1f",
+    lambda f: f"\x1c{f}",
+    lambda f: f"{f}\xa0",
+    lambda f: f"{f}\x85",
+    lambda f: f"\u2028{f}",
+    lambda f: f"{f}\f",
+    lambda f: f"1_{f}",
+    lambda f: f'"{f}"',
+    lambda f: f"{f}#",
+    lambda f: "#",
+    lambda f: "",
+    lambda f: "3.0",
+    lambda f: "1e3",
+    lambda f: "99999999999999999999",
+    lambda f: "+7",
+    lambda f: "\u0667",
+)
+NON_FINITE = ("nan", "-inf", "Infinity", "1e999", "-NaN")
+SEPARATORS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r")
+LOOSE_LINES = ("", "", "", " ", "\t", "  \t ", ",", "\f")
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text: well-formed rows with some of the edits above mixed in."""
+    dim = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 5))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[str(draw(st.integers(-2**63, 2**63 - 1)))] + [repr(draw(floats)) for _ in range(dim)]
+            for _ in range(n_rows)]
+    if rows and draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(1, dim))] = \
+            draw(st.sampled_from(NON_FINITE))
+    edits = draw(st.sampled_from([0, 0, 0, 1, 2, 3]))
+    for _ in range(edits if rows else 0):
+        kind = draw(st.sampled_from(["field", "field", "trailing_comma", "ragged"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if kind == "field":
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = draw(st.sampled_from(FIELD_EDITS))(rows[r][c])
+        elif kind == "trailing_comma":
+            rows[r].append("")
+        elif r + 1 < len(rows) and len(rows[r]) > 1:
+            # Move one field to the next row: the field count still adds up.
+            rows[r + 1].insert(0, rows[r].pop())
+    lines = ["label," + ",".join(f"f{i}" for i in range(dim))] + [",".join(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(LOOSE_LINES)))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SEPARATORS)) + text[at:]
+    return text
+
+
+# One text per divergence between np.loadtxt and the line loop that was
+# measured, plus the edits both must read the same.
+DIVERGENCES = (
+    "label,f0,f1\n1,0.5,0.25\n \n",  # whitespace-only line
+    "label,f0,f1\n1,0.5\f,0.25\n",  # splitlines separators inside a row
+    "label,f0,f1\n1,0.5\v,0.25\n",
+    "label,f0,f1\n1,0.5\x1d,0.25\n",
+    "label,f0,f1\n1,0.5\x85,0.25\n",
+    "label,f0,f1\n1,\u20280.5,0.25\n",
+    "label,f0,f1\n1,0.5,0.25\f\n2,0.5,0.25\n",
+    "label,f0,f1\r1,0.5,0.25\r",  # lone CR
+    "label,f0,f1\n1,0.5\x1f,0.25\n",  # whitespace to numpy only
+    "label,f0,f1\n1_0,0.5,0.25\n",  # underscores
+    "label,f0,f1\n1,0_5,2_5.0\n",
+    "label,f0,f1\n1,0.5,0.25,\n",  # trailing comma
+    "label,f0,f1\n1,0.5,\n",
+    "label,f0,f1\n1,nan,0.25\n",  # non-finite
+    "label,f0,f1\n1,0.5,-inf\n",
+    "label,f0,f1\n1,1e999,0.25\n",
+    "label,f0,f1\n",  # header only
+    "label,f0,f1",
+    "",
+    "label,f0,f1\n1,0.5\n0.25,2,0.5,0.25\n",  # ragged, 6 fields in 2 rows
+    "label,f0,f1\n3.0,0.5,0.25\n",
+    "label,f0,f1\n1e3,0.5,0.25\n",
+    'label,f0,f1\n"1",0.5,0.25\n',  # quoted field
+    "label,f0,f1\n1,0.5#,0.25\n",  # '#' inside a field
+    "label,f0,f1\r\n1,0.5,0.25\r\n2,1.5,-0.0\r\n",  # CRLF
+    "label,f0,f1\n 1 ,\t0.5 , +0.25\n",  # spaces around numbers
+    "label,f0,f1\n\n1,0.5,0.25\n\n\n2,.5,5.\n",  # empty lines
+    "label,f0,f1\n99999999999999999999,0.5,0.25\n",  # label outside int64
+    "label,f0,f1\n\u0667,0.5,0.25\n",  # a digit int() reads and numpy does not
+)
+
+
+def assert_matches_line_loop(path):
+    expected = line_loop(path)
+    try:
+        pool = load_embeddings(path, "csv")
+    except EmbeddingFormatError as exc:
+        assert str(exc) == expected
+        return
+    assert not isinstance(expected, str), expected
+    labels, features = expected
+    assert pool.labels.dtype == labels.dtype and pool.labels.tobytes() == labels.tobytes()
+    assert pool.features.shape == features.shape
+    assert pool.features.tobytes() == features.tobytes()
+
+
+class TestFastCsvReader:
+    """load_embeddings equals the line loop run directly, on any CSV text."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=csv_texts())
+    def test_equals_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "pool.csv"
+        path.write_bytes(text.encode("utf-8"))
+        event("fast pass" if _load_csv_fast(path) is not None else "line loop")
+        assert_matches_line_loop(path)
+
+    @pytest.mark.parametrize("text", DIVERGENCES)
+    def test_measured_divergences_equal_line_loop(self, tmp_path, text):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_matches_line_loop(path)

@@ -216,6 +216,29 @@ class TestSweep:
                                               corruption_rates=(0.4,)))[0]
         assert reports[0].per_episode_accuracies == baseline.per_episode_accuracies
 
+    def test_sweep_loads_the_pool_once(self, tmp_path, monkeypatch):
+        solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
+                           corruption_rates=(0.4,), n_episodes=4)
+        calls = []
+        load = harness.load_pool
+        monkeypatch.setattr(harness, "load_pool", lambda cfg: calls.append(cfg) or load(cfg))
+        swept = run_sweep(solo, "alpha", [0.4, 0.6, 0.8])
+        assert calls == [solo]
+        # The same table as one run_experiment per value, each loading its pool.
+        each = []
+        for v in (0.4, 0.6, 0.8):
+            cfg = tiny_config(methods=(MethodSpec(method="rnnp",
+                                                  rnnp=RnnpConfig(beta=2, alpha=v)),),
+                              corruption_rates=(0.4,), n_episodes=4)
+            report = run_experiment(cfg)[0]
+            report.config["sweep"] = {"axis": "alpha", "value": v}
+            each.append(report)
+        a = save_sweep("alpha", swept, tmp_path / "a")
+        b = save_sweep("alpha", each, tmp_path / "b")
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+        assert [r.to_dict() for r in swept] == [r.to_dict() for r in each]
+
     def test_beta_sweep_rejects_fractional_values(self):
         solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
                            corruption_rates=(0.4,))

@@ -14,6 +14,7 @@ from rnnp.refine import (
     RefinementTrace,
     RnnpConfig,
     _cluster_batch,
+    _first_min_onehot,
     build_hybrids,
     classify_rnnp,
     rectification_delta,
@@ -661,3 +662,21 @@ class TestBatchedRefinement:
                 # Both copies take equal mass from every row and stay together.
                 np.testing.assert_allclose(resp[i, 0], resp[i, 2], rtol=1e-12, atol=0)
                 np.testing.assert_allclose(centers[i, 0], centers[i, 2], rtol=0, atol=1e-12)
+
+
+class TestFirstMinOnehot:
+    """Hard assignment's one-hot equals np.argmin's, ties and NaN included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([(75, 5, 125), (1, 5, 125), (75, 5, 1), (3, 1, 4)]),
+           seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
+           nan_share=st.sampled_from([0.0, 0.0, 0.05]))
+    def test_equals_argmin_onehot(self, shape, seed, levels, nan_share):
+        # Few distinct values force ties, often several per row.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, shape).astype(np.float64) * 0.5 - 1.0
+        x[rng.random(shape) < nan_share] = np.nan
+        expected = (np.argmin(x, axis=1)[:, None] == np.arange(shape[1])[:, None])
+        got = _first_min_onehot(x)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert np.array_equal(got, expected.astype(np.float64))
