@@ -54,8 +54,6 @@ from .refine import (
     classify_rnnp,
     rectification_delta,
     refine_for_query,
-    soft_assign,
-    update_centers,
 )
 from .vecmath import pairwise_distances, softmax, squared_euclidean
 
@@ -107,9 +105,7 @@ __all__ = [
     "save_rectification",
     "save_reports",
     "save_sweep",
-    "soft_assign",
     "softmax",
     "squared_euclidean",
-    "update_centers",
     "write_embeddings",
 ]

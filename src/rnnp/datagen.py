@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import EmbeddingSet, _check_int
+from .episodes import EmbeddingSet, _check_int, _check_size
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
 from .vecmath import pairwise_distances
 
@@ -58,8 +58,9 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
     class-major. With a single class the raw mean is kept unscaled
     (there is no pairwise distance to normalize).
     """
+    c, d, s = spec.num_classes, spec.dim, spec.samples_per_class
+    _check_size(f"num_classes={c} x samples_per_class={s}", c * s, d)
     rng = np.random.default_rng(spec.seed)
-    c, d = spec.num_classes, spec.dim
     raw = rng.standard_normal((c, d))
     if c > 1:
         dists = np.sqrt(pairwise_distances(raw, raw))
@@ -69,7 +70,6 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
         means = raw * (spec.separation / mean_pairwise)
     else:
         means = raw
-    s = spec.samples_per_class
     feats = np.empty((c * s, d), dtype=np.float64)
     for i in range(c):
         feats[i * s:(i + 1) * s] = means[i] + rng.standard_normal((s, d))

@@ -27,6 +27,15 @@ def _check_int(name: str, value, lo: int) -> int:
     return int(value)
 
 
+def _check_size(what: str, rows: int, cols: int) -> None:
+    """InvalidInputError naming `what` (the fields that set the shape) when a
+    (rows, cols) float64 array is larger than numpy can allocate: its byte
+    count must fit in np.intp."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise InvalidInputError(
+            f"{what} asks for a {rows} x {cols} float64 array, larger than numpy can allocate")
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Immutable pool of labeled feature vectors.

@@ -23,7 +23,7 @@ from .episodes import CorruptionSpec, EmbeddingSet, _check_int, corrupt_labels, 
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
 from .nnp import PrototypeSet, _classify_arrays, compute_prototypes
-from .refine import RnnpConfig, _cluster_batch, _direct_prototypes, build_hybrids
+from .refine import RnnpConfig, _refine_queries
 
 CORRUPTION_SEED_SALT = 0x9E3779B97F4A7C15
 
@@ -196,20 +196,14 @@ def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     """Accuracy plus (correct_before, mean correct_after) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
-    clustering problem, and one batched kernel call runs them all.
+    refinement problem, and one batched call runs them all.
     """
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
     queries = episode.query_features
-    if rcfg.hybrid_labeling == "labeled_direct":
-        _, direct = _direct_prototypes(episode, rcfg)
-        preds = _classify_arrays(direct.prototypes, queries)[1]
-        return episode_accuracy(preds, episode.query_labels), before, float(before)
-
-    shared = np.vstack([episode.support_features, build_hybrids(episode, rcfg)[0]])
-    centers, resp = _cluster_batch(shared, queries[:, None, :], initial.prototypes, rcfg)
+    centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes)
     preds = _classify_arrays(centers, queries)[1]
-    afters = np.sum(np.argmax(resp[:, :, :len(true)], axis=1) == true, axis=1)
+    afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), before, float(np.mean(afters))
 
 
@@ -281,8 +275,10 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
         raise InvalidInputError(
             f"pool has {len(pool.class_index)} classes, episodes need {config.n_way}"
         )
-    workers = config.workers if config.workers is not None else _usable_cpus()
     n = config.n_episodes
+    # workers is an upper bound: never start more processes than there are
+    # episodes to run or CPUs to run them on.
+    workers = min(config.workers or n, n, _usable_cpus())
     if workers <= 1 or n < 4:
         rows = [_evaluate_episode(pool, config, i) for i in range(n)]
     else:

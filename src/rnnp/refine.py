@@ -10,7 +10,9 @@ classification, and the final soft assignment of each support doubles as
 a rectified label for diagnostics.
 
 Exactly one query participates per clustering run; queries never help
-classify each other.
+classify each other. The library (refine_for_query, classify_rnnp) and
+the harness share one path, _refine_queries: a batch of queries, each
+its own problem, with the library calling it for a batch of one.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode, _check_int
-from .errors import DegenerateInputError, InvalidInputError
+from .episodes import Episode, _check_int, _check_size
+from .errors import InvalidInputError
 from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
 from .vecmath import _softmin_inplace, as_matrix, as_vector
 
@@ -146,6 +148,7 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     sup = episode.support_features
     kn = sup.shape[0]
     beta = config.beta
+    _check_size(f"beta={beta}", kn * beta, sup.shape[1])
     rng = np.random.default_rng([config.seed, episode.seed])
 
     if config.hybrid_source == "gaussian_noise":
@@ -272,60 +275,45 @@ def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
     return np.broadcast_to(centers, batch + centers.shape[1:]), resp
 
 
-def soft_assign(features, centers: PrototypeSet, mode: str = "soft") -> np.ndarray:
-    """Responsibility of every center for every feature; rows sum to 1.
+def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
+                    initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refined prototypes (Q, N, d) and support responsibilities (Q, N, KN)
+    for each of the (Q, d) queries, each its own problem.
 
-    Soft rows are a softmax over the negated squared distances to the centers
-    (max-subtraction inside, so remote features cannot underflow to an
-    all-zero row). Hard rows are one-hot on the nearest center, exact
-    ties to the lowest index.
+    unlabeled_cluster clusters supports + hybrids as shared rows and the
+    query as its problem's own row, starting from initial, the (N, d)
+    observed-label class means. labeled_direct skips clustering: each
+    hybrid inherits its parent's observed label, the prototypes are the
+    per-class means of supports plus hybrids, the same for every query,
+    and the responsibilities are one-hot on the observed labels.
     """
-    if mode not in CLUSTERING_MODES:
-        raise InvalidInputError(f"mode must be one of {CLUSTERING_MODES}")
-    feats = as_matrix(features)
-    no_rows = _prepare(np.empty((1, 0, feats.shape[1])))
-    return _assign(_prepare(feats), no_rows, centers.prototypes[None], mode)[0][0].T
-
-
-def update_centers(features, responsibilities,
-                   previous: PrototypeSet | None = None) -> PrototypeSet:
-    """Responsibility-weighted means of the features, one per column.
-
-    A column whose total responsibility is below 1e-12 keeps the
-    corresponding center from `previous`; without `previous` such a
-    column is an error.
-    """
-    feats = as_matrix(features)
-    resp = as_matrix(responsibilities)
-    if resp.shape[0] != feats.shape[0]:
-        raise InvalidInputError(f"expected {feats.shape[0]} responsibility rows, got {resp.shape[0]}")
-    if np.any(resp < 0.0):
-        raise InvalidInputError("responsibilities must be non-negative")
-    if np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-9:
-        raise InvalidInputError("responsibility rows must sum to 1 within 1e-9")
-    if previous is not None:
-        if previous.n_classes != resp.shape[1] or previous.dim != feats.shape[1]:
-            raise InvalidInputError("previous centers do not match the responsibility shape")
-        prev = previous.prototypes
-    else:
-        mass = resp.sum(axis=0)
-        if np.any(mass < EMPTY_CLUSTER_EPS):
-            dead = int(np.flatnonzero(mass < EMPTY_CLUSTER_EPS)[0])
-            raise DegenerateInputError(
-                f"cluster {dead} has zero total responsibility and no previous center to keep"
-            )
-        prev = np.zeros((resp.shape[1], feats.shape[1]))
-    no_rows, no_resp = np.empty((1, 0, feats.shape[1])), np.empty((1, resp.shape[1], 0))
-    return PrototypeSet(prototypes=_update(feats, no_rows, resp.T[None], no_resp, prev[None])[0])
+    hybrids, parents = build_hybrids(episode, config)
+    shared = np.vstack([episode.support_features, hybrids])
+    if config.hybrid_labeling == "labeled_direct":
+        labels = np.concatenate([episode.support_observed_labels, parents])
+        protos = np.empty_like(initial)
+        for c in range(episode.n_way):
+            protos[c] = shared[labels == c].mean(axis=0)
+        one_hot = np.arange(episode.n_way)[:, None] == episode.support_observed_labels
+        q = queries.shape[0]
+        return (np.broadcast_to(protos, (q,) + protos.shape),
+                np.broadcast_to(one_hot.astype(np.float64), (q,) + one_hot.shape))
+    centers, resp = _cluster_batch(shared, queries[:, None, :], initial, config)
+    return centers, resp[:, :, :episode.support_features.shape[0]]
 
 
 def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:
     """Refine the episode's prototypes for one query.
 
-    Builds the clustering pool as supports, then hybrids, then the single
-    query, in that order; initializes the centers at the per-class means
-    of the supports under observed labels; and alternates assignment and
-    center update config.iterations times. No other query participates.
+    The Q = 1 case of the harness's batched refinement. With
+    unlabeled_cluster, supports and hybrids are the shared rows and the
+    query its own row; the centers start at the per-class means of the
+    supports under observed labels and alternate assignment and center
+    update config.iterations times. No other query participates. With
+    labeled_direct nothing is clustered: each hybrid inherits its parent's
+    observed label, the prototypes are plain means of supports plus
+    hybrids per class, and the trace reports the observed labels
+    unchanged (structurally, nothing was rectified).
 
     Raises:
         DegenerateClassError: some class has no observed supports, so
@@ -336,60 +324,20 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
     _check_episode_config(episode, config)
     initial = compute_prototypes(episode, "observed")
-    hybrids = build_hybrids(episode, config)[0]
-    pool = np.vstack([episode.support_features, hybrids, q[None, :]])
-    no_rows = np.empty((1, 0, episode.dim))
-    centers, resp = _cluster_batch(pool, no_rows, initial.prototypes, config)
-    support_resp = resp[0, :, :episode.support_features.shape[0]].T
+    centers, resp = _refine_queries(episode, q[None, :], config, initial.prototypes)
     return RefinementTrace(
         initial_prototypes=initial,
         refined_prototypes=PrototypeSet(prototypes=centers[0]),
-        support_responsibilities=support_resp,
-        rectified_labels=np.argmax(support_resp, axis=1),
+        support_responsibilities=resp[0].T,
+        rectified_labels=np.argmax(resp[0], axis=0),
     )
-
-
-def _direct_prototypes(episode: Episode, config: RnnpConfig) -> tuple[PrototypeSet, PrototypeSet]:
-    """(initial, direct) prototypes for the labeled_direct shortcut."""
-    initial = compute_prototypes(episode, "observed")
-    hybrids, parents = build_hybrids(episode, config)
-    feats = np.vstack([episode.support_features, hybrids])
-    labels = np.concatenate([episode.support_observed_labels, parents])
-    protos = np.empty_like(initial.prototypes)
-    for c in range(episode.n_way):
-        protos[c] = feats[labels == c].mean(axis=0)
-    return initial, PrototypeSet(prototypes=protos)
 
 
 def classify_rnnp(episode: Episode, query,
                   config: RnnpConfig) -> tuple[ClassProbabilities, int, RefinementTrace]:
-    """Classify one query with refined prototypes.
-
-    unlabeled_cluster runs refine_for_query and scores the query against
-    the refined centers. labeled_direct skips clustering entirely: each
-    hybrid inherits its parent's observed label, prototypes are plain
-    means of supports plus hybrids per class, and the trace reports the
-    observed labels unchanged (structurally, nothing was rectified).
-    """
-    if config.hybrid_labeling == "unlabeled_cluster":
-        trace = refine_for_query(episode, query, config)
-        probs, pred = classify(trace.refined_prototypes, query)
-        return probs, pred, trace
-
-    q = as_vector(query)
-    if q.shape[0] != episode.dim:
-        raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
-    initial, direct = _direct_prototypes(episode, config)
-    kn = episode.support_features.shape[0]
-    one_hot = np.zeros((kn, episode.n_way))
-    one_hot[np.arange(kn), episode.support_observed_labels] = 1.0
-    trace = RefinementTrace(
-        initial_prototypes=initial,
-        refined_prototypes=direct,
-        support_responsibilities=one_hot,
-        rectified_labels=episode.support_observed_labels.copy(),
-    )
-    probs, pred = classify(direct, q)
+    """Classify one query against refine_for_query's refined prototypes."""
+    trace = refine_for_query(episode, query, config)
+    probs, pred = classify(trace.refined_prototypes, query)
     return probs, pred, trace
 
 

@@ -1,0 +1,64 @@
+"""The public API, pinned: an added or dropped name shows up here."""
+
+import rnnp
+
+PUBLIC_NAMES = [
+    "BENCHMARK_SEPARATION",
+    "CLUSTERING_MODES",
+    "ClassProbabilities",
+    "CorruptionSpec",
+    "DegenerateClassError",
+    "DegenerateInputError",
+    "EmbeddingFormatError",
+    "EmbeddingSet",
+    "Episode",
+    "EvalReport",
+    "ExperimentConfig",
+    "FILE_FORMATS",
+    "HYBRID_LABELINGS",
+    "HYBRID_SOURCES",
+    "InvalidInputError",
+    "MethodSpec",
+    "MixtureSpec",
+    "PrototypeSet",
+    "RefinementTrace",
+    "RnnpConfig",
+    "bayes_accuracy",
+    "build_hybrids",
+    "classify",
+    "classify_rnnp",
+    "compute_prototypes",
+    "corrupt_labels",
+    "count_corrupted",
+    "default_config",
+    "episode_accuracy",
+    "generate_mixture",
+    "load_embeddings",
+    "load_pool",
+    "mean_ci95",
+    "paired_delta",
+    "pairwise_distances",
+    "rectification_delta",
+    "refine_for_query",
+    "reports_to_csv",
+    "run_experiment",
+    "run_rectification_analysis",
+    "run_sweep",
+    "sample_episode",
+    "save_rectification",
+    "save_reports",
+    "save_sweep",
+    "softmax",
+    "squared_euclidean",
+    "write_embeddings",
+]
+
+
+def test_all_is_pinned():
+    assert len(PUBLIC_NAMES) == 48
+    assert sorted(rnnp.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in rnnp.__all__ if not hasattr(rnnp, name)]
+    assert missing == []

@@ -41,6 +41,12 @@ class TestGenerate:
         assert pool.features.shape == (24, 3)
         assert pool.num_classes == 4
 
+    def test_impossible_sample_count_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "--samples", str(10**15), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "samples_per_class=" in err
+        assert not (tmp_path / "embeddings.csv").exists()
+
     def test_jsonl_format(self, tmp_path):
         assert main(["generate", "--classes", "3", "--dim", "2", "--samples", "4",
                      "--format", "jsonl", "--out", str(tmp_path)]) == 0
@@ -101,6 +107,31 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--workers", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda cfg: {**cfg, "methods": [
+            {"method": "rnnp", "beta": 10**15, "hybrid_source": "different_class"}]}, "beta="),
+        (lambda cfg: {**cfg, "methods": [
+            {"method": "rnnp", "beta": 10**15, "hybrid_source": "gaussian_noise"}]}, "beta="),
+        (lambda cfg: {**cfg, "mixture": {**cfg["mixture"], "samples_per_class": 10**15}},
+         "samples_per_class="),
+        (lambda cfg: {**cfg, "mixture": {**cfg["mixture"], "dim": 1, "samples_per_class": 10**15}},
+         "out of memory"),
+    ], ids=["beta_different_class", "beta_gaussian_noise", "samples_per_class",
+            "samples_per_class_allocation"])
+    def test_impossible_size_exits_2(self, tmp_path, capsys, edit, named):
+        # 10**15 rows fail before any memory is touched: beyond numpy's largest
+        # array, or, for the one-dimensional pool, beyond what malloc can map.
+        path = tmp_path / "config.json"
+        write_config(tmp_path, n_way=5, mixture={"num_classes": 20, "dim": 64,
+                                                  "separation": 6.0, "samples_per_class": 10,
+                                                  "seed": 3})
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edit(cfg)), encoding="utf-8")
+        assert main(["eval", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, k_shot=0)

@@ -159,6 +159,37 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         assert len(run_experiment(tiny_config(n_episodes=8, workers=None))) == 4
 
+    def test_pool_never_outgrows_episodes_or_cpus(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Records the process count asked for and runs the tasks inline."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_WORKER_POOL", None)
+        monkeypatch.setattr(harness, "_WORKER_CONFIG", None)
+        serial = [r.to_dict() for r in run_experiment(tiny_config(n_episodes=8, workers=1))]
+        assert started == []
+        for cpus, workers, want in ((64, 100000, 8), (64, 64, 8), (64, 3, 3), (64, None, 8),
+                                    (4, 100000, 4), (4, None, 4)):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            reports = run_experiment(tiny_config(n_episodes=8, workers=workers))
+            assert started.pop() == want
+            assert [r.to_dict() for r in reports] == serial
+
     def test_default_workers_without_affinity_use_cpu_count(self, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
@@ -309,15 +340,15 @@ class TestSaving:
 
 
 class TestEpisodeAveragesMatchPublicApi:
-    def test_harness_rnnp_accuracy_matches_per_query_calls(self):
+    @staticmethod
+    def check_against_per_query_calls(cfg):
         from rnnp.episodes import CorruptionSpec, corrupt_labels, sample_episode
         from rnnp.datagen import generate_mixture
-        from rnnp.refine import classify_rnnp
+        from rnnp.refine import classify_rnnp, rectification_delta
 
-        cfg = tiny_config(corruption_rates=(0.4,))
         pool = generate_mixture(cfg.mixture)
-        reports = {r.method: r for r in run_experiment(cfg)}
-        rcfg = cfg.methods[1].rnnp
+        report = run_experiment(cfg)[-1]
+        rcfg = cfg.methods[-1].rnnp
         import rnnp.harness as hz
 
         for i in range(cfg.n_episodes):
@@ -325,6 +356,18 @@ class TestEpisodeAveragesMatchPublicApi:
                                 cfg.seed + i)
             corr = corrupt_labels(
                 ep, CorruptionSpec(rate=0.4, seed=(cfg.seed ^ hz.CORRUPTION_SEED_SALT) + i))
-            preds = [classify_rnnp(corr, q, rcfg)[1] for q in corr.query_features]
-            acc = float(np.mean(np.asarray(preds) == corr.query_labels))
-            assert acc == reports["rnnp"].per_episode_accuracies[i]
+            outs = [classify_rnnp(corr, q, rcfg) for q in corr.query_features]
+            acc = float(np.mean(np.asarray([pred for _, pred, _ in outs]) == corr.query_labels))
+            assert acc == report.per_episode_accuracies[i]
+            pairs = [rectification_delta(corr, trace) for _, _, trace in outs]
+            assert report.per_episode_rectification[i] == [
+                pairs[0][0], float(np.mean([after for _, after in pairs]))]
+
+    def test_harness_rnnp_accuracy_matches_per_query_calls(self):
+        self.check_against_per_query_calls(tiny_config(corruption_rates=(0.4,)))
+
+    def test_harness_labeled_direct_matches_per_query_calls(self):
+        method = MethodSpec(method="rnnp", rnnp=RnnpConfig(
+            beta=2, hybrid_labeling="labeled_direct"))
+        self.check_against_per_query_calls(tiny_config(corruption_rates=(0.4,),
+                                                       methods=(method,)))

@@ -8,19 +8,19 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels, sample_episode
-from rnnp.errors import DegenerateInputError, InvalidInputError
+from rnnp.errors import InvalidInputError
 from rnnp.nnp import PrototypeSet, _classify_arrays, classify, compute_prototypes
 from rnnp.refine import (
     RefinementTrace,
     RnnpConfig,
     _cluster_batch,
     _first_min_onehot,
+    _refine_queries,
+    _update,
     build_hybrids,
     classify_rnnp,
     rectification_delta,
     refine_for_query,
-    soft_assign,
-    update_centers,
 )
 
 from _reference import reference_hybrids, reference_refine
@@ -245,24 +245,42 @@ class TestGenerateHybrids:
         assert np.array_equal(parents, np.repeat(observed, beta))
 
 
+def assign_at(feats, centers, mode="soft"):
+    """The kernel's assignment of feats (m, d) at centers (N, d), as (m, N):
+    a zero-round _cluster_batch, feats as shared rows, no own rows."""
+    feats = np.asarray(feats, dtype=np.float64)
+    cfg = RnnpConfig(beta=1, iterations=0, clustering_mode=mode)
+    _, resp = _cluster_batch(feats, np.empty((1, 0, feats.shape[1])), np.asarray(centers), cfg)
+    return resp[0].T
+
+
+def update_from(feats, resp, previous):
+    """The kernel's center update of feats (m, d) under responsibilities
+    (m, N), no own rows; previous (N, d) is kept by empty clusters."""
+    feats, resp, previous = (np.asarray(a, dtype=np.float64) for a in (feats, resp, previous))
+    n, d = previous.shape
+    return _update(feats, np.empty((1, 0, d)), resp.T[None], np.empty((1, n, 0)),
+                   previous[None])[0]
+
+
 class TestSoftAssign:
+    """The assignment step of the kernel, read off a zero-round run."""
+
     def test_equidistant_uniform_row(self):
-        centers = PrototypeSet(prototypes=np.array([
-            [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
-        ]))
-        r = soft_assign(np.zeros((1, 2)), centers)
+        centers = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        r = assign_at(np.zeros((1, 2)), centers)
         np.testing.assert_allclose(r[0], 0.25, rtol=1e-12)
 
     def test_hard_one_hot_on_coincident_feature(self):
-        centers = PrototypeSet(prototypes=np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]]))
-        r = soft_assign(np.array([[9.0, 9.0]]), centers, mode="hard")
+        centers = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
+        r = assign_at(np.array([[9.0, 9.0]]), centers, mode="hard")
         np.testing.assert_array_equal(r[0], [0.0, 0.0, 1.0])
 
     def test_known_two_center_value(self):
         # Squared distances {0, ln 3} make the soft row (0.75, 0.25);
         # same scalar oracle as the classifier probability example.
-        centers = PrototypeSet(prototypes=np.array([[0.0], [math.sqrt(math.log(3.0))]]))
-        r = soft_assign(np.array([[0.0]]), centers)
+        centers = np.array([[0.0], [math.sqrt(math.log(3.0))]])
+        r = assign_at(np.array([[0.0]]), centers)
         oracle = [math.exp(0.0), math.exp(-math.log(3.0))]
         oracle = [w / sum(oracle) for w in oracle]
         np.testing.assert_allclose(oracle, [0.75, 0.25], rtol=1e-12)
@@ -274,57 +292,48 @@ class TestSoftAssign:
             for _ in range(50):
                 m, n, d = int(rng.integers(1, 30)), int(rng.integers(2, 6)), int(rng.integers(1, 8))
                 feats = rng.normal(size=(m, d)) * 10.0
-                centers = PrototypeSet(prototypes=rng.normal(size=(n, d)))
-                r = soft_assign(feats, centers, mode=mode)
+                centers = rng.normal(size=(n, d))
+                r = assign_at(feats, centers, mode=mode)
                 np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-9)
                 assert np.all(r >= 0.0)
 
     def test_hard_tie_breaks_low_index(self):
-        centers = PrototypeSet(prototypes=np.array([[1.0], [-1.0]]))
-        r = soft_assign(np.array([[0.0]]), centers, mode="hard")
+        centers = np.array([[1.0], [-1.0]])
+        r = assign_at(np.array([[0.0]]), centers, mode="hard")
         np.testing.assert_array_equal(r[0], [1.0, 0.0])
 
 
 class TestUpdateCenters:
+    """The center update step of the kernel, refine._update."""
+
     def test_one_hot_reduces_to_plain_means(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 4.0], [12.0, 4.0]])
         resp = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        got = update_centers(feats, resp)
-        np.testing.assert_allclose(got.prototypes, [[1.0, 0.0], [11.0, 4.0]])
+        got = update_from(feats, resp, np.zeros((2, 2)))
+        np.testing.assert_allclose(got, [[1.0, 0.0], [11.0, 4.0]])
 
     def test_uniform_rows_give_global_mean(self):
         rng = np.random.default_rng(42)
         feats = rng.normal(size=(12, 3))
         resp = np.full((12, 4), 0.25)
-        got = update_centers(feats, resp)
+        got = update_from(feats, resp, np.zeros((4, 3)))
         for c in range(4):
-            np.testing.assert_allclose(got.prototypes[c], feats.mean(axis=0), rtol=1e-9)
+            np.testing.assert_allclose(got[c], feats.mean(axis=0), rtol=1e-9)
 
     def test_hand_weighted_value(self):
         # Hand-evaluated: (0.75*0 + 0.25*2) / (0.75 + 0.25) = 0.5.
         feats = np.array([[0.0], [2.0]])
         resp = np.array([[0.75, 0.25], [0.25, 0.75]])
-        got = update_centers(feats, resp)
-        np.testing.assert_allclose(got.prototypes[0], [0.5], rtol=1e-12)
-        np.testing.assert_allclose(got.prototypes[1], [1.5], rtol=1e-12)
+        got = update_from(feats, resp, np.zeros((2, 1)))
+        np.testing.assert_allclose(got[0], [0.5], rtol=1e-12)
+        np.testing.assert_allclose(got[1], [1.5], rtol=1e-12)
 
     def test_zero_mass_center_keeps_previous(self):
         feats = np.array([[1.0], [3.0]])
         resp = np.array([[1.0, 0.0], [1.0, 0.0]])
-        prev = PrototypeSet(prototypes=np.array([[0.0], [-7.0]]))
-        got = update_centers(feats, resp, previous=prev)
-        np.testing.assert_allclose(got.prototypes[0], [2.0])
-        np.testing.assert_allclose(got.prototypes[1], [-7.0])
-
-    def test_zero_mass_without_previous_raises(self):
-        feats = np.array([[1.0], [3.0]])
-        resp = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DegenerateInputError):
-            update_centers(feats, resp)
-
-    def test_unnormalized_rows_rejected(self):
-        with pytest.raises(InvalidInputError):
-            update_centers(np.ones((2, 1)), np.array([[0.5, 0.4], [0.5, 0.5]]))
+        got = update_from(feats, resp, np.array([[0.0], [-7.0]]))
+        np.testing.assert_allclose(got[0], [2.0])
+        np.testing.assert_allclose(got[1], [-7.0])
 
 
 class TestRefineForQuery:
@@ -352,20 +361,20 @@ class TestRefineForQuery:
         )
         assert trace.rectified_labels.tolist() == ref["rectified_labels"]
 
-    def test_equals_manual_composition_of_public_ops(self):
-        ep = small_episode(seed=11, n_way=4, k_shot=4)
-        cfg = RnnpConfig(beta=2, iterations=3, seed=5)
-        q = ep.query_features[1]
-        trace = refine_for_query(ep, q, cfg)
-
-        pool = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0], q[None, :]])
-        centers = compute_prototypes(ep, "observed")
-        resp = None
-        for _ in range(3):
-            resp = soft_assign(pool, centers)
-            centers = update_centers(pool, resp, previous=centers)
-        assert np.array_equal(trace.refined_prototypes.prototypes, centers.prototypes)
-        assert np.array_equal(trace.support_responsibilities, resp[: 4 * 4])
+    def test_labeled_direct_folds_hybrids_into_parent_means(self):
+        # No clustering: each hybrid joins its parent's observed class, and the
+        # prototypes are those class means, whatever the query.
+        ep = corrupt_labels(small_episode(seed=16, n_way=3, k_shot=4),
+                            CorruptionSpec(rate=0.25, seed=2))
+        cfg = RnnpConfig(beta=2, hybrid_labeling="labeled_direct", seed=3)
+        hybrids, parents = build_hybrids(ep, cfg)
+        feats = np.vstack([ep.support_features, hybrids])
+        labels = np.concatenate([ep.support_observed_labels, parents])
+        want = np.vstack([feats[labels == c].mean(axis=0) for c in range(3)])
+        for q in ep.query_features:
+            trace = refine_for_query(ep, q, cfg)
+            assert np.array_equal(trace.refined_prototypes.prototypes, want)
+            assert np.array_equal(trace.rectified_labels, ep.support_observed_labels)
 
     def test_clean_separable_rectifies_nothing(self):
         ep = small_episode(seed=2, spread=12.0)
@@ -606,6 +615,18 @@ class TestBatchedRefinement:
             alone, alone_resp = _cluster_batch(shared, q[None, None, :], initial, cfg)
             np.testing.assert_allclose(centers[i], alone[0], rtol=0, atol=1e-12)
             assert np.array_equal(np.argmax(resp[i], axis=0), np.argmax(alone_resp[0], axis=0))
+
+    def test_labeled_direct_batch_equals_each_query_alone(self):
+        ep = corrupt_labels(small_episode(seed=12, n_way=4, k_shot=5),
+                            CorruptionSpec(rate=0.4, seed=12))
+        cfg = RnnpConfig(beta=3, hybrid_labeling="labeled_direct", seed=4)
+        initial = compute_prototypes(ep, "observed").prototypes
+        centers, resp = _refine_queries(ep, ep.query_features, cfg, initial)
+        assert centers.shape == (16, 4, ep.dim) and resp.shape == (16, 4, 20)
+        for i, q in enumerate(ep.query_features):
+            trace = refine_for_query(ep, q, cfg)
+            assert np.array_equal(centers[i], trace.refined_prototypes.prototypes)
+            assert np.array_equal(resp[i].T, trace.support_responsibilities)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(**BATCH_PROBLEMS)
