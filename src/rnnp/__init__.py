@@ -10,7 +10,6 @@ final support responsibilities double as rectified labels.
 from .datagen import (
     FILE_FORMATS,
     MixtureSpec,
-    bayes_accuracy,
     generate_mixture,
     load_embeddings,
     write_embeddings,
@@ -55,7 +54,6 @@ from .refine import (
     rectification_delta,
     refine_for_query,
 )
-from .vecmath import pairwise_distances, softmax, squared_euclidean
 
 __version__ = "0.1.0"
 
@@ -80,7 +78,6 @@ __all__ = [
     "PrototypeSet",
     "RefinementTrace",
     "RnnpConfig",
-    "bayes_accuracy",
     "build_hybrids",
     "classify",
     "classify_rnnp",
@@ -94,7 +91,6 @@ __all__ = [
     "load_pool",
     "mean_ci95",
     "paired_delta",
-    "pairwise_distances",
     "rectification_delta",
     "refine_for_query",
     "reports_to_csv",
@@ -105,7 +101,5 @@ __all__ = [
     "save_rectification",
     "save_reports",
     "save_sweep",
-    "softmax",
-    "squared_euclidean",
     "write_embeddings",
 ]

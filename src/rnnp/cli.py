@@ -96,7 +96,14 @@ def _parse_rates(text: str) -> tuple:
 def _build_config(args, *, rnnp_only: bool) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                # ValueError: bytes that are not UTF-8, malformed JSON or an
+                # integer literal beyond Python's digit limit; RecursionError:
+                # arrays or objects nested too deeply.
+                raise InvalidInputError(f"{args.config}: not a JSON config: {exc}") from exc
+        config = ExperimentConfig.from_dict(data)
     else:
         config = default_config()
 
@@ -202,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import EmbeddingSet, _check_int, _check_size
+from .episodes import EmbeddingSet, _check_int, _check_real, _check_size
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
-from .vecmath import pairwise_distances
+from .vecmath import _pairwise_raw
 
 FILE_FORMATS = ("csv", "jsonl")
 
@@ -40,13 +40,10 @@ class MixtureSpec:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.separation, (int, float)) or isinstance(self.separation, bool):
-            raise InvalidInputError(f"separation must be a real number, got {self.separation!r}")
-        if not (math.isfinite(self.separation) and self.separation >= 0.0):
-            raise InvalidInputError(f"separation must be finite and >= 0, got {self.separation}")
+        object.__setattr__(self, "separation",
+                           _check_real("separation", self.separation, 0.0, math.inf, False))
         for name, lo in (("num_classes", 1), ("dim", 1), ("samples_per_class", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
-        object.__setattr__(self, "separation", float(self.separation))
 
 
 def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
@@ -63,7 +60,7 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
     rng = np.random.default_rng(spec.seed)
     raw = rng.standard_normal((c, d))
     if c > 1:
-        dists = np.sqrt(pairwise_distances(raw, raw))
+        dists = np.sqrt(_pairwise_raw(raw, raw))
         mean_pairwise = float(dists[np.triu_indices(c, k=1)].mean())
         if mean_pairwise == 0.0:
             raise DegenerateInputError("drawn class means coincide; cannot rescale")
@@ -78,22 +75,6 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
         features=feats, labels=labels,
         class_means={i: means[i].copy() for i in range(c)},
     )
-
-
-def bayes_accuracy(pool: EmbeddingSet, test_samples: EmbeddingSet) -> float:
-    """Accuracy of the nearest-true-mean rule on the test samples.
-
-    This is the optimal classifier for equal-weight isotropic Gaussian
-    classes, so it upper-bounds (in expectation) anything built from the
-    pool's finite supports. The pool must carry generator means.
-    """
-    if pool.class_means is None:
-        raise InvalidInputError("pool has no known class means (not synthetically generated)")
-    classes = sorted(pool.class_means)
-    means = np.vstack([pool.class_means[c] for c in classes])
-    dists = pairwise_distances(test_samples.features, means)
-    nearest = np.asarray(classes, dtype=np.int64)[np.argmin(dists, axis=1)]
-    return float(np.mean(nearest == test_samples.labels))
 
 
 def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None:
@@ -244,7 +225,9 @@ def _parse_jsonl(lines):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON or an integer literal beyond Python's
+            # digit limit; RecursionError: arrays or objects nested too deeply.
             raise EmbeddingFormatError(f"line {num}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "label" not in obj or "features" not in obj:
             raise EmbeddingFormatError(f"line {num}: object needs 'label' and 'features'")
@@ -254,13 +237,17 @@ def _parse_jsonl(lines):
             raise EmbeddingFormatError(f"line {num}: label must be an integer")
         if not isinstance(feats, list) or len(feats) == 0:
             raise EmbeddingFormatError(f"line {num}: features must be a non-empty array")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in feats):
+        try:
+            values = [float(v) for v in feats
+                      if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        except OverflowError:  # an integer beyond float range
+            values = []
+        if len(values) != len(feats) or not all(math.isfinite(v) for v in values):
             raise EmbeddingFormatError(f"line {num}: features must be finite numbers")
         if dim is None:
             dim = len(feats)
         elif len(feats) != dim:
             raise EmbeddingFormatError(f"line {num}: expected {dim} features, got {len(feats)}")
         labels.append(_check_label(num, label))
-        rows.append([float(v) for v in feats])
+        rows.append(values)
     return labels, rows

@@ -12,7 +12,8 @@ pool. Pool labels may be arbitrary integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +26,43 @@ def _check_int(name: str, value, lo: int) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lo:
         raise InvalidInputError(f"{name} must be an integer >= {lo}, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value, lo: float, hi: float, strict: bool) -> float:
+    """value as a Python float in [lo, hi], or in (lo, hi) when strict.
+
+    Python and numpy ints and floats qualify; bool, numpy bool, strings and
+    other types are errors, and so are NaN, infinities and integers beyond
+    float range.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{name} must be finite, got an integer beyond float range") \
+            from exc
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x}")
+    if not (lo < x < hi if strict else lo <= x <= hi):
+        span = f"({lo:g}, {hi:g})" if strict else f"[{lo:g}, {hi:g}]"
+        raise InvalidInputError(f"{name} must lie in {span}, got {x}")
+    return x
+
+
+def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
+    """values as a read-only int64 array of `length` labels, each in 0..n-1
+    (any integer when n is None)."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.shape[0] != length:
+        raise InvalidInputError(f"{name}: expected {length} entries, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidInputError(f"{name}: labels must be integers")
+    arr = arr.astype(np.int64, copy=True)
+    if n is not None and arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise InvalidInputError(f"{name}: labels must lie in 0..{n - 1}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_size(what: str, rows: int, cols: int) -> None:
@@ -57,16 +95,8 @@ class EmbeddingSet:
 
     def __post_init__(self):
         feats = as_matrix(self.features).copy()
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-            raise InvalidInputError(
-                f"expected {feats.shape[0]} labels, got shape {labels.shape}"
-            )
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise InvalidInputError("labels must be integers")
-        labels = labels.astype(np.int64, copy=True)
+        labels = _check_labels("labels", self.labels, feats.shape[0], None)
         feats.setflags(write=False)
-        labels.setflags(write=False)
         index = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
         for rows in index.values():
             rows.setflags(write=False)
@@ -112,9 +142,10 @@ class Episode:
         qry = as_matrix(self.query_features).copy()
         if sup.shape[1] != qry.shape[1]:
             raise InvalidInputError("support and query dimensions differ")
-        true = self._label_array(self.support_true_labels, sup.shape[0], "support_true_labels")
-        obs = self._label_array(self.support_observed_labels, sup.shape[0], "support_observed_labels")
-        qlab = self._label_array(self.query_labels, qry.shape[0], "query_labels")
+        true = _check_labels("support_true_labels", self.support_true_labels, sup.shape[0], n)
+        obs = _check_labels("support_observed_labels", self.support_observed_labels,
+                            sup.shape[0], n)
+        qlab = _check_labels("query_labels", self.query_labels, qry.shape[0], n)
 
         if sup.shape[0] != n * k:
             raise InvalidInputError(f"expected {n * k} support rows, got {sup.shape[0]}")
@@ -122,24 +153,13 @@ class Episode:
         if not np.all(counts == k):
             raise InvalidInputError(f"expected exactly {k} supports per class, got counts {counts.tolist()}")
 
-        for arr in (sup, qry, true, obs, qlab):
+        for arr in (sup, qry):
             arr.setflags(write=False)
         object.__setattr__(self, "support_features", sup)
         object.__setattr__(self, "query_features", qry)
         object.__setattr__(self, "support_true_labels", true)
         object.__setattr__(self, "support_observed_labels", obs)
         object.__setattr__(self, "query_labels", qlab)
-
-    def _label_array(self, values, expected_len: int, name: str) -> np.ndarray:
-        arr = np.asarray(values)
-        if arr.ndim != 1 or arr.shape[0] != expected_len:
-            raise InvalidInputError(f"{name}: expected {expected_len} entries, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidInputError(f"{name}: labels must be integers")
-        arr = arr.astype(np.int64, copy=True)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_way):
-            raise InvalidInputError(f"{name}: labels must lie in 0..{self.n_way - 1}")
-        return arr
 
     @property
     def dim(self) -> int:
@@ -158,11 +178,7 @@ class CorruptionSpec:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.rate, (int, float)) or isinstance(self.rate, bool):
-            raise InvalidInputError(f"rate must be a real number, got {self.rate!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise InvalidInputError(f"rate must lie in [0, 1], got {self.rate}")
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", _check_real("rate", self.rate, 0.0, 1.0, False))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
@@ -266,16 +282,7 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
         for s in slots:
             r = int(rng.integers(n - 1))
             observed[rows_c[s]] = r if r < c else r + 1
-    return Episode(
-        n_way=n,
-        k_shot=k,
-        support_features=episode.support_features,
-        support_true_labels=true,
-        support_observed_labels=observed,
-        query_features=episode.query_features,
-        query_labels=episode.query_labels,
-        seed=episode.seed,
-    )
+    return replace(episode, support_observed_labels=observed)
 
 
 def count_corrupted(episode: Episode) -> int:

@@ -12,6 +12,7 @@ changes any output value.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -19,11 +20,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .datagen import MixtureSpec, generate_mixture, load_embeddings
-from .episodes import CorruptionSpec, EmbeddingSet, _check_int, corrupt_labels, sample_episode
+from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real, corrupt_labels,
+                       sample_episode)
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
 from .nnp import PrototypeSet, _classify_arrays, compute_prototypes
-from .refine import RnnpConfig, _refine_queries
+from .refine import RnnpConfig, _check_partners, _refine_queries
 
 CORRUPTION_SEED_SALT = 0x9E3779B97F4A7C15
 
@@ -122,24 +124,18 @@ class ExperimentConfig:
         labels = [m.label for m in methods]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"duplicate method labels: {labels}")
-        for i, m in enumerate(methods):
-            if m.method == "rnnp" and m.rnnp.hybrid_source == "same_class" \
-                    and m.rnnp.beta > self.k_shot - 1:
-                raise InvalidInputError(
-                    f"methods[{i}].beta={m.rnnp.beta} exceeds K-1={self.k_shot - 1}"
-                )
+        for m in methods:
+            if m.method == "rnnp":
+                _check_partners(m.rnnp, self.k_shot)
         object.__setattr__(self, "methods", methods)
 
         rates = self.corruption_rates
-        if not isinstance(rates, (list, tuple)) or not rates or not all(
-                isinstance(r, (int, float, np.integer, np.floating)) and not isinstance(r, bool)
-                for r in rates):
+        if not isinstance(rates, (list, tuple)) or not rates:
             raise InvalidInputError(
                 f"corruption_rates must be a non-empty list of numbers, got {rates!r}")
-        rates = tuple(float(r) for r in rates)
+        rates = tuple(_check_real(f"corruption_rates[{i}]", r, 0.0, 1.0, False)
+                      for i, r in enumerate(rates))
         for i, r in enumerate(rates):
-            if not 0.0 <= r <= 1.0:
-                raise InvalidInputError(f"corruption_rates[{i}] must lie in [0, 1], got {r}")
             if abs(r * self.k_shot - round(r * self.k_shot)) > 1e-9:
                 raise InvalidInputError(
                     f"corruption_rates[{i}]={r} times k_shot={self.k_shot} is not an integer"
@@ -349,12 +345,11 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
         raise InvalidInputError("sweep needs exactly one corruption rate")
     swept = []
     for v in values:
-        if sweep_axis in ("beta", "iterations"):
-            if isinstance(v, float) and not v.is_integer():
+        v = _check_real(f"{sweep_axis} value", v, -math.inf, math.inf, False)
+        if sweep_axis != "alpha":
+            if not v.is_integer():
                 raise InvalidInputError(f"{sweep_axis} values must be integers, got {v}")
             v = int(v)
-        else:
-            v = float(v)
         rnnp = replace(method.rnnp, **{sweep_axis: v})
         swept.append((v, replace(config, methods=(replace(method, rnnp=rnnp),))))
     pool = load_pool(config)

@@ -72,14 +72,22 @@ def compute_prototypes(episode: Episode, label_source: str = "observed") -> Prot
         raise InvalidInputError(f"label_source must be one of {LABEL_SOURCES}, got {label_source!r}")
     labels = (episode.support_observed_labels if label_source == "observed"
               else episode.support_true_labels)
-    feats = episode.support_features
-    protos = np.empty((episode.n_way, feats.shape[1]), dtype=np.float64)
-    for c in range(episode.n_way):
-        rows = feats[labels == c]
+    return PrototypeSet(prototypes=_class_means(episode.support_features, labels, episode.n_way))
+
+
+def _class_means(features: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) array whose row c is the mean of the feature rows labelled c.
+
+    Raises:
+        DegenerateClassError: some class in 0..n-1 has no rows.
+    """
+    means = np.empty((n, features.shape[1]), dtype=np.float64)
+    for c in range(n):
+        rows = features[labels == c]
         if rows.shape[0] == 0:
-            raise DegenerateClassError(f"class {c} has no supports under {label_source} labels")
-        protos[c] = rows.mean(axis=0)
-    return PrototypeSet(prototypes=protos)
+            raise DegenerateClassError(f"class {c} has no supports under the labels in use")
+        means[c] = rows.mean(axis=0)
+    return means
 
 
 def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode, _check_int, _check_size
+from .episodes import Episode, _check_int, _check_labels, _check_real, _check_size
 from .errors import InvalidInputError
-from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
+from .nnp import ClassProbabilities, PrototypeSet, _class_means, classify, compute_prototypes
 from .vecmath import _softmin_inplace, as_matrix, as_vector
 
 CLUSTERING_MODES = ("soft", "hard")
@@ -65,10 +65,7 @@ class RnnpConfig:
     def __post_init__(self):
         for name, lo in (("beta", 1), ("iterations", 0), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
-        if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
-            raise InvalidInputError(f"alpha must be a real number, got {self.alpha!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha, 0.0, 1.0, True))
         if self.clustering_mode not in CLUSTERING_MODES:
             raise InvalidInputError(f"clustering_mode must be one of {CLUSTERING_MODES}")
         if self.hybrid_source not in HYBRID_SOURCES:
@@ -77,7 +74,6 @@ class RnnpConfig:
             raise InvalidInputError(f"hybrid_labeling must be one of {HYBRID_LABELINGS}")
         if self.hybrid_source == "gaussian_noise" and self.hybrid_labeling == "labeled_direct":
             raise InvalidInputError("gaussian_noise hybrids have no parent class to label them with")
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -103,22 +99,17 @@ class RefinementTrace:
             raise InvalidInputError("responsibility columns must match the class count")
         if np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-9:
             raise InvalidInputError("responsibility rows must sum to 1 within 1e-9")
-        rect = np.asarray(self.rectified_labels)
-        if rect.shape != (resp.shape[0],) or not np.issubdtype(rect.dtype, np.integer):
-            raise InvalidInputError("rectified_labels must be one integer per support")
-        rect = rect.astype(np.int64, copy=True)
-        if rect.size and (rect.min() < 0 or rect.max() >= n):
-            raise InvalidInputError(f"rectified labels must lie in 0..{n - 1}")
+        rect = _check_labels("rectified_labels", self.rectified_labels, resp.shape[0], n)
         resp.setflags(write=False)
-        rect.setflags(write=False)
         object.__setattr__(self, "support_responsibilities", resp)
         object.__setattr__(self, "rectified_labels", rect)
 
 
-def _check_episode_config(episode: Episode, config: RnnpConfig) -> None:
-    if config.hybrid_source == "same_class" and config.beta > episode.k_shot - 1:
+def _check_partners(config: RnnpConfig, k_shot: int) -> None:
+    """same_class hybrids need beta distinct observed classmates, so beta <= K - 1."""
+    if config.hybrid_source == "same_class" and config.beta > k_shot - 1:
         raise InvalidInputError(
-            f"beta={config.beta} exceeds K-1={episode.k_shot - 1} distinct same-class partners"
+            f"beta={config.beta} exceeds K-1={k_shot - 1} distinct same-class partners"
         )
 
 
@@ -144,7 +135,7 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     rng.normal call from the support set's per-dimension mean and
     (population) standard deviation, and has no parent labels.
     """
-    _check_episode_config(episode, config)
+    _check_partners(config, episode.k_shot)
     sup = episode.support_features
     kn = sup.shape[0]
     beta = config.beta
@@ -290,10 +281,8 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     hybrids, parents = build_hybrids(episode, config)
     shared = np.vstack([episode.support_features, hybrids])
     if config.hybrid_labeling == "labeled_direct":
-        labels = np.concatenate([episode.support_observed_labels, parents])
-        protos = np.empty_like(initial)
-        for c in range(episode.n_way):
-            protos[c] = shared[labels == c].mean(axis=0)
+        protos = _class_means(shared, np.concatenate([episode.support_observed_labels, parents]),
+                              episode.n_way)
         one_hot = np.arange(episode.n_way)[:, None] == episode.support_observed_labels
         q = queries.shape[0]
         return (np.broadcast_to(protos, (q,) + protos.shape),
@@ -322,7 +311,6 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     q = as_vector(query)
     if q.shape[0] != episode.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
-    _check_episode_config(episode, config)
     initial = compute_prototypes(episode, "observed")
     centers, resp = _refine_queries(episode, q[None, :], config, initial.prototypes)
     return RefinementTrace(

@@ -40,47 +40,17 @@ def as_matrix(vectors) -> np.ndarray:
     return mat
 
 
-def squared_euclidean(a, b) -> float:
-    """Squared Euclidean distance between two vectors of equal dimension.
-
-    Symmetric, non-negative, and exactly zero iff the inputs are equal
-    (computed as a sum of squared coordinate differences, so no
-    cancellation can produce a negative value).
-    """
-    va = as_vector(a)
-    vb = as_vector(b)
-    if va.shape != vb.shape:
-        raise InvalidInputError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    diff = va - vb
-    return float(np.dot(diff, diff))
-
-
 def _pairwise_raw(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """pairwise_distances without input validation; hot-loop entry point.
-    c is (n, d), shared by every row, or (m, n, d), one set per row."""
-    diff = r[:, None, :] - c
-    return np.einsum("mnd,mnd->mn", diff, diff)
-
-
-def pairwise_distances(rows, centers) -> np.ndarray:
-    """Squared Euclidean distance from every row vector to every center.
-
-    Args:
-        rows: (m, d) stack of vectors.
-        centers: (n, d) stack of vectors.
-
-    Returns:
-        (m, n) float64 array of distances.
+    """Squared Euclidean distances (m, n) from the (m, d) rows r to the
+    centers c, which are (n, d), shared by every row, or (m, n, d), one set
+    per row; no validation.
 
     Entries sum squared coordinate differences directly (no expanded
     dot-product identity), so they are exactly non-negative and exactly
     zero for identical vectors.
     """
-    r = as_matrix(rows)
-    c = as_matrix(centers)
-    if r.shape[1] != c.shape[1]:
-        raise InvalidInputError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
-    return _pairwise_raw(r, c)
+    diff = r[:, None, :] - c
+    return np.einsum("mnd,mnd->mn", diff, diff)
 
 
 def _softmin_inplace(d: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -93,19 +63,3 @@ def _softmin_inplace(d: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(d, out=d)
     d /= d.sum(axis=axis, keepdims=True)
     return d
-
-
-def softmax(scores) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability.
-
-    Accepts a 1-D vector or a 2-D array (softmax over the last axis).
-    Subtracting the row maximum leaves the result unchanged in exact
-    arithmetic and prevents underflow of every term at once when the
-    scores are large negative numbers.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim not in (1, 2) or s.size == 0:
-        raise InvalidInputError(f"expected a non-empty 1-D or 2-D score array, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("scores contain NaN or Inf")
-    return _softmin_inplace(-s)

@@ -99,7 +99,12 @@ class TestEval:
         ("csv", b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
         ("jsonl", b'{"label": 1, "features": [0.5]}\n{"label": 1e400, "features": [0.5]}\n', 2),
         ("jsonl", b'{"label": -99999999999999999999, "features": [0.5]}\n', 1),
-    ], ids=["csv_label_overflow", "csv_not_utf8", "jsonl_float_label", "jsonl_label_overflow"])
+        ("jsonl", b'{"label": 1, "features": [0.5]}\n{"label": 1, "features": [1'
+         + b"0" * 400 + b']}\n', 2),
+        ("jsonl", b'{"label": 1, "features": [' + b"1" * 5000 + b']}\n', 1),
+        ("jsonl", b'{"label": 1, "features": [0.5]}\n' + b"[" * 200000 + b"]" * 200000 + b"\n", 2),
+    ], ids=["csv_label_overflow", "csv_not_utf8", "jsonl_float_label", "jsonl_label_overflow",
+            "jsonl_feature_beyond_float", "jsonl_feature_beyond_digit_limit", "jsonl_deep_nesting"])
     def test_hostile_data_file_exits_2(self, tmp_path, capsys, fmt, body, line):
         path = tmp_path / f"embeddings.{fmt}"
         path.write_bytes(body)
@@ -152,13 +157,19 @@ class TestEval:
         lambda cfg: {**cfg, "best_of": 2},
         lambda cfg: {**cfg, "output_dir": "runs/a"},
         lambda cfg: {**cfg, "methods": [{"method": "rnnp", "beta": 2, "metric": "cosine"}]},
+        lambda cfg: {**cfg, "mixture": {**cfg["mixture"], "separation": 10**400}},
+        lambda cfg: {**cfg, "corruption_rates": [10**400]},
+        lambda cfg: b"[" * 200000 + b"]" * 200000,
+        lambda cfg: b'{"seed": "\xff"}',
     ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label",
-            "best_of", "output_dir", "rnnp_metric"])
+            "best_of", "output_dir", "rnnp_metric", "separation_beyond_float",
+            "rate_beyond_float", "deep_nesting", "not_utf8"])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, edit):
+        # An edit gives the new config as an object, or as the file's raw bytes.
         path = tmp_path / "config.json"
         write_config(tmp_path)
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(edit(cfg)), encoding="utf-8")
+        body = edit(json.loads(path.read_text(encoding="utf-8")))
+        path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode("utf-8"))
         assert main(["eval", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
 

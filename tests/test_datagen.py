@@ -1,4 +1,4 @@
-"""Unit tests for the mixture generator, the accuracy ceiling, and file I/O."""
+"""Unit tests for the mixture generator and file I/O."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from rnnp.datagen import (
     MixtureSpec,
     _load_csv_fast,
     _parse_csv,
-    bayes_accuracy,
     generate_mixture,
     load_embeddings,
     write_embeddings,
@@ -69,35 +68,6 @@ class TestGenerateMixture:
             MixtureSpec(5, 4, -1.0, 5, seed=0)
         with pytest.raises(InvalidInputError):
             MixtureSpec(5, 4, 1.0, 0, seed=0)
-
-
-class TestBayesAccuracy:
-    def test_huge_separation_is_nearly_perfect(self):
-        pool = generate_mixture(MixtureSpec(20, 16, 25.0, 200, seed=2))
-        assert bayes_accuracy(pool, pool) >= 0.999
-
-    def test_zero_separation_is_chance(self):
-        # Coincident means: every sample maps to the lowest class id, so a
-        # balanced pool scores exactly 1/num_classes.
-        pool = generate_mixture(MixtureSpec(8, 8, 0.0, 400, seed=4))
-        np.testing.assert_allclose(bayes_accuracy(pool, pool), 1.0 / 8.0)
-
-    def test_single_class_is_perfect(self):
-        pool = generate_mixture(MixtureSpec(1, 8, 0.0, 50, seed=6))
-        assert bayes_accuracy(pool, pool) == 1.0
-
-    def test_pool_without_means_rejected(self):
-        from rnnp.episodes import EmbeddingSet
-        plain = EmbeddingSet(
-            features=np.zeros((4, 2)), labels=np.array([0, 0, 1, 1])
-        )
-        with pytest.raises(InvalidInputError):
-            bayes_accuracy(plain, plain)
-
-    def test_upper_bounds_separated_mixture(self):
-        pool = generate_mixture(MixtureSpec(10, 32, 6.0, 100, seed=8))
-        acc = bayes_accuracy(pool, pool)
-        assert 0.9 < acc <= 1.0
 
 
 class TestFileRoundTrip:

@@ -1,5 +1,7 @@
 """Unit tests for episode sampling and label corruption."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from rnnp.episodes import (
 )
 from rnnp.datagen import MixtureSpec
 from rnnp.errors import InvalidInputError
-from rnnp.harness import default_config
+from rnnp.harness import MethodSpec, default_config, run_sweep
 from rnnp.refine import RnnpConfig
 
 
@@ -249,3 +251,40 @@ BOOL_SITES = {
 def test_bool_is_rejected_as_an_integer(build):
     with pytest.raises(InvalidInputError):
         build()
+
+
+def _sweep(axis, value):
+    config = default_config(
+        mixture=_mixture(num_classes=2, samples_per_class=4), n_way=2, k_shot=3,
+        queries_per_class=1, n_episodes=2, corruption_rates=(0.0,), workers=1,
+        methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),))
+    return run_sweep(config, axis, [value])
+
+
+# Every real-valued field or argument, with values inside its range: Python
+# and numpy ints where the range holds an integer, and floats.
+REAL_SITES = {
+    "RnnpConfig.alpha": (lambda v: RnnpConfig(beta=1, alpha=v),
+                         [0.5, np.float32(0.5), np.float64(0.25)]),
+    "MixtureSpec.separation": (lambda v: _mixture(separation=v),
+                               [0, np.int64(3), 2.5, np.float32(2.5)]),
+    "CorruptionSpec.rate": (lambda v: CorruptionSpec(rate=v, seed=0),
+                            [0, np.int32(1), 0.4, np.float32(0.4)]),
+    "ExperimentConfig.corruption_rates": (
+        lambda v: default_config(k_shot=4, methods=(MethodSpec(method="nnp"),),
+                                 corruption_rates=[v]),
+        [0, np.int64(1), 0.25, np.float32(0.5), np.float64(0.75)]),
+    "run_sweep.alpha": (lambda v: _sweep("alpha", v), [0.5, np.float32(0.25)]),
+    "run_sweep.beta": (lambda v: _sweep("beta", v), [1, np.int64(2), 2.0, np.float32(1.0)]),
+}
+
+NOT_REAL = [True, np.bool_(False), "3", "0.5", math.nan, math.inf, -math.inf, 10**400, -10**400]
+
+
+@pytest.mark.parametrize("build, accepted", list(REAL_SITES.values()), ids=list(REAL_SITES))
+def test_real_fields_share_one_check(build, accepted):
+    for value in NOT_REAL:
+        with pytest.raises(InvalidInputError):
+            build(value)
+    for value in accepted:
+        build(value)

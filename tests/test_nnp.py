@@ -9,6 +9,8 @@ from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels,
 from rnnp.errors import DegenerateClassError, InvalidInputError
 from rnnp.nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
 
+from _reference import _sq_dist
+
 
 def two_class_episode(dim=2):
     """2-way 2-shot episode with hand-placed supports."""
@@ -137,14 +139,13 @@ class TestClassify:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
-        from rnnp.vecmath import squared_euclidean
         for _ in range(100):
             n = int(rng.integers(2, 6))
             d = int(rng.integers(1, 10))
             pr = rng.normal(size=(n, d))
             q = rng.normal(size=d)
             probs, _ = classify(PrototypeSet(prototypes=pr), q)
-            oracle = scalar_softmax_neg([squared_euclidean(q, p) for p in pr])
+            oracle = scalar_softmax_neg([_sq_dist(q, p) for p in pr])
             np.testing.assert_allclose(probs.probs, oracle, rtol=1e-9)
 
     def test_shift_of_distances_is_harmless(self):
@@ -186,6 +187,11 @@ class TestClassify:
         protos = PrototypeSet(prototypes=np.eye(3))
         with pytest.raises(InvalidInputError):
             classify(protos, np.zeros(2))
+
+    def test_rejects_nan_query(self):
+        protos = PrototypeSet(prototypes=np.eye(3))
+        with pytest.raises(InvalidInputError):
+            classify(protos, np.array([0.0, np.nan, 0.0]))
 
 
 class TestClassProbabilities:
