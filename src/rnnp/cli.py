@@ -31,21 +31,30 @@ from .harness import (
 
 HYBRID_CLI = {"same": "same_class", "different": "different_class", "noise": "gaussian_noise"}
 LABELING_CLI = {"unlabeled": "unlabeled_cluster", "labeled": "labeled_direct"}
+# Override flags, by the config field each one sets (its argparse dest):
+# ExperimentConfig fields, then the fields of every rnnp method.
+TOP_FIELDS = ("seed", "n_episodes", "corruption_rates", "workers")
+RNNP_FIELDS = ("alpha", "beta", "iterations", "clustering_mode", "hybrid_source",
+               "hybrid_labeling")
+# The flag words that stand for a longer rnnp field value.
+FIELD_WORDS = {"hybrid_source": HYBRID_CLI, "hybrid_labeling": LABELING_CLI}
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON experiment config file")
     parser.add_argument("--seed", type=int, help="base seed override")
-    parser.add_argument("--episodes", type=int, help="number of episodes override")
-    parser.add_argument("--corruption",
+    parser.add_argument("--episodes", dest="n_episodes", type=int,
+                        help="number of episodes override")
+    parser.add_argument("--corruption", dest="corruption_rates",
                         help="comma-separated corruption rates, e.g. 0,0.2,0.4")
     parser.add_argument("--alpha", type=float, help="hybrid mixing weight override")
     parser.add_argument("--beta", type=int, help="hybrids per support override")
     parser.add_argument("--iterations", type=int, help="refinement rounds override")
-    parser.add_argument("--mode", choices=("soft", "hard"), help="clustering mode override")
-    parser.add_argument("--hybrid", choices=sorted(HYBRID_CLI),
+    parser.add_argument("--mode", dest="clustering_mode", choices=("soft", "hard"),
+                        help="clustering mode override")
+    parser.add_argument("--hybrid", dest="hybrid_source", choices=sorted(HYBRID_CLI),
                         help="hybrid source override")
-    parser.add_argument("--labeling", choices=sorted(LABELING_CLI),
+    parser.add_argument("--labeling", dest="hybrid_labeling", choices=sorted(LABELING_CLI),
                         help="hybrid labeling override")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument("--workers", type=int,
@@ -107,51 +116,23 @@ def _build_config(args, *, rnnp_only: bool) -> ExperimentConfig:
     else:
         config = default_config()
 
+    methods = config.methods
     if rnnp_only:
-        methods = tuple(m for m in config.methods if m.method == "rnnp")
+        methods = tuple(m for m in methods if m.method == "rnnp")
         if len(methods) != 1:
-            raise InvalidInputError(
-                "this command needs exactly one rnnp method in the config"
-            )
-        config = replace(config, methods=methods)
+            raise InvalidInputError("this command needs exactly one rnnp method in the config")
 
-    top = {}
-    if args.seed is not None:
-        top["seed"] = args.seed
-    if args.episodes is not None:
-        top["n_episodes"] = args.episodes
-    if args.corruption is not None:
-        top["corruption_rates"] = _parse_rates(args.corruption)
-    if args.workers is not None:
-        top["workers"] = args.workers
-    if top:
-        config = replace(config, **top)
-
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.mode is not None:
-        overrides["clustering_mode"] = args.mode
-    if args.hybrid is not None:
-        overrides["hybrid_source"] = HYBRID_CLI[args.hybrid]
-    if args.labeling is not None:
-        overrides["hybrid_labeling"] = LABELING_CLI[args.labeling]
+    top = {f: v for f in TOP_FIELDS if (v := getattr(args, f)) is not None}
+    if "corruption_rates" in top:
+        top["corruption_rates"] = _parse_rates(top["corruption_rates"])
+    overrides = {f: FIELD_WORDS.get(f, {}).get(v, v) for f in RNNP_FIELDS
+                 if (v := getattr(args, f)) is not None}
     if overrides:
-        rnnp_methods = [m for m in config.methods if m.method == "rnnp"]
-        if not rnnp_methods:
-            raise InvalidInputError(
-                f"flags {sorted(overrides)} need an rnnp method in the config"
-            )
-        methods = tuple(
-            replace(m, rnnp=replace(m.rnnp, **overrides)) if m.method == "rnnp" else m
-            for m in config.methods
-        )
-        config = replace(config, methods=methods)
-    return config
+        if not any(m.method == "rnnp" for m in methods):
+            raise InvalidInputError(f"flags {sorted(overrides)} need an rnnp method in the config")
+        methods = tuple(replace(m, rnnp=replace(m.rnnp, **overrides)) if m.method == "rnnp"
+                        else m for m in methods)
+    return replace(config, methods=methods, **top)
 
 
 def _cmd_generate(args) -> int:

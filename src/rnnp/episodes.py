@@ -58,11 +58,23 @@ def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
         raise InvalidInputError(f"{name}: expected {length} entries, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InvalidInputError(f"{name}: labels must be integers")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise InvalidInputError(f"{name}: labels must fit in int64, got {arr.max()}")
     arr = arr.astype(np.int64, copy=True)
     if n is not None and arr.size and (arr.min() < 0 or arr.max() >= n):
         raise InvalidInputError(f"{name}: labels must lie in 0..{n - 1}")
     arr.setflags(write=False)
     return arr
+
+
+def _corrupted_per_class(rate: float, k_shot: int) -> int:
+    """round(rate * k_shot), the supports corruption rewrites in each class;
+    InvalidInputError when rate * k_shot is not an integer within 1e-9."""
+    exact = rate * k_shot
+    m = round(exact)
+    if abs(exact - m) > 1e-9:
+        raise InvalidInputError(f"rate*K must be an integer: rate={rate} K={k_shot} gives {exact}")
+    return m
 
 
 def _check_size(what: str, rows: int, cols: int) -> None:
@@ -263,12 +275,7 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
     """
     if np.any(episode.support_observed_labels != episode.support_true_labels):
         raise InvalidInputError("corrupt_labels expects an uncorrupted episode")
-    exact = spec.rate * episode.k_shot
-    m = round(exact)
-    if abs(exact - m) > 1e-9:
-        raise InvalidInputError(
-            f"rate*K must be an integer: rate={spec.rate} K={episode.k_shot} gives {exact}"
-        )
+    m = _corrupted_per_class(spec.rate, episode.k_shot)
     if m == 0:
         return episode
 

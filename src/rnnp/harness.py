@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .datagen import MixtureSpec, generate_mixture, load_embeddings
-from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real, corrupt_labels,
-                       sample_episode)
+from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real,
+                       _corrupted_per_class, corrupt_labels, sample_episode)
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
 from .nnp import PrototypeSet, _classify_arrays, compute_prototypes
@@ -135,11 +135,10 @@ class ExperimentConfig:
                 f"corruption_rates must be a non-empty list of numbers, got {rates!r}")
         rates = tuple(_check_real(f"corruption_rates[{i}]", r, 0.0, 1.0, False)
                       for i, r in enumerate(rates))
-        for i, r in enumerate(rates):
-            if abs(r * self.k_shot - round(r * self.k_shot)) > 1e-9:
-                raise InvalidInputError(
-                    f"corruption_rates[{i}]={r} times k_shot={self.k_shot} is not an integer"
-                )
+        if len(set(rates)) != len(rates):
+            raise InvalidInputError(f"duplicate corruption rates: {list(rates)}")
+        for r in rates:
+            _corrupted_per_class(r, self.k_shot)
         object.__setattr__(self, "corruption_rates", rates)
 
     def to_dict(self) -> dict:
@@ -189,7 +188,7 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
 
 
 def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
-    """Accuracy plus (correct_before, mean correct_after) for one episode.
+    """(accuracy, [correct_before, mean correct_after]) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
     refinement problem, and one batched call runs them all.
@@ -200,37 +199,38 @@ def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes)
     preds = _classify_arrays(centers, queries)[1]
     afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
-    return episode_accuracy(preds, episode.query_labels), before, float(np.mean(afters))
+    return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
 
 
-def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) -> dict:
-    """All (method, rate) results for one episode index.
+def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) -> list:
+    """Every method's result at every rate for one episode index.
 
-    Returns {(label, rate): {"accuracy": ..., "rectification": [b, a]} | None};
-    None marks a degenerate corruption (some class lost every observed
-    support), which skips the episode for every method at that rate.
+    One entry per corruption rate, in config order: None marks a degenerate
+    corruption (some class lost every observed support), which skips the
+    episode for every method at that rate; otherwise one (accuracy,
+    rectification) pair per method in config.methods order, where
+    rectification is [correct_before, mean correct_after] for rnnp and
+    None for nnp.
     """
     episode = sample_episode(pool, config.n_way, config.k_shot,
                              config.queries_per_class, config.seed + index)
     corr_seed = (config.seed ^ CORRUPTION_SEED_SALT) + index
-    out = {}
+    out = []
     for rate in config.corruption_rates:
         corrupted = corrupt_labels(episode, CorruptionSpec(rate=rate, seed=corr_seed))
         try:
             protos = compute_prototypes(corrupted, "observed")
         except DegenerateClassError:
-            for m in config.methods:
-                out[(m.label, rate)] = None
+            out.append(None)
             continue
+        cells = []
         for m in config.methods:
             if m.method == "nnp":
                 preds = _classify_arrays(protos.prototypes, corrupted.query_features)[1]
-                out[(m.label, rate)] = {
-                    "accuracy": episode_accuracy(preds, corrupted.query_labels)
-                }
+                cells.append((episode_accuracy(preds, corrupted.query_labels), None))
             else:
-                acc, before, after = _evaluate_rnnp_episode(corrupted, m.rnnp, protos)
-                out[(m.label, rate)] = {"accuracy": acc, "rectification": [before, after]}
+                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))
+        out.append(cells)
     return out
 
 
@@ -284,49 +284,33 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
             rows = list(ex.map(_worker_task, range(n), chunksize=chunk))
 
     reports = []
-    for m in config.methods:
-        for rate in config.corruption_rates:
-            accs, indices, rect_rows = [], [], []
-            skipped = 0
-            for i, row in enumerate(rows):
-                cell = row[(m.label, rate)]
-                if cell is None:
-                    skipped += 1
-                    continue
-                accs.append(cell["accuracy"])
-                indices.append(i)
-                if "rectification" in cell:
-                    rect_rows.append(cell["rectification"])
-            if len(accs) < 2:
-                raise InvalidInputError(
-                    f"method {m.label} at rate {rate}: only {len(accs)} evaluable episodes; "
-                    "need at least 2 to aggregate"
-                )
-            rectification = None
-            per_episode_rect = None
-            if rect_rows:
-                per_episode_rect = rect_rows
-                rectification = {
-                    "mean_correct_before": float(np.mean([r[0] for r in rect_rows])),
-                    "mean_correct_after": float(np.mean([r[1] for r in rect_rows])),
-                }
+    for k, m in enumerate(config.methods):
+        for j, rate in enumerate(config.corruption_rates):
+            kept = [(i, row[j][k]) for i, row in enumerate(rows) if row[j] is not None]
+            if len(kept) < 2:
+                raise InvalidInputError(f"method {m.label} at rate {rate}: only {len(kept)} "
+                                        "evaluable episodes; need at least 2 to aggregate")
             snapshot = {"seed": config.seed, "experiment": config.to_dict(),
                         "method": m.to_dict()}
             reports.append(EvalReport.from_accuracies(
                 method=m.label, corruption_rate=rate, n_way=config.n_way,
                 k_shot=config.k_shot, queries_per_class=config.queries_per_class,
-                per_episode_accuracies=accs, skipped_episodes=skipped, config=snapshot,
-                rectification=rectification, per_episode_rectification=per_episode_rect,
-                episode_indices=indices,
+                per_episode_accuracies=[acc for _, (acc, _) in kept],
+                skipped_episodes=n - len(kept), config=snapshot,
+                per_episode_rectification=None if m.method == "nnp" else [r for _, (_, r) in kept],
+                episode_indices=[i for i, _ in kept],
             ))
     return reports
 
 
-def _single_rnnp_method(config: ExperimentConfig) -> MethodSpec:
-    rnnp_methods = [m for m in config.methods if m.method == "rnnp"]
-    if len(rnnp_methods) != 1 or len(config.methods) != 1:
-        raise InvalidInputError("this analysis needs exactly one configured method, of type rnnp")
-    return rnnp_methods[0]
+def _single_rnnp_rate(config: ExperimentConfig, what: str) -> MethodSpec:
+    """The method of a config with one rnnp method and one corruption rate;
+    InvalidInputError naming `what` otherwise."""
+    if len(config.methods) != 1 or config.methods[0].method != "rnnp":
+        raise InvalidInputError(f"{what} needs exactly one configured method, of type rnnp")
+    if len(config.corruption_rates) != 1:
+        raise InvalidInputError(f"{what} needs exactly one corruption rate")
+    return config.methods[0]
 
 
 def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
@@ -340,9 +324,7 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
     values = list(values)
     if not values:
         raise InvalidInputError("sweep needs at least one value")
-    method = _single_rnnp_method(config)
-    if len(config.corruption_rates) != 1:
-        raise InvalidInputError("sweep needs exactly one corruption rate")
+    method = _single_rnnp_rate(config, "sweep")
     swept = []
     for v in values:
         v = _check_real(f"{sweep_axis} value", v, -math.inf, math.inf, False)
@@ -369,51 +351,40 @@ def run_rectification_analysis(config: ExperimentConfig) -> dict:
     Returns {"rows": [(episode_index, before, after), ...],
     "mean_correct_before": ..., "mean_correct_after": ...}.
     """
-    _single_rnnp_method(config)
-    if len(config.corruption_rates) != 1:
-        raise InvalidInputError("rectification analysis needs exactly one corruption rate")
+    _single_rnnp_rate(config, "rectification analysis")
     report = run_experiment(config)[0]
     rows = [(i, int(b), float(a)) for i, (b, a) in
             zip(report.episode_indices, report.per_episode_rectification)]
-    return {
-        "rows": rows,
-        "mean_correct_before": report.rectification["mean_correct_before"],
-        "mean_correct_after": report.rectification["mean_correct_after"],
-    }
+    return {"rows": rows, **report.rectification}
+
+
+def _write(out_dir, name: str, text: str) -> str:
+    """Write text to out_dir/name as UTF-8 with LF line ends; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
 
 
 def save_reports(config: ExperimentConfig, reports, out_dir) -> tuple[str, str]:
     """Write report.json (full) and report.csv (flat) into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     payload = {"config": config.to_dict(), "reports": [r.to_dict() for r in reports]}
-    json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
-    csv_path = os.path.join(out_dir, "report.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(reports_to_csv(reports))
-    return json_path, csv_path
+    return (_write(out_dir, "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"),
+            _write(out_dir, "report.csv", reports_to_csv(reports)))
 
 
 def save_sweep(sweep_axis: str, reports, out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"sweep_{sweep_axis}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("value,mean,ci95\n")
-        for r in reports:
-            v = r.config["sweep"]["value"]
-            value_text = repr(v) if isinstance(v, float) else str(v)
-            fh.write(f"{value_text},{r.mean_accuracy!r},{r.ci95!r}\n")
-    return path
+    lines = ["value,mean,ci95"]
+    for r in reports:
+        v = r.config["sweep"]["value"]
+        value_text = repr(v) if isinstance(v, float) else str(v)
+        lines.append(f"{value_text},{r.mean_accuracy!r},{r.ci95!r}")
+    return _write(out_dir, f"sweep_{sweep_axis}.csv", "\n".join(lines) + "\n")
 
 
 def save_rectification(result: dict, out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "rectification.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("episode_index,correct_before,correct_after\n")
-        for i, before, after in result["rows"]:
-            fh.write(f"{i},{before},{after!r}\n")
-        fh.write(f"mean,{result['mean_correct_before']!r},{result['mean_correct_after']!r}\n")
-    return path
+    lines = ["episode_index,correct_before,correct_after"]
+    lines += [f"{i},{before},{after!r}" for i, before, after in result["rows"]]
+    lines.append(f"mean,{result['mean_correct_before']!r},{result['mean_correct_after']!r}")
+    return _write(out_dir, "rectification.csv", "\n".join(lines) + "\n")

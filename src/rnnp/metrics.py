@@ -9,7 +9,7 @@ streams, and the delta is aggregated per episode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,11 +51,12 @@ def mean_ci95(values) -> tuple[float, float]:
 class EvalReport:
     """Aggregate of one (method, corruption rate) evaluation.
 
-    rectification, when present, holds the mean number of supports with
-    correct labels before and after refinement; per_episode_rectification
-    holds the underlying [before, after] pair per evaluated episode.
-    episode_indices records which episode indices were evaluated (skipped
-    ones are absent but counted in skipped_episodes).
+    per_episode_rectification, when present, holds the [before, after]
+    numbers of supports with correct labels per evaluated episode;
+    rectification holds their means and, like n_episodes, is derived from
+    the per-episode list. episode_indices records which episode indices
+    were evaluated (skipped ones are absent but counted in
+    skipped_episodes).
     """
 
     method: str
@@ -68,10 +69,10 @@ class EvalReport:
     ci95: float
     skipped_episodes: int
     config: dict
-    rectification: dict | None = None
     per_episode_rectification: list | None = None
     episode_indices: list | None = None
     n_episodes: int = field(init=False)
+    rectification: dict | None = field(init=False)
 
     def __post_init__(self):
         accs = [float(a) for a in self.per_episode_accuracies]
@@ -86,48 +87,44 @@ class EvalReport:
             raise InvalidInputError("ci95 must be non-negative")
         if self.skipped_episodes < 0:
             raise InvalidInputError("skipped_episodes must be non-negative")
+        rect = self.per_episode_rectification
+        if rect is not None and len(rect) != len(accs):
+            raise InvalidInputError("per_episode_rectification needs one pair per episode")
         self.per_episode_accuracies = accs
         self.n_episodes = len(accs)
+        self.rectification = None if rect is None else {
+            "mean_correct_before": float(np.mean([r[0] for r in rect])),
+            "mean_correct_after": float(np.mean([r[1] for r in rect])),
+        }
 
     @classmethod
     def from_accuracies(cls, method, corruption_rate, n_way, k_shot, queries_per_class,
                         per_episode_accuracies, skipped_episodes, config,
-                        rectification=None, per_episode_rectification=None,
-                        episode_indices=None) -> "EvalReport":
+                        per_episode_rectification=None, episode_indices=None) -> "EvalReport":
         mean, ci = mean_ci95(per_episode_accuracies)
         return cls(
             method=method, corruption_rate=corruption_rate, n_way=n_way, k_shot=k_shot,
             queries_per_class=queries_per_class,
             per_episode_accuracies=list(per_episode_accuracies),
             mean_accuracy=mean, ci95=ci, skipped_episodes=skipped_episodes,
-            config=dict(config), rectification=rectification,
-            per_episode_rectification=per_episode_rectification,
+            config=dict(config), per_episode_rectification=per_episode_rectification,
             episode_indices=episode_indices,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "corruption_rate": self.corruption_rate,
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
-            "queries_per_class": self.queries_per_class,
-            "n_episodes": self.n_episodes,
-            "mean_accuracy": self.mean_accuracy,
-            "ci95": self.ci95,
-            "skipped_episodes": self.skipped_episodes,
-            "per_episode_accuracies": self.per_episode_accuracies,
-            "config": self.config,
-            "rectification": self.rectification,
-            "per_episode_rectification": self.per_episode_rectification,
-            "episode_indices": self.episode_indices,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """The report a to_dict() gave; derived fields it stores (n_episodes,
+        rectification) must equal the ones the per-episode lists give."""
         d = dict(d)
-        d.pop("n_episodes", None)
-        return cls(**d)
+        stored = {f.name: d.pop(f.name) for f in fields(cls) if not f.init and f.name in d}
+        report = cls(**d)
+        wrong = sorted(k for k, v in stored.items() if v != getattr(report, k))
+        if wrong:
+            raise InvalidInputError(f"stored {wrong} do not match the per-episode lists")
+        return report
 
 
 def paired_delta(report_a: EvalReport, report_b: EvalReport) -> tuple[float, float, float]:

@@ -1,10 +1,11 @@
 """Command-line behavior, run in-process through main()."""
 
+import argparse
 import json
 
 import pytest
 
-from rnnp.cli import main
+from rnnp.cli import build_parser, main
 from rnnp.datagen import load_embeddings
 
 
@@ -27,6 +28,27 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+COMMON_OPTIONS = ["--alpha", "--beta", "--config", "--corruption", "--episodes", "--help",
+                  "--hybrid", "--iterations", "--labeling", "--mode", "--out", "--seed",
+                  "--workers", "-h"]
+OPTIONS = {
+    "generate": ["--classes", "--dim", "--format", "--help", "--out", "--samples", "--seed",
+                 "--separation", "-h"],
+    "eval": COMMON_OPTIONS,
+    "sweep": sorted(COMMON_OPTIONS + ["--axis", "--values"]),
+    "rectify": COMMON_OPTIONS,
+}
+
+
+def test_option_strings_are_pinned():
+    # Pinned like rnnp.__all__: a dest or flag edit cannot drop a flag unnoticed.
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in sub._actions for s in a.option_strings)
+           for name, sub in action.choices.items()}
+    assert got == OPTIONS
 
 
 class TestGenerate:
@@ -72,15 +94,23 @@ class TestEval:
         out_dir = tmp_path / "run"
         assert main(["eval", "--config", cfg, "--out", str(out_dir), "--workers", "1",
                      "--episodes", "3", "--corruption", "0.4", "--beta", "1",
-                     "--iterations", "1", "--mode", "hard"]) == 0
+                     "--iterations", "1", "--mode", "hard", "--seed", "9", "--alpha", "0.6",
+                     "--hybrid", "different", "--labeling", "labeled"]) == 0
         payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-        assert payload["config"]["n_episodes"] == 3
-        assert payload["config"]["corruption_rates"] == [0.4]
-        rnnp_method = payload["config"]["methods"][1]
-        assert rnnp_method["beta"] == 1
-        assert rnnp_method["iterations"] == 1
-        assert rnnp_method["clustering_mode"] == "hard"
         assert len(payload["reports"]) == 2
+        rnnp_report = payload["reports"][1]
+        for experiment in (payload["config"], rnnp_report["config"]["experiment"]):
+            assert experiment["n_episodes"] == 3
+            assert experiment["corruption_rates"] == [0.4]
+            assert experiment["seed"] == 9
+        assert rnnp_report["config"]["seed"] == 9
+        for rnnp_method in (payload["config"]["methods"][1], rnnp_report["config"]["method"]):
+            assert rnnp_method["beta"] == 1
+            assert rnnp_method["iterations"] == 1
+            assert rnnp_method["clustering_mode"] == "hard"
+            assert rnnp_method["alpha"] == 0.6
+            assert rnnp_method["hybrid_source"] == "different_class"
+            assert rnnp_method["hybrid_labeling"] == "labeled_direct"
 
     def test_eval_from_data_file(self, tmp_path):
         assert main(["generate", "--classes", "6", "--dim", "4", "--separation", "6",
@@ -159,11 +189,12 @@ class TestEval:
         lambda cfg: {**cfg, "methods": [{"method": "rnnp", "beta": 2, "metric": "cosine"}]},
         lambda cfg: {**cfg, "mixture": {**cfg["mixture"], "separation": 10**400}},
         lambda cfg: {**cfg, "corruption_rates": [10**400]},
+        lambda cfg: {**cfg, "corruption_rates": [0.4, 0.4]},
         lambda cfg: b"[" * 200000 + b"]" * 200000,
         lambda cfg: b'{"seed": "\xff"}',
     ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label",
             "best_of", "output_dir", "rnnp_metric", "separation_beyond_float",
-            "rate_beyond_float", "deep_nesting", "not_utf8"])
+            "rate_beyond_float", "duplicate_rates", "deep_nesting", "not_utf8"])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, edit):
         # An edit gives the new config as an object, or as the file's raw bytes.
         path = tmp_path / "config.json"
@@ -171,7 +202,7 @@ class TestEval:
         body = edit(json.loads(path.read_text(encoding="utf-8")))
         path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode("utf-8"))
         assert main(["eval", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_best_of_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,6 +41,14 @@ class TestEmbeddingSet:
         with pytest.raises(InvalidInputError):
             EmbeddingSet(features=np.zeros((2, 2)), labels=np.array([0.5, 1.0]))
 
+    def test_unsigned_labels_beyond_int64_rejected(self):
+        big = np.array([2**63, 1], dtype=np.uint64)
+        with pytest.raises(InvalidInputError, match="int64"):
+            EmbeddingSet(features=np.zeros((2, 1)), labels=big)
+        pool = EmbeddingSet(features=np.zeros((2, 1)), labels=np.array([5, 1], dtype=np.uint64))
+        assert pool.labels.dtype == np.int64
+        assert pool.labels.tolist() == [5, 1]
+
     def test_arrays_are_read_only(self):
         pool = make_pool(num_classes=2, per_class=2)
         with pytest.raises(ValueError):
@@ -166,6 +174,15 @@ class TestCorruptLabels:
         ep = sample_episode(pool, 5, 5, 15, seed=2)
         with pytest.raises(InvalidInputError):
             corrupt_labels(ep, CorruptionSpec(rate=0.3, seed=0))
+
+    def test_config_and_corruption_share_the_rate_times_k_rule(self):
+        ep = sample_episode(make_pool(), 5, 5, 15, seed=2)
+        with pytest.raises(InvalidInputError) as by_corruption:
+            corrupt_labels(ep, CorruptionSpec(rate=0.3, seed=0))
+        with pytest.raises(InvalidInputError) as by_config:
+            default_config(corruption_rates=(0.3,))
+        assert str(by_corruption.value) == str(by_config.value)
+        assert "rate=0.3 K=5" in str(by_config.value)
 
     def test_double_corruption_rejected(self):
         pool = make_pool()

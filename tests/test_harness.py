@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ class TestConfigValidation:
     def test_rejects_non_integral_rate_for_k_shot(self):
         with pytest.raises(InvalidInputError):
             tiny_config(corruption_rates=(0.3,))
+
+    def test_rejects_duplicate_rates(self):
+        with pytest.raises(InvalidInputError, match="duplicate corruption rates"):
+            tiny_config(corruption_rates=(0.4, 0.0, 0.4))
 
     def test_rejects_beta_above_k_minus_one(self):
         with pytest.raises(InvalidInputError):
@@ -223,6 +228,10 @@ class TestRunExperiment:
         for before, after in rnnp_rep.per_episode_rectification:
             assert before == 9
             assert 0.0 <= after <= 15.0
+        assert rnnp_rep.rectification == {
+            "mean_correct_before": float(np.mean([b for b, _ in rnnp_rep.per_episode_rectification])),
+            "mean_correct_after": float(np.mean([a for _, a in rnnp_rep.per_episode_rectification])),
+        }
         assert rnnp_rep.rectification["mean_correct_before"] == 9.0
 
     def test_degenerate_corruptions_are_skipped_for_all_methods(self):
@@ -315,11 +324,11 @@ class TestSaving:
         cfg = tiny_config(n_episodes=4)
         reports = run_experiment(cfg)
         json_path, csv_path = save_reports(cfg, reports, tmp_path)
-        payload = json.loads(open(json_path, encoding="utf-8").read())
+        payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
         assert payload["config"] == cfg.to_dict()
         again = [EvalReport.from_dict(d) for d in payload["reports"]]
         assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
-        lines = open(csv_path, encoding="utf-8").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "method,corruption_rate,k_shot,mean,ci95,n_episodes"
         assert len(lines) == 1 + len(reports)
 
@@ -336,7 +345,7 @@ class TestSaving:
                            corruption_rates=(0.4,), n_episodes=4)
         reports = run_sweep(solo, "alpha", [0.6, 0.8])
         path = save_sweep("alpha", reports, tmp_path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "value,mean,ci95"
         assert len(lines) == 3
         assert lines[1].startswith("0.6,")
@@ -348,7 +357,7 @@ class TestSaving:
         )
         result = run_rectification_analysis(cfg)
         path = save_rectification(result, tmp_path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "episode_index,correct_before,correct_after"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("mean,")

@@ -9,11 +9,11 @@ from rnnp.errors import InvalidInputError
 from rnnp.metrics import EvalReport, episode_accuracy, mean_ci95, paired_delta
 
 
-def make_report(accs, method="m", seed=7, rate=0.4):
+def make_report(accs, method="m", seed=7, rate=0.4, rect=None):
     return EvalReport.from_accuracies(
         method=method, corruption_rate=rate, n_way=5, k_shot=5,
         queries_per_class=15, per_episode_accuracies=list(accs),
-        skipped_episodes=0, config={"seed": seed},
+        skipped_episodes=0, config={"seed": seed}, per_episode_rectification=rect,
     )
 
 
@@ -125,6 +125,26 @@ class TestEvalReport:
         d = r.to_dict()
         back = EvalReport.from_dict(d)
         assert back == r
+
+    def test_rectification_is_the_mean_of_the_per_episode_pairs(self):
+        assert make_report([0.25, 0.75]).rectification is None
+        r = make_report([0.25, 0.75, 0.5], rect=[[15, 16.0], [14, 17.5], [16, 15.25]])
+        assert r.rectification == {"mean_correct_before": 15.0, "mean_correct_after": 16.25}
+        assert EvalReport.from_dict(r.to_dict()) == r
+
+    @pytest.mark.parametrize("key, value", [
+        ("rectification", {"mean_correct_before": 15.0, "mean_correct_after": 17.0}),
+        ("rectification", None),
+        ("n_episodes", 4),
+    ])
+    def test_from_dict_rejects_tampered_derived_fields(self, key, value):
+        d = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]).to_dict()
+        with pytest.raises(InvalidInputError, match=key):
+            EvalReport.from_dict({**d, key: value})
+
+    def test_rectification_needs_one_pair_per_episode(self):
+        with pytest.raises(InvalidInputError):
+            make_report([0.25, 0.75], rect=[])
 
     def test_inconsistent_mean_rejected(self):
         r = make_report([0.25, 0.75])
