@@ -24,7 +24,7 @@ import numpy as np
 
 from .episodes import EmbeddingSet, _check_int, _check_real, _check_size
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
-from .vecmath import _pairwise_raw
+from .nnp import _pairwise_raw
 
 FILE_FORMATS = ("csv", "jsonl")
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .vecmath import as_matrix
 
 
 def _check_int(name: str, value, lo: int) -> int:
@@ -67,6 +66,28 @@ def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
     return arr
 
 
+def as_vector(values) -> np.ndarray:
+    """values as a finite, non-empty 1-D float64 array."""
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.ndim != 1 or vec.size == 0:
+        raise InvalidInputError(f"expected a non-empty 1-D vector, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise InvalidInputError("vector contains NaN or Inf")
+    return vec
+
+
+def as_matrix(vectors) -> np.ndarray:
+    """vectors as a read-only copy: a finite, non-empty 2-D float64 array in
+    C order, one row per vector."""
+    mat = np.array(vectors, dtype=np.float64, order="C")
+    if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
+        raise InvalidInputError(f"expected a non-empty 2-D stack of vectors, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise InvalidInputError("matrix contains NaN or Inf")
+    mat.setflags(write=False)
+    return mat
+
+
 def _corrupted_per_class(rate: float, k_shot: int) -> int:
     """round(rate * k_shot), the supports corruption rewrites in each class;
     InvalidInputError when rate * k_shot is not an integer within 1e-9."""
@@ -106,9 +127,8 @@ class EmbeddingSet:
     class_index: dict = field(init=False)
 
     def __post_init__(self):
-        feats = as_matrix(self.features).copy()
+        feats = as_matrix(self.features)
         labels = _check_labels("labels", self.labels, feats.shape[0], None)
-        feats.setflags(write=False)
         index = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
         for rows in index.values():
             rows.setflags(write=False)
@@ -150,8 +170,8 @@ class Episode:
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         n, k = self.n_way, self.k_shot
 
-        sup = as_matrix(self.support_features).copy()
-        qry = as_matrix(self.query_features).copy()
+        sup = as_matrix(self.support_features)
+        qry = as_matrix(self.query_features)
         if sup.shape[1] != qry.shape[1]:
             raise InvalidInputError("support and query dimensions differ")
         true = _check_labels("support_true_labels", self.support_true_labels, sup.shape[0], n)
@@ -165,8 +185,6 @@ class Episode:
         if not np.all(counts == k):
             raise InvalidInputError(f"expected exactly {k} supports per class, got counts {counts.tolist()}")
 
-        for arr in (sup, qry):
-            arr.setflags(write=False)
         object.__setattr__(self, "support_features", sup)
         object.__setattr__(self, "query_features", qry)
         object.__setattr__(self, "support_true_labels", true)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .episodes import _check_real
 from .errors import InvalidInputError
 
 Z_95 = 1.96
@@ -75,11 +76,10 @@ class EvalReport:
     rectification: dict | None = field(init=False)
 
     def __post_init__(self):
-        accs = [float(a) for a in self.per_episode_accuracies]
+        accs = [_check_real("per-episode accuracy", a, 0.0, 1.0, False)
+                for a in self.per_episode_accuracies]
         if len(accs) < 2:
             raise InvalidInputError("a report needs at least 2 evaluated episodes")
-        if any(not 0.0 <= a <= 1.0 for a in accs):
-            raise InvalidInputError("per-episode accuracies must lie in [0, 1]")
         mean, ci = mean_ci95(accs)
         if abs(mean - self.mean_accuracy) > 1e-12 or abs(ci - self.ci95) > 1e-12:
             raise InvalidInputError("mean_accuracy/ci95 do not match the per-episode list")
@@ -88,8 +88,12 @@ class EvalReport:
         if self.skipped_episodes < 0:
             raise InvalidInputError("skipped_episodes must be non-negative")
         rect = self.per_episode_rectification
-        if rect is not None and len(rect) != len(accs):
-            raise InvalidInputError("per_episode_rectification needs one pair per episode")
+        if rect is not None:
+            if len(rect) != len(accs) or any(not isinstance(r, (list, tuple)) or len(r) != 2
+                                             for r in rect):
+                raise InvalidInputError("per_episode_rectification needs one pair per episode")
+            for v in (v for pair in rect for v in pair):
+                _check_real("rectification count", v, 0.0, math.inf, False)
         self.per_episode_accuracies = accs
         self.n_episodes = len(accs)
         self.rectification = None if rect is None else {

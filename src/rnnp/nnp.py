@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode
+from .episodes import Episode, as_matrix, as_vector
 from .errors import DegenerateClassError, InvalidInputError
-from .vecmath import FeatureVec, _pairwise_raw, _softmin_inplace, as_matrix, as_vector
 
 LABEL_SOURCES = ("observed", "true")
 
@@ -25,9 +24,7 @@ class PrototypeSet:
     prototypes: np.ndarray
 
     def __post_init__(self):
-        protos = as_matrix(self.prototypes).copy()
-        protos.setflags(write=False)
-        object.__setattr__(self, "prototypes", protos)
+        object.__setattr__(self, "prototypes", as_matrix(self.prototypes))
 
     @property
     def n_classes(self) -> int:
@@ -90,6 +87,31 @@ def _class_means(features: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray
     return means
 
 
+def _pairwise_raw(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (m, n) from the (m, d) rows r to the
+    centers c, which are (n, d), shared by every row, or (m, n, d), one set
+    per row; no validation.
+
+    Entries sum squared coordinate differences directly (no expanded
+    dot-product identity), so they are exactly non-negative and exactly
+    zero for identical vectors.
+    """
+    diff = r[:, None, :] - c
+    return np.einsum("mnd,mnd->mn", diff, diff)
+
+
+def _softmin_inplace(d: np.ndarray, axis: int = -1) -> np.ndarray:
+    """softmax(-d) along axis, written over d and returned; no validation.
+
+    Computed as exp(min d - d) normalised to sum 1, which is bit for bit the
+    max-shifted softmax of -d: min d - d equals (-d) - max(-d) exactly.
+    """
+    np.subtract(d.min(axis=axis, keepdims=True), d, out=d)
+    np.exp(d, out=d)
+    d /= d.sum(axis=axis, keepdims=True)
+    return d
+
+
 def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """classify() for a (Q, d) stack of queries on bare arrays; hot-loop entry
     point. prototypes is (N, d), shared by all queries, or (Q, N, d), one set
@@ -98,7 +120,7 @@ def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.nd
     return probs, np.argmax(probs, axis=1)
 
 
-def classify(prototypes: PrototypeSet, query: FeatureVec) -> tuple[ClassProbabilities, int]:
+def classify(prototypes: PrototypeSet, query) -> tuple[ClassProbabilities, int]:
     """Classify one query against a prototype set.
 
     Probabilities are a softmax over the negated squared Euclidean

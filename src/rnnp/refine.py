@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode, _check_int, _check_labels, _check_real, _check_size
+from .episodes import (Episode, _check_int, _check_labels, _check_real, _check_size, as_matrix,
+                       as_vector)
 from .errors import InvalidInputError
-from .nnp import ClassProbabilities, PrototypeSet, _class_means, classify, compute_prototypes
-from .vecmath import _softmin_inplace, as_matrix, as_vector
+from .nnp import (ClassProbabilities, PrototypeSet, _class_means, _softmin_inplace, classify,
+                  compute_prototypes)
 
 CLUSTERING_MODES = ("soft", "hard")
 HYBRID_SOURCES = ("same_class", "different_class", "gaussian_noise")
@@ -93,14 +94,13 @@ class RefinementTrace:
     rectified_labels: np.ndarray
 
     def __post_init__(self):
-        resp = as_matrix(self.support_responsibilities).copy()
+        resp = as_matrix(self.support_responsibilities)
         n = self.initial_prototypes.n_classes
         if resp.shape[1] != n or self.refined_prototypes.n_classes != n:
             raise InvalidInputError("responsibility columns must match the class count")
         if np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-9:
             raise InvalidInputError("responsibility rows must sum to 1 within 1e-9")
         rect = _check_labels("rectified_labels", self.rectified_labels, resp.shape[0], n)
-        resp.setflags(write=False)
         object.__setattr__(self, "support_responsibilities", resp)
         object.__setattr__(self, "rectified_labels", rect)
 
@@ -168,38 +168,34 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     return feats.reshape(kn * beta, -1), np.repeat(obs, beta)
 
 
-def _prepare(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What the distance reads of each row: (rows, squared norms along the
-    last axis)."""
-    return rows, np.einsum("...d,...d->...", rows, rows)
-
-
-def _assign(shared, own, centers: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities of the shared rows (B, N, m) and of each problem's
-    own rows (Q, N, r) for the centers (B, N, d), where B is Q or 1 (one
+def _assign(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray, norms: tuple,
+            mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities of the shared (m, d) rows (B, N, m) and of each
+    problem's query (Q, N) for the centers (B, N, d), where B is Q or 1 (one
     center set that every problem starts from).
 
-    shared and own come from _prepare. All B*N centers meet the shared rows
-    in one GEMM, whose output is already in (B, N, m) layout; the own rows
-    add r dot products per center. The squared distances are filled in
-    place as -2 p.c + |p|^2 + |c|^2, bit for bit |p|^2 - 2 p.c + |c|^2, and
-    every reduction over the N centers runs along axis 1.
+    norms holds the squared norms of the shared rows (m,) and of the queries
+    (Q, 1). All B*N centers meet the shared rows in one GEMM, whose output
+    is already in (B, N, m) layout; each query adds one dot product per
+    center. The squared distances are filled in place as
+    -2 p.c + |p|^2 + |c|^2, bit for bit |p|^2 - 2 p.c + |c|^2, and every
+    reduction over the N centers runs along axis 1.
     """
     b, n, d = centers.shape
-    c, cn = _prepare(centers)
-    dists = ((c.reshape(b * n, d) @ shared[0].T).reshape(b, n, -1),
-             np.einsum("qnd,qrd->qnr", c, own[0]))
-    for x, norms in zip(dists, (shared[1], own[1][:, None, :])):
+    cn = np.einsum("...d,...d->...", centers, centers)
+    dists = ((centers.reshape(b * n, d) @ shared.T).reshape(b, n, -1),
+             np.einsum("qnd,qd->qn", centers, queries))
+    for x, norm, center_norm in zip(dists, norms, (cn[..., None], cn)):
         x *= -2.0
-        x += norms
-        x += cn[..., None]
+        x += norm
+        x += center_norm
     if mode == "soft":
         return tuple(_softmin_inplace(x, axis=1) for x in dists)
     return tuple(_first_min_onehot(x) for x in dists)
 
 
 def _first_min_onehot(x: np.ndarray) -> np.ndarray:
-    """One-hot along axis 1 of (B, N, rows) on the nearest center.
+    """One-hot along axis 1 of (B, N) or (B, N, rows) on the nearest center.
 
     Equal bit for bit to a one-hot of np.argmin(x, axis=1): exact ties go
     to the lowest index, and in a row holding NaN (distances that
@@ -217,53 +213,58 @@ def _first_min_onehot(x: np.ndarray) -> np.ndarray:
     return hit.astype(np.float64)
 
 
-def _update(shared: np.ndarray, own: np.ndarray, resp: np.ndarray, own_resp: np.ndarray,
+def _update(shared: np.ndarray, queries: np.ndarray, resp: np.ndarray, query_resp: np.ndarray,
             previous: np.ndarray) -> np.ndarray:
     """Responsibility-weighted means (Q, N, d) of each problem's rows.
 
     resp (B, N, m) weighs the shared rows through one GEMM over all B*N
-    centers, own_resp (Q, N, r) the own rows as a rank-r term; B = 1 means
-    every problem shares that GEMM. A center whose total responsibility is
-    below EMPTY_CLUSTER_EPS keeps its previous value.
+    centers, query_resp (Q, N) each problem's query as a rank-1 term; B = 1
+    means every problem shares that GEMM. A center whose total
+    responsibility is below EMPTY_CLUSTER_EPS keeps its previous value.
     """
     b, n, m = resp.shape
     sums = (resp.reshape(b * n, m) @ shared).reshape(b, n, -1) \
-        + np.einsum("qnr,qrd->qnd", own_resp, own)
-    mass = resp.sum(axis=2) + own_resp.sum(axis=2)
+        + np.einsum("qn,qd->qnd", query_resp, queries)
+    mass = resp.sum(axis=2) + query_resp
     alive = mass >= EMPTY_CLUSTER_EPS
     sums /= np.where(alive, mass, 1.0)[..., None]
     return sums if alive.all() else np.where(alive[..., None], sums, previous)
 
 
-def _cluster_batch(shared: np.ndarray, own: np.ndarray, centers: np.ndarray,
+def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
                    config: RnnpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Soft (or hard) k-means for Q independent problems at once.
 
-    Problem q clusters the shared (m, d) rows plus its own r rows own[q]
-    (own is (Q, r, d); r may be 0), starting from centers, (N, d) for every
-    problem or (Q, N, d). No problem reads another's rows or centers, so
-    each result is the one that problem gives alone. A round runs at the
-    batch size of its centers: from shared (N, d) centers, the shared rows'
-    distances, assignment and weighted sums are computed once for all
-    problems, and only the own rows' terms are per problem.
+    Problem q clusters the shared (m, d) rows plus its query queries[q]
+    (queries is (Q, d)), starting from centers, (N, d) for every problem or
+    (Q, N, d). No problem reads another's query or centers, so each result
+    is the one that problem gives alone. A round runs at the batch size of
+    its centers: from shared (N, d) centers, the shared rows' distances,
+    assignment and weighted sums are computed once for all problems, and
+    only the query terms are per problem.
 
-    Returns the final centers (Q, N, d) and the assignment computed in the
-    last round (Q, N, m + r), own rows last: the one the final center
-    update used, or with zero iterations the one at the initial centers.
+    Rows and centers are first moved by the shared rows' mean, an origin no
+    query moves, so far-off features keep their precision. With zero
+    iterations the centers come back untouched.
+
+    Returns the final centers (Q, N, d) and the shared rows' assignment
+    computed in the last round (Q, N, m): the one the final center update
+    used, or with zero iterations the one at the initial centers.
     """
-    centers = centers.reshape((-1,) + centers.shape[-2:])
-    rows, own_rows = _prepare(shared), _prepare(own)
-    resp = None
+    start = centers.reshape((-1,) + centers.shape[-2:])
+    origin = shared.mean(axis=0)
+    shared, queries, centers = shared - origin, queries - origin, start - origin
+    norms = (np.einsum("md,md->m", shared, shared),
+             np.einsum("qd,qd->q", queries, queries)[:, None])
     for _ in range(config.iterations):
-        resp = _assign(rows, own_rows, centers, config.clustering_mode)
-        centers = _update(shared, own, *resp, centers)
-    if resp is None:
-        resp = _assign(rows, own_rows, centers, config.clustering_mode)
-    batch = own.shape[:1]
-    shared_resp, own_resp = resp
-    resp = np.concatenate([np.broadcast_to(shared_resp, batch + shared_resp.shape[1:]), own_resp],
-                          axis=2)
-    return np.broadcast_to(centers, batch + centers.shape[1:]), resp
+        resp = _assign(shared, queries, centers, norms, config.clustering_mode)
+        centers = _update(shared, queries, *resp, centers)
+    if not config.iterations:
+        resp = _assign(shared, queries, centers, norms, config.clustering_mode)
+    centers = centers + origin if config.iterations else start
+    batch = queries.shape[:1]
+    return (np.broadcast_to(centers, batch + centers.shape[1:]),
+            np.broadcast_to(resp[0], batch + resp[0].shape[1:]))
 
 
 def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
@@ -287,7 +288,7 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
         q = queries.shape[0]
         return (np.broadcast_to(protos, (q,) + protos.shape),
                 np.broadcast_to(one_hot.astype(np.float64), (q,) + one_hot.shape))
-    centers, resp = _cluster_batch(shared, queries[:, None, :], initial, config)
+    centers, resp = _cluster_batch(shared, queries, initial, config)
     return centers, resp[:, :, :episode.support_features.shape[0]]
 
 

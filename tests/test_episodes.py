@@ -9,6 +9,8 @@ from rnnp.episodes import (
     CorruptionSpec,
     EmbeddingSet,
     Episode,
+    as_matrix,
+    as_vector,
     corrupt_labels,
     count_corrupted,
     sample_episode,
@@ -16,7 +18,8 @@ from rnnp.episodes import (
 from rnnp.datagen import MixtureSpec
 from rnnp.errors import InvalidInputError
 from rnnp.harness import MethodSpec, default_config, run_sweep
-from rnnp.refine import RnnpConfig
+from rnnp.nnp import PrototypeSet
+from rnnp.refine import RefinementTrace, RnnpConfig
 
 
 def make_pool(num_classes=20, per_class=25, dim=8, seed=0):
@@ -305,3 +308,47 @@ def test_real_fields_share_one_check(build, accepted):
             build(value)
     for value in accepted:
         build(value)
+
+
+class TestCoercion:
+    @pytest.mark.parametrize("bad", [[], [[1.0]], [1.0, math.nan], [math.inf]])
+    def test_as_vector_rejects(self, bad):
+        with pytest.raises(InvalidInputError):
+            as_vector(bad)
+
+    @pytest.mark.parametrize("bad", [[1.0], [[]], np.zeros((0, 2)), np.zeros((1, 1, 1)),
+                                     [[1.0, math.nan]], [[-math.inf]]])
+    def test_as_matrix_rejects(self, bad):
+        with pytest.raises(InvalidInputError):
+            as_matrix(bad)
+
+    def test_as_matrix_returns_a_read_only_c_ordered_copy(self):
+        source = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        mat = as_matrix(source)
+        assert np.array_equal(mat, source) and not np.shares_memory(mat, source)
+        assert mat.flags.c_contiguous and not mat.flags.writeable
+
+
+def _trace(resp):
+    protos = PrototypeSet(prototypes=np.eye(2))
+    return RefinementTrace(initial_prototypes=protos, refined_prototypes=protos,
+                           support_responsibilities=resp, rectified_labels=[0, 1])
+
+
+# Every float array a constructor stores, built from the caller's array.
+STORED_ARRAYS = {
+    "EmbeddingSet.features": (lambda a: EmbeddingSet(features=a, labels=[0, 1]), "features"),
+    "Episode.support_features": (lambda a: _episode(support_features=a), "support_features"),
+    "Episode.query_features": (lambda a: _episode(query_features=a), "query_features"),
+    "PrototypeSet.prototypes": (lambda a: PrototypeSet(prototypes=a), "prototypes"),
+    "RefinementTrace.support_responsibilities": (_trace, "support_responsibilities"),
+}
+
+
+@pytest.mark.parametrize("build, name", list(STORED_ARRAYS.values()), ids=list(STORED_ARRAYS))
+def test_stored_arrays_are_read_only_copies(build, name):
+    source = np.eye(2)
+    stored = getattr(build(source), name)
+    source[0] = 0.5
+    assert np.array_equal(stored, np.eye(2))
+    assert not stored.flags.writeable

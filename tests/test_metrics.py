@@ -142,6 +142,22 @@ class TestEvalReport:
         with pytest.raises(InvalidInputError, match=key):
             EvalReport.from_dict({**d, key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("per_episode_rectification", [1, 2]),
+        ("per_episode_rectification", [[1], [2]]),
+        ("per_episode_rectification", [["15", "16"], ["15", "16.5"]]),
+        ("per_episode_rectification", [[True, 1.0], [15, 16.5]]),
+        ("per_episode_rectification", [[math.nan, 16.0], [15, 16.5]]),
+        ("per_episode_rectification", [[-1, 16.0], [15, 16.5]]),
+        ("per_episode_accuracies", ["x", 0.75]),
+    ], ids=["ints", "singletons", "strings", "bool", "nan", "negative", "string_accuracy"])
+    def test_from_dict_rejects_hostile_lists(self, key, value):
+        # Without the stored rectification, only the lists' own checks can refuse them.
+        d = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]).to_dict()
+        del d["rectification"]
+        with pytest.raises(InvalidInputError):
+            EvalReport.from_dict({**d, key: value})
+
     def test_rectification_needs_one_pair_per_episode(self):
         with pytest.raises(InvalidInputError):
             make_report([0.25, 0.75], rect=[])

@@ -11,6 +11,7 @@ from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels,
 from rnnp.errors import InvalidInputError
 from rnnp.nnp import PrototypeSet, _classify_arrays, classify, compute_prototypes
 from rnnp.refine import (
+    HYBRID_SOURCES,
     RefinementTrace,
     RnnpConfig,
     _cluster_batch,
@@ -41,6 +42,19 @@ def small_episode(seed=0, n_way=3, k_shot=5, dim=6, queries=4, spread=6.0):
         query_features=qry,
         query_labels=np.repeat(np.arange(n_way), queries),
         seed=seed,
+    )
+
+
+def shift(ep, t):
+    """ep with every support and query feature moved by t."""
+    return Episode(
+        n_way=ep.n_way, k_shot=ep.k_shot,
+        support_features=ep.support_features + t,
+        support_true_labels=ep.support_true_labels,
+        support_observed_labels=ep.support_observed_labels,
+        query_features=ep.query_features + t,
+        query_labels=ep.query_labels,
+        seed=ep.seed,
     )
 
 
@@ -247,20 +261,20 @@ class TestGenerateHybrids:
 
 def assign_at(feats, centers, mode="soft"):
     """The kernel's assignment of feats (m, d) at centers (N, d), as (m, N):
-    a zero-round _cluster_batch, feats as shared rows, no own rows."""
+    a zero-round _cluster_batch with feats as shared rows; its one query,
+    feats[:1], does not enter the shared rows' assignment."""
     feats = np.asarray(feats, dtype=np.float64)
     cfg = RnnpConfig(beta=1, iterations=0, clustering_mode=mode)
-    _, resp = _cluster_batch(feats, np.empty((1, 0, feats.shape[1])), np.asarray(centers), cfg)
+    _, resp = _cluster_batch(feats, feats[:1], np.asarray(centers), cfg)
     return resp[0].T
 
 
 def update_from(feats, resp, previous):
     """The kernel's center update of feats (m, d) under responsibilities
-    (m, N), no own rows; previous (N, d) is kept by empty clusters."""
+    (m, N) and a zero-weight query; previous (N, d) is kept by empty clusters."""
     feats, resp, previous = (np.asarray(a, dtype=np.float64) for a in (feats, resp, previous))
     n, d = previous.shape
-    return _update(feats, np.empty((1, 0, d)), resp.T[None], np.empty((1, n, 0)),
-                   previous[None])[0]
+    return _update(feats, np.zeros((1, d)), resp.T[None], np.zeros((1, n)), previous[None])[0]
 
 
 class TestSoftAssign:
@@ -454,21 +468,36 @@ class TestClassifyRnnp:
         rng = np.random.default_rng(42)
         ep = small_episode(seed=17, spread=4.0)
         cfg = RnnpConfig(beta=3, iterations=3, seed=6)
-        t = rng.normal(size=ep.dim) * 20.0
-        shifted = Episode(
-            n_way=ep.n_way, k_shot=ep.k_shot,
-            support_features=ep.support_features + t,
-            support_true_labels=ep.support_true_labels,
-            support_observed_labels=ep.support_observed_labels,
-            query_features=ep.query_features + t,
-            query_labels=ep.query_labels,
-            seed=ep.seed,
-        )
+        shifted = shift(ep, rng.normal(size=ep.dim) * 20.0)
         for qi in range(len(ep.query_features)):
             _, pred0, tr0 = classify_rnnp(ep, ep.query_features[qi], cfg)
             _, pred1, tr1 = classify_rnnp(shifted, shifted.query_features[qi], cfg)
             assert pred0 == pred1
             assert np.array_equal(tr0.rectified_labels, tr1.rectified_labels)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), exponent=st.integers(0, 8),
+           source=st.sampled_from(HYBRID_SOURCES))
+    def test_offsets_up_to_1e8_change_no_prediction(self, seed, exponent, source):
+        # The kernel measures distances from the mean of the supports and
+        # hybrids, so a far-off episode keeps the precision of a centred one.
+        rng = np.random.default_rng(seed)
+        ep = corrupt_labels(small_episode(seed=seed, n_way=4, k_shot=5, dim=8, queries=5,
+                                          spread=float(rng.uniform(1.0, 4.0))),
+                            CorruptionSpec(rate=0.4, seed=seed))
+        moved = shift(ep, rng.normal(size=ep.dim) * 10.0 ** exponent)
+        event(f"offset 1e{exponent}")
+        for mode in ("soft", "hard"):
+            cfg = RnnpConfig(beta=3, clustering_mode=mode, hybrid_source=source, seed=seed % 997)
+            labels = []
+            for e in (ep, moved):
+                initial = compute_prototypes(e, "observed").prototypes
+                centers, resp = _refine_queries(e, e.query_features, cfg, initial)
+                labels.append((_classify_arrays(initial, e.query_features)[1],
+                               _classify_arrays(centers, e.query_features)[1],
+                               np.argmax(resp, axis=1)))
+            for at_origin, far in zip(*labels):
+                assert np.array_equal(at_origin, far)
 
     def test_class_permutation_equivariance(self):
         rng = np.random.default_rng(31)
@@ -601,18 +630,18 @@ class TestBatchedRefinement:
                                            iterations, mode):
         ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
                                                           beta, iterations, mode)
-        centers, resp = _cluster_batch(shared, queries[:, None, :], initial, cfg)
+        centers, resp = _cluster_batch(shared, queries, initial, cfg)
         preds = _classify_arrays(centers, queries)[1]
         kn = ep.support_features.shape[0]
         assert centers.shape == (batch, n_way, dim)
-        assert resp.shape == (batch, n_way, shared.shape[0] + 1)
+        assert resp.shape == (batch, n_way, shared.shape[0])
         for i, q in enumerate(queries):
             _, pred, trace = classify_rnnp(ep, q, cfg)
             assert preds[i] == pred
             assert np.array_equal(np.argmax(resp[i, :, :kn], axis=0), trace.rectified_labels)
             np.testing.assert_allclose(centers[i], trace.refined_prototypes.prototypes,
                                        rtol=0, atol=1e-12)
-            alone, alone_resp = _cluster_batch(shared, q[None, None, :], initial, cfg)
+            alone, alone_resp = _cluster_batch(shared, q[None, :], initial, cfg)
             np.testing.assert_allclose(centers[i], alone[0], rtol=0, atol=1e-12)
             assert np.array_equal(np.argmax(resp[i], axis=0), np.argmax(alone_resp[0], axis=0))
 
@@ -636,10 +665,9 @@ class TestBatchedRefinement:
         # the same centers broadcast to (Q, N, d) run it once per query.
         ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
                                                           beta, iterations, mode)
-        own = queries[:, None, :]
-        centers, resp = _cluster_batch(shared, own, initial, cfg)
+        centers, resp = _cluster_batch(shared, queries, initial, cfg)
         wide = np.broadcast_to(initial, (batch,) + initial.shape)
-        wide_centers, wide_resp = _cluster_batch(shared, own, wide, cfg)
+        wide_centers, wide_resp = _cluster_batch(shared, queries, wide, cfg)
         kn = ep.support_features.shape[0]
         assert centers.shape == wide_centers.shape and resp.shape == wide_resp.shape
         assert np.array_equal(_classify_arrays(centers, queries)[1],
@@ -664,7 +692,7 @@ class TestBatchedRefinement:
         initial = compute_prototypes(ep, "observed").prototypes
         assert np.array_equal(initial[0], initial[2])
         queries = ep.query_features
-        centers, resp = _cluster_batch(shared, queries[:, None, :], initial, cfg)
+        centers, resp = _cluster_batch(shared, queries, initial, cfg)
         for i, q in enumerate(queries):
             ref = reference_refine(sup.tolist(), ep.support_observed_labels.tolist(), 3,
                                    q.tolist(), alpha=cfg.alpha, beta=cfg.beta,
