@@ -7,13 +7,7 @@ rounds over supports, hybrids, and the single query being classified; the
 final support responsibilities double as rectified labels.
 """
 
-from .datagen import (
-    FILE_FORMATS,
-    MixtureSpec,
-    generate_mixture,
-    load_embeddings,
-    write_embeddings,
-)
+from .datagen import MixtureSpec, generate_mixture, load_embeddings, write_embeddings
 from .episodes import (
     CorruptionSpec,
     EmbeddingSet,
@@ -29,7 +23,6 @@ from .errors import (
     InvalidInputError,
 )
 from .harness import (
-    BENCHMARK_SEPARATION,
     ExperimentConfig,
     MethodSpec,
     default_config,
@@ -41,12 +34,9 @@ from .harness import (
     save_reports,
     save_sweep,
 )
-from .metrics import EvalReport, episode_accuracy, mean_ci95, paired_delta, reports_to_csv
+from .metrics import EvalReport, episode_accuracy, paired_delta
 from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
 from .refine import (
-    CLUSTERING_MODES,
-    HYBRID_LABELINGS,
-    HYBRID_SOURCES,
     RefinementTrace,
     RnnpConfig,
     build_hybrids,
@@ -58,8 +48,6 @@ from .refine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BENCHMARK_SEPARATION",
-    "CLUSTERING_MODES",
     "ClassProbabilities",
     "CorruptionSpec",
     "DegenerateClassError",
@@ -69,9 +57,6 @@ __all__ = [
     "Episode",
     "EvalReport",
     "ExperimentConfig",
-    "FILE_FORMATS",
-    "HYBRID_LABELINGS",
-    "HYBRID_SOURCES",
     "InvalidInputError",
     "MethodSpec",
     "MixtureSpec",
@@ -89,11 +74,9 @@ __all__ = [
     "generate_mixture",
     "load_embeddings",
     "load_pool",
-    "mean_ci95",
     "paired_delta",
     "rectification_delta",
     "refine_for_query",
-    "reports_to_csv",
     "run_experiment",
     "run_rectification_analysis",
     "run_sweep",

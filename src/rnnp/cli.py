@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--separation", type=float, default=BENCHMARK_SEPARATION)
     gen.add_argument("--samples", type=int, default=50, help="samples per class")
     gen.add_argument("--seed", type=int, default=11)
-    gen.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     gen.add_argument("--out", default=".", help="output directory (default: .)")
     gen.set_defaults(func=_cmd_generate)
 
@@ -140,8 +139,8 @@ def _cmd_generate(args) -> int:
                        samples_per_class=args.samples, seed=args.seed)
     pool = generate_mixture(spec)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"embeddings.{args.format}")
-    write_embeddings(pool, path, args.format)
+    path = os.path.join(args.out, "embeddings.csv")
+    write_embeddings(pool, path)
     print(f"wrote {pool.features.shape[0]} embeddings "
           f"({spec.num_classes} classes, dim {spec.dim}) to {path}")
     return 0

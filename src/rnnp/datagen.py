@@ -8,14 +8,12 @@ within-class standard deviation) controls problem hardness. The true
 means are kept on the returned set so the optimal nearest-true-mean rule
 can serve as an accuracy ceiling in tests.
 
-File formats:
-  CSV   header `label,f0,...,f{d-1}`, one sample per row, UTF-8, LF.
-  JSONL one object per line, integer `label`, number array `features`.
+File format: CSV with header `label,f0,...,f{d-1}`, one sample per row,
+UTF-8, LF.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,8 +23,6 @@ import numpy as np
 from .episodes import EmbeddingSet, _check_int, _check_real, _check_size
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
 from .nnp import _pairwise_raw
-
-FILE_FORMATS = ("csv", "jsonl")
 
 
 @dataclass(frozen=True)
@@ -78,23 +74,21 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
 
 
 def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None:
-    """Write a pool to disk; load_embeddings reproduces it bit-exactly."""
-    if file_format not in FILE_FORMATS:
-        raise InvalidInputError(f"file_format must be one of {FILE_FORMATS}")
+    """Write a pool as CSV; load_embeddings reproduces it bit-exactly.
+
+    file_format must be "csv"; any other value raises InvalidInputError.
+    """
+    if file_format != "csv":
+        raise InvalidInputError(f"file_format must be 'csv', got {file_format!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if file_format == "csv":
-            dim = pool.features.shape[1]
-            fh.write("label," + ",".join(f"f{i}" for i in range(dim)) + "\n")
-            for label, row in zip(pool.labels, pool.features):
-                fh.write(str(int(label)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
-        else:
-            for label, row in zip(pool.labels, pool.features):
-                fh.write(json.dumps({"label": int(label), "features": [float(x) for x in row]}))
-                fh.write("\n")
+        dim = pool.features.shape[1]
+        fh.write("label," + ",".join(f"f{i}" for i in range(dim)) + "\n")
+        for label, row in zip(pool.labels, pool.features):
+            fh.write(str(int(label)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_embeddings(path, file_format: str = "csv") -> EmbeddingSet:
-    """Parse a CSV or JSONL embeddings file into a pool.
+def load_embeddings(path) -> EmbeddingSet:
+    """Parse a CSV embeddings file into a pool.
 
     A CSV goes through one numpy pass when it is plain (see _load_csv_fast)
     and through the line loop _parse_csv otherwise; both give the same
@@ -106,15 +100,10 @@ def load_embeddings(path, file_format: str = "csv") -> EmbeddingSet:
             malformed row, ragged dimensions, non-finite values, or a label
             outside int64; messages carry the offending line number.
     """
-    if file_format not in FILE_FORMATS:
-        raise InvalidInputError(f"file_format must be one of {FILE_FORMATS}")
-    if file_format == "csv":
-        fast = _load_csv_fast(path)
-        if fast is not None:
-            return EmbeddingSet(features=fast[1], labels=fast[0])
-        labels, rows = _parse_csv(_read_lines(path))
-    else:
-        labels, rows = _parse_jsonl(_read_lines(path))
+    fast = _load_csv_fast(path)
+    if fast is not None:
+        return EmbeddingSet(features=fast[1], labels=fast[0])
+    labels, rows = _parse_csv(_read_lines(path))
     if not rows:
         raise EmbeddingFormatError(f"{path}: file contains no samples")
     return EmbeddingSet(
@@ -212,42 +201,6 @@ def _parse_csv(lines):
             raise EmbeddingFormatError(f"line {num}: {exc}") from exc
         if not all(math.isfinite(v) for v in values):
             raise EmbeddingFormatError(f"line {num}: non-finite feature value")
-        labels.append(_check_label(num, label))
-        rows.append(values)
-    return labels, rows
-
-
-def _parse_jsonl(lines):
-    labels, rows = [], []
-    dim = None
-    for num, line in enumerate(lines, start=1):
-        if line == "":
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # ValueError: malformed JSON or an integer literal beyond Python's
-            # digit limit; RecursionError: arrays or objects nested too deeply.
-            raise EmbeddingFormatError(f"line {num}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "label" not in obj or "features" not in obj:
-            raise EmbeddingFormatError(f"line {num}: object needs 'label' and 'features'")
-        label = obj["label"]
-        feats = obj["features"]
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise EmbeddingFormatError(f"line {num}: label must be an integer")
-        if not isinstance(feats, list) or len(feats) == 0:
-            raise EmbeddingFormatError(f"line {num}: features must be a non-empty array")
-        try:
-            values = [float(v) for v in feats
-                      if isinstance(v, (int, float)) and not isinstance(v, bool)]
-        except OverflowError:  # an integer beyond float range
-            values = []
-        if len(values) != len(feats) or not all(math.isfinite(v) for v in values):
-            raise EmbeddingFormatError(f"line {num}: features must be finite numbers")
-        if dim is None:
-            dim = len(feats)
-        elif len(feats) != dim:
-            raise EmbeddingFormatError(f"line {num}: expected {dim} features, got {len(feats)}")
         labels.append(_check_label(num, label))
         rows.append(values)
     return labels, rows

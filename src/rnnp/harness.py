@@ -110,8 +110,9 @@ class ExperimentConfig:
         if self.data_path is not None and not isinstance(self.data_path, (str, os.PathLike)):
             # An integer would be opened as a file descriptor.
             raise InvalidInputError(f"data_path must be a path, got {self.data_path!r}")
-        if self.data_path is not None and self.data_format not in ("csv", "jsonl"):
-            raise InvalidInputError("data_format must be 'csv' or 'jsonl' when data_path is set")
+        if self.data_format != ("csv" if self.data_path is not None else None):
+            raise InvalidInputError("data_format must be 'csv' with a data_path and unset "
+                                    f"without one, got {self.data_format!r}")
         for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1), ("n_episodes", 1),
                          ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
@@ -184,7 +185,7 @@ def default_config(**overrides) -> ExperimentConfig:
 def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     if config.mixture is not None:
         return generate_mixture(config.mixture)
-    return load_embeddings(config.data_path, config.data_format)
+    return load_embeddings(config.data_path)
 
 
 def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):

@@ -34,8 +34,8 @@ COMMON_OPTIONS = ["--alpha", "--beta", "--config", "--corruption", "--episodes",
                   "--hybrid", "--iterations", "--labeling", "--mode", "--out", "--seed",
                   "--workers", "-h"]
 OPTIONS = {
-    "generate": ["--classes", "--dim", "--format", "--help", "--out", "--samples", "--seed",
-                 "--separation", "-h"],
+    "generate": ["--classes", "--dim", "--help", "--out", "--samples", "--seed", "--separation",
+                 "-h"],
     "eval": COMMON_OPTIONS,
     "sweep": sorted(COMMON_OPTIONS + ["--axis", "--values"]),
     "rectify": COMMON_OPTIONS,
@@ -54,12 +54,11 @@ def test_option_strings_are_pinned():
 class TestGenerate:
     def test_writes_loadable_pool(self, tmp_path, capsys):
         code = main(["generate", "--classes", "4", "--dim", "3", "--separation", "5",
-                     "--samples", "6", "--seed", "2", "--format", "csv",
-                     "--out", str(tmp_path)])
+                     "--samples", "6", "--seed", "2", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "wrote 24 embeddings" in out
-        pool = load_embeddings(tmp_path / "embeddings.csv", "csv")
+        pool = load_embeddings(tmp_path / "embeddings.csv")
         assert pool.features.shape == (24, 3)
         assert pool.num_classes == 4
 
@@ -69,11 +68,12 @@ class TestGenerate:
         assert err.startswith("error: ") and "samples_per_class=" in err
         assert not (tmp_path / "embeddings.csv").exists()
 
-    def test_jsonl_format(self, tmp_path):
-        assert main(["generate", "--classes", "3", "--dim", "2", "--samples", "4",
-                     "--format", "jsonl", "--out", str(tmp_path)]) == 0
-        pool = load_embeddings(tmp_path / "embeddings.jsonl", "jsonl")
-        assert pool.features.shape == (12, 2)
+    def test_jsonl_format(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--format", "jsonl", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:
@@ -124,21 +124,22 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--workers", "1"]) == 0
 
-    @pytest.mark.parametrize("fmt, body, line", [
-        ("csv", b"label,f0\n1,0.5\n99999999999999999999,0.25\n", 3),
-        ("csv", b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
-        ("jsonl", b'{"label": 1, "features": [0.5]}\n{"label": 1e400, "features": [0.5]}\n', 2),
-        ("jsonl", b'{"label": -99999999999999999999, "features": [0.5]}\n', 1),
-        ("jsonl", b'{"label": 1, "features": [0.5]}\n{"label": 1, "features": [1'
-         + b"0" * 400 + b']}\n', 2),
-        ("jsonl", b'{"label": 1, "features": [' + b"1" * 5000 + b']}\n', 1),
-        ("jsonl", b'{"label": 1, "features": [0.5]}\n' + b"[" * 200000 + b"]" * 200000 + b"\n", 2),
+    # The jsonl_* files are in the removed JSONL format: the CSV reader refuses them at line 1.
+    @pytest.mark.parametrize("body, line", [
+        (b"label,f0\n1,0.5\n99999999999999999999,0.25\n", 3),
+        (b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
+        (b'{"label": 1, "features": [0.5]}\n{"label": 1e400, "features": [0.5]}\n', 1),
+        (b'{"label": -99999999999999999999, "features": [0.5]}\n', 1),
+        (b'{"label": 1, "features": [0.5]}\n{"label": 1, "features": [1'
+         + b"0" * 400 + b']}\n', 1),
+        (b'{"label": 1, "features": [' + b"1" * 5000 + b']}\n', 1),
+        (b'{"label": 1, "features": [0.5]}\n' + b"[" * 200000 + b"]" * 200000 + b"\n", 1),
     ], ids=["csv_label_overflow", "csv_not_utf8", "jsonl_float_label", "jsonl_label_overflow",
             "jsonl_feature_beyond_float", "jsonl_feature_beyond_digit_limit", "jsonl_deep_nesting"])
-    def test_hostile_data_file_exits_2(self, tmp_path, capsys, fmt, body, line):
-        path = tmp_path / f"embeddings.{fmt}"
+    def test_hostile_data_file_exits_2(self, tmp_path, capsys, body, line):
+        path = tmp_path / "embeddings.csv"
         path.write_bytes(body)
-        cfg = write_config(tmp_path, mixture=None, data_path=str(path), data_format=fmt)
+        cfg = write_config(tmp_path, mixture=None, data_path=str(path), data_format="csv")
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--workers", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
@@ -192,9 +193,10 @@ class TestEval:
         lambda cfg: {**cfg, "corruption_rates": [0.4, 0.4]},
         lambda cfg: b"[" * 200000 + b"]" * 200000,
         lambda cfg: b'{"seed": "\xff"}',
+        lambda cfg: {**cfg, "data_format": "jsonl"},
     ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label",
             "best_of", "output_dir", "rnnp_metric", "separation_beyond_float",
-            "rate_beyond_float", "duplicate_rates", "deep_nesting", "not_utf8"])
+            "rate_beyond_float", "duplicate_rates", "deep_nesting", "not_utf8", "jsonl_data_format"])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, edit):
         # An edit gives the new config as an object, or as the file's raw bytes.
         path = tmp_path / "config.json"

@@ -71,19 +71,20 @@ class TestGenerateMixture:
 
 
 class TestFileRoundTrip:
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    # CSV is the only format; the parameter keeps these tests' ids.
+    @pytest.mark.parametrize("fmt", ["csv"])
     def test_round_trip_bit_exact(self, tmp_path, fmt):
         pool = generate_mixture(MixtureSpec(4, 7, 3.0, 6, seed=13))
         path = tmp_path / f"pool.{fmt}"
         write_embeddings(pool, path, fmt)
-        back = load_embeddings(path, fmt)
+        back = load_embeddings(path)
         assert np.array_equal(back.features, pool.features)
         assert np.array_equal(back.labels, pool.labels)
 
     def test_csv_parse_contract(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("label,f0,f1\n3,0.5,-1.0\n", encoding="utf-8")
-        pool = load_embeddings(path, "csv")
+        pool = load_embeddings(path)
         assert pool.features.shape == (1, 2)
         assert pool.labels.tolist() == [3]
         np.testing.assert_array_equal(pool.features[0], [0.5, -1.0])
@@ -92,87 +93,73 @@ class TestFileRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError):
-            load_embeddings(path, "csv")
-        path2 = tmp_path / "empty.jsonl"
-        path2.write_text("", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError):
-            load_embeddings(path2, "jsonl")
+            load_embeddings(path)
 
     def test_header_only_csv_rejected(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("label,f0\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError):
-            load_embeddings(path, "csv")
+            load_embeddings(path)
 
     def test_ragged_csv_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n1,0.5,1.0\n2,0.25\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="line 3"):
-            load_embeddings(path, "csv")
+            load_embeddings(path)
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("label,f0\n1,nan\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="line 2"):
-            load_embeddings(path, "csv")
+            load_embeddings(path)
 
+    # Files in the removed JSONL format are refused at their first line.
     def test_jsonl_empty_features_rejected(self, tmp_path):
-        path = tmp_path / "zero.jsonl"
-        path.write_text('{"label": 1, "features": []}\n', encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 1"):
-            load_embeddings(path, "jsonl")
+        assert_jsonl_refused(tmp_path, '{"label": 1, "features": []}\n')
 
     def test_jsonl_ragged_rejected(self, tmp_path):
-        path = tmp_path / "ragged.jsonl"
-        path.write_text(
-            '{"label": 1, "features": [0.5, 1.0]}\n{"label": 2, "features": [0.5]}\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
-            load_embeddings(path, "jsonl")
+        assert_jsonl_refused(
+            tmp_path, '{"label": 1, "features": [0.5, 1.0]}\n{"label": 2, "features": [0.5]}\n')
 
     def test_jsonl_non_integer_label_rejected(self, tmp_path):
-        path = tmp_path / "lab.jsonl"
-        path.write_text('{"label": "a", "features": [0.5]}\n', encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 1"):
-            load_embeddings(path, "jsonl")
+        assert_jsonl_refused(tmp_path, '{"label": "a", "features": [0.5]}\n')
 
     @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809",
                                        "9223372036854775808"])
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("fmt", ["csv"])
     def test_label_outside_int64_rejected_with_line_number(self, tmp_path, fmt, label):
         path = tmp_path / f"big.{fmt}"
-        if fmt == "csv":
-            path.write_text(f"label,f0\n1,0.5\n{label},0.25\n", encoding="utf-8")
-        else:
-            path.write_text(f'{{"label": 1, "features": [0.5]}}\n'
-                            f'{{"label": {label}, "features": [0.25]}}\n', encoding="utf-8")
-        line = 3 if fmt == "csv" else 2
-        with pytest.raises(EmbeddingFormatError, match=f"line {line}: label {label} is outside int64"):
-            load_embeddings(path, fmt)
+        path.write_text(f"label,f0\n1,0.5\n{label},0.25\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=f"line 3: label {label} is outside int64"):
+            load_embeddings(path)
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("fmt", ["csv"])
     def test_int64_extremes_load(self, tmp_path, fmt):
         lo, hi = -2**63, 2**63 - 1
         path = tmp_path / f"edge.{fmt}"
-        if fmt == "csv":
-            path.write_text(f"label,f0\n{lo},0.5\n{hi},0.25\n", encoding="utf-8")
-        else:
-            path.write_text(f'{{"label": {lo}, "features": [0.5]}}\n'
-                            f'{{"label": {hi}, "features": [0.25]}}\n', encoding="utf-8")
-        assert load_embeddings(path, fmt).labels.tolist() == [lo, hi]
+        path.write_text(f"label,f0\n{lo},0.5\n{hi},0.25\n", encoding="utf-8")
+        assert load_embeddings(path).labels.tolist() == [lo, hi]
 
-    @pytest.mark.parametrize("fmt, body, line", [
-        ("csv", b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
-        ("csv", b"label,f0\r\n1,0.5\r\n\xe9", 3),
-        ("csv", b"label,f\xc3\n1,0.5\n", 1),
-        ("jsonl", b'{"label": 1, "features": [0.5]}\r{"label": 2, "features": [\x80]}\n', 2),
-    ], ids=["csv_lf", "csv_crlf_last_line", "csv_header", "jsonl_cr"])
-    def test_non_utf8_byte_rejected_with_line_number(self, tmp_path, fmt, body, line):
-        path = tmp_path / f"latin.{fmt}"
+    @pytest.mark.parametrize("body, line", [
+        (b"label,f0\n1,0.5\n2,0.\xff5\n", 3),
+        (b"label,f0\r\n1,0.5\r\n\xe9", 3),
+        (b"label,f\xc3\n1,0.5\n", 1),
+        (b"label,f0\r1,0.5\r2,0.\x805\n", 3),
+        # The UTF-8 check comes before any parsing, so it also numbers a non-CSV file's lines.
+        (b'{"label": 1, "features": [0.5]}\r{"label": 2, "features": [\x80]}\n', 2),
+    ], ids=["csv_lf", "csv_crlf_last_line", "csv_header", "csv_cr", "jsonl_cr"])
+    def test_non_utf8_byte_rejected_with_line_number(self, tmp_path, body, line):
+        path = tmp_path / "latin.csv"
         path.write_bytes(body)
         with pytest.raises(EmbeddingFormatError, match=f"^line {line}: byte 0x.. is not valid UTF-8$"):
-            load_embeddings(path, fmt)
+            load_embeddings(path)
+
+    def test_other_write_format_rejected_and_nothing_written(self, tmp_path):
+        pool = generate_mixture(MixtureSpec(2, 3, 3.0, 2, seed=1))
+        path = tmp_path / "pool.jsonl"
+        with pytest.raises(InvalidInputError, match="file_format must be 'csv'"):
+            write_embeddings(pool, path, "jsonl")
+        assert not path.exists()
 
     def test_written_files_take_the_fast_pass(self, tmp_path):
         pool = generate_mixture(MixtureSpec(5, 9, 3.0, 40, seed=2))
@@ -293,10 +280,17 @@ DIVERGENCES = (
 )
 
 
+def assert_jsonl_refused(tmp_path, text):
+    path = tmp_path / "pool.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="^line 1: header must be 'label,f0,...'$"):
+        load_embeddings(path)
+
+
 def assert_matches_line_loop(path):
     expected = line_loop(path)
     try:
-        pool = load_embeddings(path, "csv")
+        pool = load_embeddings(path)
     except EmbeddingFormatError as exc:
         assert str(exc) == expected
         return

@@ -76,6 +76,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):  # an int would be opened as a file descriptor
             ExperimentConfig(methods=(MethodSpec(method="nnp"),), data_path=0, data_format="csv")
 
+    @pytest.mark.parametrize("source, data_format", [
+        ({"data_path": "x.csv"}, "jsonl"),
+        ({"data_path": "x.csv"}, None),
+        ({"mixture": tiny_mixture()}, "xml"),
+        ({"mixture": tiny_mixture()}, "csv"),
+    ], ids=["data_path_jsonl", "data_path_unset", "mixture_xml", "mixture_csv"])
+    def test_data_format_is_csv_with_a_data_path_and_unset_without(self, source, data_format):
+        with pytest.raises(InvalidInputError, match="data_format must be 'csv' with a data_path"):
+            ExperimentConfig(methods=(MethodSpec(method="nnp"),), data_format=data_format,
+                             **source)
+        ExperimentConfig(methods=(MethodSpec(method="nnp"),), **source,
+                         data_format="csv" if "data_path" in source else None)
+
     def test_rejects_non_integral_rate_for_k_shot(self):
         with pytest.raises(InvalidInputError):
             tiny_config(corruption_rates=(0.3,))
