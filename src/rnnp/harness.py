@@ -107,9 +107,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.mixture is None) == (self.data_path is None):
             raise InvalidInputError("exactly one of mixture / data_path must be set")
-        if self.data_path is not None and not isinstance(self.data_path, (str, os.PathLike)):
-            # An integer would be opened as a file descriptor.
-            raise InvalidInputError(f"data_path must be a path, got {self.data_path!r}")
+        if self.data_path is not None:
+            # An integer would be opened as a file descriptor; a path object is
+            # stored as its string, which report snapshots can hold.
+            path = os.fspath(self.data_path) if isinstance(self.data_path, os.PathLike) \
+                else self.data_path
+            if not isinstance(path, str):
+                raise InvalidInputError(f"data_path must be a str path, got {self.data_path!r}")
+            object.__setattr__(self, "data_path", path)
         if self.data_format != ("csv" if self.data_path is not None else None):
             raise InvalidInputError("data_format must be 'csv' with a data_path and unset "
                                     f"without one, got {self.data_format!r}")
@@ -188,22 +193,24 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     return load_embeddings(config.data_path)
 
 
-def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
+def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet, work: dict):
     """(accuracy, [correct_before, mean correct_after]) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
-    refinement problem, and one batched call runs them all.
+    refinement problem, and one batched call runs them all, with the run's
+    kernel work arrays.
     """
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
     queries = episode.query_features
-    centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes)
+    centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes, work)
     preds = _classify_arrays(centers, queries)[1]
     afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
 
 
-def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) -> list:
+def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int,
+                      work: dict) -> list:
     """Every method's result at every rate for one episode index.
 
     One entry per corruption rate, in config order: None marks a degenerate
@@ -211,7 +218,8 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
     episode for every method at that rate; otherwise one (accuracy,
     rectification) pair per method in config.methods order, where
     rectification is [correct_before, mean correct_after] for rnnp and
-    None for nnp.
+    None for nnp. work holds the refinement kernel's work arrays; one dict
+    serves every episode of a run in one process.
     """
     episode = sample_episode(pool, config.n_way, config.k_shot,
                              config.queries_per_class, config.seed + index)
@@ -230,7 +238,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
                 preds = _classify_arrays(protos.prototypes, corrupted.query_features)[1]
                 cells.append((episode_accuracy(preds, corrupted.query_labels), None))
             else:
-                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))
+                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos, work))
         out.append(cells)
     return out
 
@@ -245,16 +253,19 @@ def _usable_cpus() -> int:
 
 _WORKER_POOL = None
 _WORKER_CONFIG = None
+_WORKER_WORK = None
 
 
 def _init_worker(pool, config):
-    global _WORKER_POOL, _WORKER_CONFIG
+    global _WORKER_POOL, _WORKER_CONFIG, _WORKER_WORK
     _WORKER_POOL = pool
     _WORKER_CONFIG = config
+    # The worker's kernel work arrays; they go when the pool shuts down.
+    _WORKER_WORK = {}
 
 
 def _worker_task(index):
-    return _evaluate_episode(_WORKER_POOL, _WORKER_CONFIG, index)
+    return _evaluate_episode(_WORKER_POOL, _WORKER_CONFIG, index, _WORKER_WORK)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -277,7 +288,9 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
     # episodes to run or CPUs to run them on.
     workers = min(config.workers or n, n, _usable_cpus())
     if workers <= 1 or n < 4:
-        rows = [_evaluate_episode(pool, config, i) for i in range(n)]
+        # The kernel's work arrays, reused by every episode and freed with the run.
+        work = {}
+        rows = [_evaluate_episode(pool, config, i, work) for i in range(n)]
     else:
         chunk = max(1, n // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

@@ -9,11 +9,11 @@ streams, and the delta is aggregated per episode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .episodes import _check_real
+from .episodes import _check_int, _check_real
 from .errors import InvalidInputError
 
 Z_95 = 1.96
@@ -76,6 +76,19 @@ class EvalReport:
     rectification: dict | None = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.method, str):
+            raise InvalidInputError(f"method must be a string, got {self.method!r}")
+        if not isinstance(self.config, dict):
+            raise InvalidInputError(f"config must be a dict, got {type(self.config).__name__}")
+        self.corruption_rate = _check_real("corruption_rate", self.corruption_rate, 0.0, 1.0,
+                                           False)
+        for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1),
+                         ("skipped_episodes", 0)):
+            setattr(self, name, _check_int(name, getattr(self, name), lo))
+        self.mean_accuracy = _check_real("mean_accuracy", self.mean_accuracy, 0.0, 1.0, False)
+        self.ci95 = _check_real("ci95", self.ci95, 0.0, math.inf, False)
+        if not isinstance(self.per_episode_accuracies, (list, tuple)):
+            raise InvalidInputError("per_episode_accuracies must be a list")
         accs = [_check_real("per-episode accuracy", a, 0.0, 1.0, False)
                 for a in self.per_episode_accuracies]
         if len(accs) < 2:
@@ -83,10 +96,11 @@ class EvalReport:
         mean, ci = mean_ci95(accs)
         if abs(mean - self.mean_accuracy) > 1e-12 or abs(ci - self.ci95) > 1e-12:
             raise InvalidInputError("mean_accuracy/ci95 do not match the per-episode list")
-        if self.ci95 < 0.0:
-            raise InvalidInputError("ci95 must be non-negative")
-        if self.skipped_episodes < 0:
-            raise InvalidInputError("skipped_episodes must be non-negative")
+        indices = self.episode_indices
+        if indices is not None:
+            if not isinstance(indices, (list, tuple)) or len(indices) != len(accs):
+                raise InvalidInputError("episode_indices needs one index per evaluated episode")
+            self.episode_indices = [_check_int("episode index", i, 0) for i in indices]
         rect = self.per_episode_rectification
         if rect is not None:
             if len(rect) != len(accs) or any(not isinstance(r, (list, tuple)) or len(r) != 2
@@ -122,6 +136,14 @@ class EvalReport:
     def from_dict(cls, d: dict) -> "EvalReport":
         """The report a to_dict() gave; derived fields it stores (n_episodes,
         rectification) must equal the ones the per-episode lists give."""
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"a report must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        missing = {f.name for f in fields(cls)
+                   if f.init and f.default is MISSING and f.name not in d}
+        if unknown or missing:
+            raise InvalidInputError(f"report keys: unknown {sorted(unknown)}, "
+                                    f"missing {sorted(missing)}")
         d = dict(d)
         stored = {f.name: d.pop(f.name) for f in fields(cls) if not f.init and f.name in d}
         report = cls(**d)

@@ -17,6 +17,7 @@ its own problem, with the library calling it for a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,107 +169,146 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     return feats.reshape(kn * beta, -1), np.repeat(obs, beta)
 
 
-def _assign(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray, norms: tuple,
-            mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities of the shared (m, d) rows (B, N, m) and of each
-    problem's query (Q, N) for the centers (B, N, d), where B is Q or 1 (one
-    center set that every problem starts from).
+def _work_array(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of the given shape.
 
-    norms holds the squared norms of the shared rows (m,) and of the queries
-    (Q, 1). All B*N centers meet the shared rows in one GEMM, whose output
-    is already in (B, N, m) layout; each query adds one dot product per
-    center. The squared distances are filled in place as
-    -2 p.c + |p|^2 + |c|^2, bit for bit |p|^2 - 2 p.c + |c|^2, and every
-    reduction over the N centers runs along axis 1.
+    Without work it is a fresh array. Otherwise it is a view of the front of
+    work[name], which is replaced only when it is too small, so a run that
+    passes the same dict to every call allocates its work arrays once.
     """
-    b, n, d = centers.shape
-    cn = np.einsum("...d,...d->...", centers, centers)
-    dists = ((centers.reshape(b * n, d) @ shared.T).reshape(b, n, -1),
-             np.einsum("qnd,qd->qn", centers, queries))
-    for x, norm, center_norm in zip(dists, norms, (cn[..., None], cn)):
-        x *= -2.0
-        x += norm
-        x += center_norm
+    size = math.prod(shape)
+    if work is None:
+        return np.empty(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _with_ones(x: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """[x - origin, 1]: (rows, d + 1), a point's side of the distance GEMM."""
+    out = np.empty((x.shape[0], x.shape[1] + 1))
+    np.subtract(x, origin, out=out[:, :-1])
+    out[:, -1] = 1.0
+    return out
+
+
+def _assign(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray, mode: str,
+            work: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities of the shared rows (N, B, m) and of each problem's
+    query (N, Q) for the centers (N, B, d), where B is Q or 1 (one center set
+    that every problem starts from).
+
+    shared (m, d + 1) and queries (Q, d + 1) end in a ones column. The
+    centers are written as [-2c, |c|^2] into work's (N*B, d + 1) augmented
+    array, so one GEMM gives |c|^2 - 2c.p for all N*B centers and m shared
+    rows; each query adds one dot product per center. A point's |p|^2 is
+    the same for every center, so neither the softmin nor the first minimum
+    over the centers depends on it, and it is left out. Distances and then
+    responsibilities are written into work's (N*B, m) array, and every
+    reduction over the N centers runs along axis 0.
+    """
+    n, b, d = centers.shape
+    aug = _work_array(work, "centers_aug", (n, b, d + 1))
+    np.multiply(centers, -2.0, out=aug[..., :d])
+    np.einsum("nbd,nbd->nb", centers, centers, out=aug[..., d])
+    dists = _work_array(work, "dists", (n, b, shared.shape[0]))
+    np.matmul(aug.reshape(n * b, d + 1), shared.T, out=dists.reshape(n * b, -1))
+    query_dists = np.einsum("nqk,qk->nq", np.broadcast_to(aug, (n,) + queries.shape), queries)
     if mode == "soft":
-        return tuple(_softmin_inplace(x, axis=1) for x in dists)
-    return tuple(_first_min_onehot(x) for x in dists)
+        _softmin_inplace(dists.reshape(n, -1), axis=0)
+        return dists, _softmin_inplace(query_dists, axis=0)
+    _first_min_onehot(dists.reshape(n, -1))
+    return dists, _first_min_onehot(query_dists)
 
 
 def _first_min_onehot(x: np.ndarray) -> np.ndarray:
-    """One-hot along axis 1 of (B, N) or (B, N, rows) on the nearest center.
+    """One-hot along axis 0 of x (N, ...) on the nearest center, written
+    over x and returned.
 
-    Equal bit for bit to a one-hot of np.argmin(x, axis=1): exact ties go
-    to the lowest index, and in a row holding NaN (distances that
-    overflowed) to its first NaN. argmin along axis 1 of this contiguous
-    block copies it into another order first; marking every minimum and
-    then clearing the later hits with a loop over the N centers does not.
+    Equal bit for bit to a one-hot of np.argmin(x, axis=0): exact ties go
+    to the lowest index, and in a column holding NaN (distances that
+    overflowed) to its first NaN. Every minimum is marked, then a loop over
+    the N centers clears the hits after a column's first.
     """
-    hit = x == x.min(axis=1, keepdims=True)
+    hit = x == x.min(axis=0)
     hit |= np.isnan(x)
-    taken = hit[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        later = hit[:, j]
+    taken = hit[0].copy()
+    for later in hit[1:]:
         np.greater(later, taken, out=later)
         taken |= later
-    return hit.astype(np.float64)
+    np.copyto(x, hit)
+    return x
 
 
 def _update(shared: np.ndarray, queries: np.ndarray, resp: np.ndarray, query_resp: np.ndarray,
-            previous: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted means (Q, N, d) of each problem's rows.
+            previous: np.ndarray, out: np.ndarray, work: dict | None) -> np.ndarray:
+    """Responsibility-weighted means of each problem's rows, written into
+    out (N, Q, d) and returned.
 
-    resp (B, N, m) weighs the shared rows through one GEMM over all B*N
-    centers, query_resp (Q, N) each problem's query as a rank-1 term; B = 1
-    means every problem shares that GEMM. A center whose total
-    responsibility is below EMPTY_CLUSTER_EPS keeps its previous value.
+    resp (N, B, m) weighs the shared (m, d) rows through one GEMM over all
+    N*B centers, whose output goes to work's augmented-centers array (the
+    assignment is done with it), and query_resp (N, Q) each problem's (Q, d)
+    query; B = 1 means every problem shares that GEMM. A center whose total
+    responsibility is below EMPTY_CLUSTER_EPS keeps its previous value, from
+    previous (N, B, d).
     """
-    b, n, m = resp.shape
-    sums = (resp.reshape(b * n, m) @ shared).reshape(b, n, -1) \
-        + np.einsum("qn,qd->qnd", query_resp, queries)
+    n, b, m = resp.shape
+    sums = _work_array(work, "centers_aug", (n, b, shared.shape[1]))
+    np.matmul(resp.reshape(n * b, m), shared, out=sums.reshape(n * b, -1))
+    np.multiply(query_resp[..., None], queries, out=out)
+    out += sums
     mass = resp.sum(axis=2) + query_resp
     alive = mass >= EMPTY_CLUSTER_EPS
-    sums /= np.where(alive, mass, 1.0)[..., None]
-    return sums if alive.all() else np.where(alive[..., None], sums, previous)
+    out /= np.where(alive, mass, 1.0)[..., None]
+    if not alive.all():
+        np.copyto(out, previous, where=~alive[..., None])
+    return out
 
 
 def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
-                   config: RnnpConfig) -> tuple[np.ndarray, np.ndarray]:
+                   config: RnnpConfig, work: dict | None = None,
+                   kept: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Soft (or hard) k-means for Q independent problems at once.
 
     Problem q clusters the shared (m, d) rows plus its query queries[q]
-    (queries is (Q, d)), starting from centers, (N, d) for every problem or
-    (Q, N, d). No problem reads another's query or centers, so each result
-    is the one that problem gives alone. A round runs at the batch size of
-    its centers: from shared (N, d) centers, the shared rows' distances,
-    assignment and weighted sums are computed once for all problems, and
-    only the query terms are per problem.
+    (queries is (Q, d)), starting from the (N, d) centers. No problem reads
+    another's query or centers, so each result is the one that problem gives
+    alone. The first round runs once for all problems: the shared rows'
+    distances, assignment and weighted sums at the start centers are the
+    same for every problem, and only the query terms are per problem. Later
+    rounds hold the centers center-major, (N, Q, d).
 
     Rows and centers are first moved by the shared rows' mean, an origin no
     query moves, so far-off features keep their precision. With zero
     iterations the centers come back untouched.
 
-    Returns the final centers (Q, N, d) and the shared rows' assignment
-    computed in the last round (Q, N, m): the one the final center update
-    used, or with zero iterations the one at the initial centers.
+    work, a dict that lasts for a run, lends the round's large arrays (see
+    _work_array); without it every array is fresh. Both returned arrays are
+    fresh either way: the final centers (Q, N, d), and the assignment of the
+    first `kept` shared rows (all by default) computed in the last round
+    (Q, N, kept): the one the final center update used, or with zero
+    iterations the one at the initial centers.
     """
-    start = centers.reshape((-1,) + centers.shape[-2:])
+    n, d = centers.shape
+    q = queries.shape[0]
     origin = shared.mean(axis=0)
-    shared, queries, centers = shared - origin, queries - origin, start - origin
-    norms = (np.einsum("md,md->m", shared, shared),
-             np.einsum("qd,qd->q", queries, queries)[:, None])
-    for _ in range(config.iterations):
-        resp = _assign(shared, queries, centers, norms, config.clustering_mode)
-        centers = _update(shared, queries, *resp, centers)
+    shared, queries = _with_ones(shared, origin), _with_ones(queries, origin)
+    current = (centers - origin)[:, None, :]
+    for r in range(config.iterations):
+        resp, query_resp = _assign(shared, queries, current, config.clustering_mode, work)
+        current = _update(shared[:, :d], queries[:, :d], resp, query_resp, current,
+                          _work_array(work, f"centers{r % 2}", (n, q, d)), work)
     if not config.iterations:
-        resp = _assign(shared, queries, centers, norms, config.clustering_mode)
-    centers = centers + origin if config.iterations else start
-    batch = queries.shape[:1]
-    return (np.broadcast_to(centers, batch + centers.shape[1:]),
-            np.broadcast_to(resp[0], batch + resp[0].shape[1:]))
+        resp = _assign(shared, queries, current, config.clustering_mode, work)[0]
+    final = np.add(current.transpose(1, 0, 2), origin, order="C") if config.iterations else centers
+    kept_resp = resp[:, :, :kept].transpose(1, 0, 2).copy()
+    return (np.broadcast_to(final, (q, n, d)),
+            np.broadcast_to(kept_resp, (q,) + kept_resp.shape[1:]))
 
 
 def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
-                    initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    initial: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Refined prototypes (Q, N, d) and support responsibilities (Q, N, KN)
     for each of the (Q, d) queries, each its own problem.
 
@@ -277,7 +317,9 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     observed-label class means. labeled_direct skips clustering: each
     hybrid inherits its parent's observed label, the prototypes are the
     per-class means of supports plus hybrids, the same for every query,
-    and the responsibilities are one-hot on the observed labels.
+    and the responsibilities are one-hot on the observed labels. work is
+    the run's dict of kernel work arrays, or None for fresh ones; the
+    returned arrays never share memory with it.
     """
     hybrids, parents = build_hybrids(episode, config)
     shared = np.vstack([episode.support_features, hybrids])
@@ -288,8 +330,8 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
         q = queries.shape[0]
         return (np.broadcast_to(protos, (q,) + protos.shape),
                 np.broadcast_to(one_hot.astype(np.float64), (q,) + one_hot.shape))
-    centers, resp = _cluster_batch(shared, queries, initial, config)
-    return centers, resp[:, :, :episode.support_features.shape[0]]
+    return _cluster_batch(shared, queries, initial, config, work,
+                          kept=episode.support_features.shape[0])
 
 
 def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:

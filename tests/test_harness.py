@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rnnp.datagen import MixtureSpec
+from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
 from rnnp import harness
 from rnnp.errors import InvalidInputError
 from rnnp.harness import (
@@ -347,6 +347,20 @@ class TestSaving:
         lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "method,corruption_rate,k_shot,mean,ci95,n_episodes"
         assert len(lines) == 1 + len(reports)
+
+    def test_path_data_path_is_saved_as_a_string(self, tmp_path):
+        data = tmp_path / "pool.csv"
+        write_embeddings(generate_mixture(tiny_mixture()), data)
+        cfg = tiny_config(mixture=None, data_path=data, data_format="csv", n_episodes=4)
+        assert cfg.data_path == str(data)
+        json_path, _ = save_reports(cfg, run_experiment(cfg), tmp_path / "out")
+        payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
+        assert payload["config"]["data_path"] == str(data)
+        assert payload["reports"][0]["config"]["experiment"]["data_path"] == str(data)
+
+    def test_bytes_data_path_rejected(self):
+        with pytest.raises(InvalidInputError, match="data_path"):
+            tiny_config(mixture=None, data_path=b"pool.csv", data_format="csv")
 
     def test_saving_twice_is_byte_identical(self, tmp_path):
         cfg = tiny_config(n_episodes=4)

@@ -158,6 +158,29 @@ class TestEvalReport:
         with pytest.raises(InvalidInputError):
             EvalReport.from_dict({**d, key: value})
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "skipped_episodes": "x"},
+        lambda d: {**d, "ci95": "x"},
+        lambda d: {**d, "mean_accuracy": None},
+        lambda d: {**d, "surplus": 1},
+        lambda d: [d],
+        lambda d: {**d, "episode_indices": [0, 2, 3]},
+        lambda d: {**d, "episode_indices": "02"},
+        lambda d: {**d, "n_way": "5"},
+        lambda d: {**d, "corruption_rate": "0.2"},
+        lambda d: {**d, "config": [1, 2]},
+    ], ids=["skipped_string", "ci95_string", "mean_none", "unknown_key", "list_not_dict",
+            "indices_too_many", "indices_string", "n_way_string", "rate_string", "config_list"])
+    def test_from_dict_rejects_hostile_fields(self, edit):
+        d = EvalReport.from_accuracies(
+            method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
+            per_episode_accuracies=[0.25, 0.75], skipped_episodes=1, config={"seed": 7},
+            episode_indices=[0, 2],
+        ).to_dict()
+        assert EvalReport.from_dict(d).to_dict() == d
+        with pytest.raises(InvalidInputError):
+            EvalReport.from_dict(edit(d))
+
     def test_rectification_needs_one_pair_per_episode(self):
         with pytest.raises(InvalidInputError):
             make_report([0.25, 0.75], rect=[])

@@ -271,10 +271,12 @@ def assign_at(feats, centers, mode="soft"):
 
 def update_from(feats, resp, previous):
     """The kernel's center update of feats (m, d) under responsibilities
-    (m, N) and a zero-weight query; previous (N, d) is kept by empty clusters."""
+    (m, N) and a zero-weight query, as one center-major (N, 1, ...) problem;
+    previous (N, d) is kept by empty clusters."""
     feats, resp, previous = (np.asarray(a, dtype=np.float64) for a in (feats, resp, previous))
     n, d = previous.shape
-    return _update(feats, np.zeros((1, d)), resp.T[None], np.zeros((1, n)), previous[None])[0]
+    return _update(feats, np.zeros((1, d)), resp.T[:, None], np.zeros((n, 1)),
+                   previous[:, None], np.empty((n, 1, d)), None)[:, 0]
 
 
 class TestSoftAssign:
@@ -657,25 +659,6 @@ class TestBatchedRefinement:
             assert np.array_equal(centers[i], trace.refined_prototypes.prototypes)
             assert np.array_equal(resp[i].T, trace.support_responsibilities)
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(**BATCH_PROBLEMS)
-    def test_shared_start_equals_broadcast_start(self, seed, n_way, k_shot, dim, batch, beta,
-                                                 iterations, mode):
-        # (N, d) start centers run the first round once for the whole batch;
-        # the same centers broadcast to (Q, N, d) run it once per query.
-        ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
-                                                          beta, iterations, mode)
-        centers, resp = _cluster_batch(shared, queries, initial, cfg)
-        wide = np.broadcast_to(initial, (batch,) + initial.shape)
-        wide_centers, wide_resp = _cluster_batch(shared, queries, wide, cfg)
-        kn = ep.support_features.shape[0]
-        assert centers.shape == wide_centers.shape and resp.shape == wide_resp.shape
-        assert np.array_equal(_classify_arrays(centers, queries)[1],
-                              _classify_arrays(wide_centers, queries)[1])
-        assert np.array_equal(np.argmax(resp[:, :, :kn], axis=1),
-                              np.argmax(wide_resp[:, :, :kn], axis=1))
-        np.testing.assert_allclose(centers, wide_centers, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("iterations", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["soft", "hard"])
     def test_duplicate_centers(self, mode, iterations):
@@ -713,11 +696,46 @@ class TestBatchedRefinement:
                 np.testing.assert_allclose(centers[i, 0], centers[i, 2], rtol=0, atol=1e-12)
 
 
+class TestWorkArrays:
+    """A run's dict of kernel work arrays changes no result and is allocated once."""
+
+    @staticmethod
+    def refine(seed, cfg, work):
+        ep = corrupt_labels(small_episode(seed=seed, n_way=4, k_shot=5, dim=6, queries=5),
+                            CorruptionSpec(rate=0.4, seed=seed))
+        initial = compute_prototypes(ep, "observed").prototypes
+        return _refine_queries(ep, ep.query_features, cfg, initial, work)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_results_outlive_the_next_call_and_match_fresh_arrays(self, mode, iterations):
+        cfg = RnnpConfig(beta=3, iterations=iterations, clustering_mode=mode, seed=5)
+        work = {}
+        first = self.refine(21, cfg, work)
+        kept = [a.copy() for a in first]
+        second = self.refine(22, cfg, work)
+        for got, want in zip(first, kept):
+            assert np.array_equal(got, want)
+        for seed, got in ((21, first), (22, second)):
+            for a, b in zip(got, self.refine(seed, cfg, None)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_same_shapes_allocate_nothing_new(self, mode):
+        cfg = RnnpConfig(beta=3, iterations=3, clustering_mode=mode, seed=5)
+        work = {}
+        self.refine(21, cfg, work)
+        arrays = {k: id(v) for k, v in work.items()}
+        assert arrays
+        self.refine(22, cfg, work)
+        assert {k: id(v) for k, v in work.items()} == arrays
+
+
 class TestFirstMinOnehot:
     """Hard assignment's one-hot equals np.argmin's, ties and NaN included."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(shape=st.sampled_from([(75, 5, 125), (1, 5, 125), (75, 5, 1), (3, 1, 4)]),
+    @given(shape=st.sampled_from([(5, 75, 125), (5, 1, 125), (5, 75, 1), (1, 3, 4)]),
            seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
            nan_share=st.sampled_from([0.0, 0.0, 0.05]))
     def test_equals_argmin_onehot(self, shape, seed, levels, nan_share):
@@ -725,7 +743,7 @@ class TestFirstMinOnehot:
         rng = np.random.default_rng(seed)
         x = rng.integers(0, levels, shape).astype(np.float64) * 0.5 - 1.0
         x[rng.random(shape) < nan_share] = np.nan
-        expected = (np.argmin(x, axis=1)[:, None] == np.arange(shape[1])[:, None])
+        expected = np.argmin(x, axis=0) == np.arange(shape[0])[:, None, None]
         got = _first_min_onehot(x)
         assert got.dtype == np.float64 and got.shape == shape
         assert np.array_equal(got, expected.astype(np.float64))
