@@ -47,9 +47,9 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
 
     Stream order from np.random.default_rng(spec.seed): first one
     standard_normal draw of all class means, then one standard_normal
-    draw of samples per class, in class order. Class labels are 0..C-1,
-    class-major. With a single class the raw mean is kept unscaled
-    (there is no pairwise distance to normalize).
+    draw of every sample, class-major, each added to its class mean.
+    Class labels are 0..C-1, class-major. With a single class the raw mean
+    is kept unscaled (there is no pairwise distance to normalize).
     """
     c, d, s = spec.num_classes, spec.dim, spec.samples_per_class
     _check_size(f"num_classes={c} x samples_per_class={s}", c * s, d)
@@ -63,12 +63,11 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
         means = raw * (spec.separation / mean_pairwise)
     else:
         means = raw
-    feats = np.empty((c * s, d), dtype=np.float64)
-    for i in range(c):
-        feats[i * s:(i + 1) * s] = means[i] + rng.standard_normal((s, d))
+    feats = rng.standard_normal((c, s, d))
+    feats += means[:, None, :]
     labels = np.repeat(np.arange(c, dtype=np.int64), s)
     return EmbeddingSet(
-        features=feats, labels=labels,
+        features=feats.reshape(c * s, d), labels=labels,
         class_means={i: means[i].copy() for i in range(c)},
     )
 

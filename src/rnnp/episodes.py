@@ -284,8 +284,9 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
 
     1. slots = rng.permutation(K)[:m] indexes into class c's support rows
        taken in row order (m = round(rate*K));
-    2. for each slot, in the order produced: r = rng.integers(N-1), and the
-       wrong label is r when r < c, else r + 1.
+    2. r = rng.integers(N-1, size=m), one draw per slot in the order
+       produced, and slot i's wrong label is r[i] when r[i] < c, else
+       r[i] + 1.
 
     Raises:
         InvalidInputError: rate*K not an integer (within 1e-9), or the
@@ -304,9 +305,8 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
     for c in range(n):
         rows_c = np.flatnonzero(true == c)
         slots = rng.permutation(k)[:m]
-        for s in slots:
-            r = int(rng.integers(n - 1))
-            observed[rows_c[s]] = r if r < c else r + 1
+        r = rng.integers(n - 1, size=m)
+        observed[rows_c[slots]] = np.where(r < c, r, r + 1)
     return replace(episode, support_observed_labels=observed)
 
 

@@ -193,24 +193,22 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     return load_embeddings(config.data_path)
 
 
-def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet, work: dict):
+def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     """(accuracy, [correct_before, mean correct_after]) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
-    refinement problem, and one batched call runs them all, with the run's
-    kernel work arrays.
+    refinement problem, and one batched call runs them all.
     """
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
     queries = episode.query_features
-    centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes, work)
+    centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes)
     preds = _classify_arrays(centers, queries)[1]
     afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
 
 
-def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int,
-                      work: dict) -> list:
+def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) -> list:
     """Every method's result at every rate for one episode index.
 
     One entry per corruption rate, in config order: None marks a degenerate
@@ -218,8 +216,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int,
     episode for every method at that rate; otherwise one (accuracy,
     rectification) pair per method in config.methods order, where
     rectification is [correct_before, mean correct_after] for rnnp and
-    None for nnp. work holds the refinement kernel's work arrays; one dict
-    serves every episode of a run in one process.
+    None for nnp.
     """
     episode = sample_episode(pool, config.n_way, config.k_shot,
                              config.queries_per_class, config.seed + index)
@@ -238,7 +235,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int,
                 preds = _classify_arrays(protos.prototypes, corrupted.query_features)[1]
                 cells.append((episode_accuracy(preds, corrupted.query_labels), None))
             else:
-                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos, work))
+                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))
         out.append(cells)
     return out
 
@@ -253,19 +250,16 @@ def _usable_cpus() -> int:
 
 _WORKER_POOL = None
 _WORKER_CONFIG = None
-_WORKER_WORK = None
 
 
 def _init_worker(pool, config):
-    global _WORKER_POOL, _WORKER_CONFIG, _WORKER_WORK
+    global _WORKER_POOL, _WORKER_CONFIG
     _WORKER_POOL = pool
     _WORKER_CONFIG = config
-    # The worker's kernel work arrays; they go when the pool shuts down.
-    _WORKER_WORK = {}
 
 
 def _worker_task(index):
-    return _evaluate_episode(_WORKER_POOL, _WORKER_CONFIG, index, _WORKER_WORK)
+    return _evaluate_episode(_WORKER_POOL, _WORKER_CONFIG, index)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -288,9 +282,7 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
     # episodes to run or CPUs to run them on.
     workers = min(config.workers or n, n, _usable_cpus())
     if workers <= 1 or n < 4:
-        # The kernel's work arrays, reused by every episode and freed with the run.
-        work = {}
-        rows = [_evaluate_episode(pool, config, i, work) for i in range(n)]
+        rows = [_evaluate_episode(pool, config, i) for i in range(n)]
     else:
         chunk = max(1, n // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -302,19 +294,22 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
         for j, rate in enumerate(config.corruption_rates):
             kept = [(i, row[j][k]) for i, row in enumerate(rows) if row[j] is not None]
             if len(kept) < 2:
-                raise InvalidInputError(f"method {m.label} at rate {rate}: only {len(kept)} "
-                                        "evaluable episodes; need at least 2 to aggregate")
-            snapshot = {"seed": config.seed, "experiment": config.to_dict(),
-                        "method": m.to_dict()}
+                raise InvalidInputError(f"rate {rate}: only {len(kept)} evaluable episodes; "
+                                        "need at least 2 to aggregate")
             reports.append(EvalReport.from_accuracies(
                 method=m.label, corruption_rate=rate, n_way=config.n_way,
                 k_shot=config.k_shot, queries_per_class=config.queries_per_class,
                 per_episode_accuracies=[acc for _, (acc, _) in kept],
-                skipped_episodes=n - len(kept), config=snapshot,
+                skipped_episodes=n - len(kept), config=_snapshot(config, m),
                 per_episode_rectification=None if m.method == "nnp" else [r for _, (_, r) in kept],
                 episode_indices=[i for i, _ in kept],
             ))
     return reports
+
+
+def _snapshot(config: ExperimentConfig, method: MethodSpec) -> dict:
+    """The config a report of `method` records: the run's and the method's."""
+    return {"seed": config.seed, "experiment": config.to_dict(), "method": method.to_dict()}
 
 
 def _single_rnnp_rate(config: ExperimentConfig, what: str) -> MethodSpec:
@@ -331,7 +326,10 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
     """One report per value of alpha, beta, or iterations; streams stay paired.
 
     Needs a single rnnp method and a single corruption rate, so the
-    emitted table is unambiguous about what varied.
+    emitted table is unambiguous about what varied. Every value is one
+    method of a single run, so each episode is sampled, corrupted and given
+    prototypes once for all values; each report then gets back the label
+    and config snapshot of a run of its value alone.
     """
     if sweep_axis not in SWEEP_AXES:
         raise InvalidInputError(f"sweep_axis must be one of {SWEEP_AXES}, got {sweep_axis!r}")
@@ -346,14 +344,14 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
             if not v.is_integer():
                 raise InvalidInputError(f"{sweep_axis} values must be integers, got {v}")
             v = int(v)
-        rnnp = replace(method.rnnp, **{sweep_axis: v})
-        swept.append((v, replace(config, methods=(replace(method, rnnp=rnnp),))))
-    pool = load_pool(config)
-    reports = []
-    for v, cfg in swept:
-        report = _run_on_pool(cfg, pool)[0]
-        report.config["sweep"] = {"axis": sweep_axis, "value": v}
-        reports.append(report)
+        swept.append((v, replace(method, rnnp=replace(method.rnnp, **{sweep_axis: v}))))
+    joint = replace(config, methods=tuple(replace(m, label=str(i))
+                                          for i, (_, m) in enumerate(swept)))
+    reports = _run_on_pool(joint, load_pool(config))
+    for (v, m), report in zip(swept, reports):
+        report.method = m.label
+        report.config = {**_snapshot(replace(config, methods=(m,)), m),
+                         "sweep": {"axis": sweep_axis, "value": v}}
     return reports
 
 

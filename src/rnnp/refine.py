@@ -18,6 +18,7 @@ its own problem, with the library calling it for a batch of one.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ HYBRID_LABELINGS = ("unlabeled_cluster", "labeled_direct")
 # A cluster whose total responsibility falls below this keeps its previous
 # center instead of dividing by (near) zero.
 EMPTY_CLUSTER_EPS = 1e-12
+
+# The clustering kernel's scratch arrays (see _work_array), one set per thread.
+_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -169,19 +173,16 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     return feats.reshape(kn * beta, -1), np.repeat(obs, beta)
 
 
-def _work_array(work: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """An uninitialised float64 array of the given shape.
-
-    Without work it is a fresh array. Otherwise it is a view of the front of
-    work[name], which is replaced only when it is too small, so a run that
-    passes the same dict to every call allocates its work arrays once.
+def _work_array(name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of the given shape: a view of the front
+    of this thread's scratch buffer `name`, which is replaced only when it is
+    too small. Each thread's buffers grow to its largest call and go with it.
     """
     size = math.prod(shape)
-    if work is None:
-        return np.empty(shape)
-    buf = work.get(name)
+    buf = getattr(_SCRATCH, name, None)
     if buf is None or buf.size < size:
-        buf = work[name] = np.empty(size)
+        buf = np.empty(size)
+        setattr(_SCRATCH, name, buf)
     return buf[:size].reshape(shape)
 
 
@@ -193,26 +194,26 @@ def _with_ones(x: np.ndarray, origin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray, mode: str,
-            work: dict | None) -> tuple[np.ndarray, np.ndarray]:
+def _assign(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
+            mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities of the shared rows (N, B, m) and of each problem's
     query (N, Q) for the centers (N, B, d), where B is Q or 1 (one center set
     that every problem starts from).
 
     shared (m, d + 1) and queries (Q, d + 1) end in a ones column. The
-    centers are written as [-2c, |c|^2] into work's (N*B, d + 1) augmented
-    array, so one GEMM gives |c|^2 - 2c.p for all N*B centers and m shared
-    rows; each query adds one dot product per center. A point's |p|^2 is
+    centers are written as [-2c, |c|^2] into the (N*B, d + 1) augmented
+    scratch array, so one GEMM gives |c|^2 - 2c.p for all N*B centers and m
+    shared rows; each query adds one dot product per center. A point's |p|^2 is
     the same for every center, so neither the softmin nor the first minimum
     over the centers depends on it, and it is left out. Distances and then
-    responsibilities are written into work's (N*B, m) array, and every
+    responsibilities are written into the (N*B, m) scratch array, and every
     reduction over the N centers runs along axis 0.
     """
     n, b, d = centers.shape
-    aug = _work_array(work, "centers_aug", (n, b, d + 1))
+    aug = _work_array("centers_aug", (n, b, d + 1))
     np.multiply(centers, -2.0, out=aug[..., :d])
     np.einsum("nbd,nbd->nb", centers, centers, out=aug[..., d])
-    dists = _work_array(work, "dists", (n, b, shared.shape[0]))
+    dists = _work_array("dists", (n, b, shared.shape[0]))
     np.matmul(aug.reshape(n * b, d + 1), shared.T, out=dists.reshape(n * b, -1))
     query_dists = np.einsum("nqk,qk->nq", np.broadcast_to(aug, (n,) + queries.shape), queries)
     if mode == "soft":
@@ -242,19 +243,19 @@ def _first_min_onehot(x: np.ndarray) -> np.ndarray:
 
 
 def _update(shared: np.ndarray, queries: np.ndarray, resp: np.ndarray, query_resp: np.ndarray,
-            previous: np.ndarray, out: np.ndarray, work: dict | None) -> np.ndarray:
+            previous: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Responsibility-weighted means of each problem's rows, written into
     out (N, Q, d) and returned.
 
     resp (N, B, m) weighs the shared (m, d) rows through one GEMM over all
-    N*B centers, whose output goes to work's augmented-centers array (the
-    assignment is done with it), and query_resp (N, Q) each problem's (Q, d)
-    query; B = 1 means every problem shares that GEMM. A center whose total
+    N*B centers, whose output goes to the augmented-centers scratch array
+    (the assignment is done with it), and query_resp (N, Q) each problem's
+    (Q, d) query; B = 1 means every problem shares that GEMM. A center whose total
     responsibility is below EMPTY_CLUSTER_EPS keeps its previous value, from
     previous (N, B, d).
     """
     n, b, m = resp.shape
-    sums = _work_array(work, "centers_aug", (n, b, shared.shape[1]))
+    sums = _work_array("centers_aug", (n, b, shared.shape[1]))
     np.matmul(resp.reshape(n * b, m), shared, out=sums.reshape(n * b, -1))
     np.multiply(query_resp[..., None], queries, out=out)
     out += sums
@@ -267,8 +268,7 @@ def _update(shared: np.ndarray, queries: np.ndarray, resp: np.ndarray, query_res
 
 
 def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
-                   config: RnnpConfig, work: dict | None = None,
-                   kept: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   config: RnnpConfig, kept: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Soft (or hard) k-means for Q independent problems at once.
 
     Problem q clusters the shared (m, d) rows plus its query queries[q]
@@ -283,12 +283,11 @@ def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
     query moves, so far-off features keep their precision. With zero
     iterations the centers come back untouched.
 
-    work, a dict that lasts for a run, lends the round's large arrays (see
-    _work_array); without it every array is fresh. Both returned arrays are
-    fresh either way: the final centers (Q, N, d), and the assignment of the
-    first `kept` shared rows (all by default) computed in the last round
-    (Q, N, kept): the one the final center update used, or with zero
-    iterations the one at the initial centers.
+    The round's large arrays are the thread's scratch (see _work_array).
+    Both returned arrays are fresh: the final centers (Q, N, d), and the
+    assignment of the first `kept` shared rows (all by default) computed in
+    the last round (Q, N, kept): the one the final center update used, or
+    with zero iterations the one at the initial centers.
     """
     n, d = centers.shape
     q = queries.shape[0]
@@ -296,11 +295,11 @@ def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
     shared, queries = _with_ones(shared, origin), _with_ones(queries, origin)
     current = (centers - origin)[:, None, :]
     for r in range(config.iterations):
-        resp, query_resp = _assign(shared, queries, current, config.clustering_mode, work)
+        resp, query_resp = _assign(shared, queries, current, config.clustering_mode)
         current = _update(shared[:, :d], queries[:, :d], resp, query_resp, current,
-                          _work_array(work, f"centers{r % 2}", (n, q, d)), work)
+                          _work_array(f"centers{r % 2}", (n, q, d)))
     if not config.iterations:
-        resp = _assign(shared, queries, current, config.clustering_mode, work)[0]
+        resp = _assign(shared, queries, current, config.clustering_mode)[0]
     final = np.add(current.transpose(1, 0, 2), origin, order="C") if config.iterations else centers
     kept_resp = resp[:, :, :kept].transpose(1, 0, 2).copy()
     return (np.broadcast_to(final, (q, n, d)),
@@ -308,7 +307,7 @@ def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
 
 
 def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
-                    initial: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refined prototypes (Q, N, d) and support responsibilities (Q, N, KN)
     for each of the (Q, d) queries, each its own problem.
 
@@ -317,9 +316,7 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     observed-label class means. labeled_direct skips clustering: each
     hybrid inherits its parent's observed label, the prototypes are the
     per-class means of supports plus hybrids, the same for every query,
-    and the responsibilities are one-hot on the observed labels. work is
-    the run's dict of kernel work arrays, or None for fresh ones; the
-    returned arrays never share memory with it.
+    and the responsibilities are one-hot on the observed labels.
     """
     hybrids, parents = build_hybrids(episode, config)
     shared = np.vstack([episode.support_features, hybrids])
@@ -330,8 +327,7 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
         q = queries.shape[0]
         return (np.broadcast_to(protos, (q,) + protos.shape),
                 np.broadcast_to(one_hot.astype(np.float64), (q,) + one_hot.shape))
-    return _cluster_batch(shared, queries, initial, config, work,
-                          kept=episode.support_features.shape[0])
+    return _cluster_batch(shared, queries, initial, config, kept=episode.support_features.shape[0])
 
 
 def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:

@@ -232,6 +232,16 @@ class TestSweep:
         assert len(lines) == 3
         assert "alpha=0.6" in capsys.readouterr().out
 
+    def test_parallel_sweep_writes_the_serial_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, n_episodes=8)
+        tables = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--config", cfg, "--out", str(out_dir), "--workers", workers,
+                         "--corruption", "0.4", "--axis", "beta", "--values", "1,2,3"]) == 0
+            tables.append((out_dir / "sweep_beta.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_sweep_requires_single_rate(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--axis", "alpha",

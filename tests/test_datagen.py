@@ -14,6 +14,7 @@ from rnnp.datagen import (
     write_embeddings,
 )
 from rnnp.errors import EmbeddingFormatError, InvalidInputError
+from rnnp.harness import default_config
 
 
 class TestGenerateMixture:
@@ -58,6 +59,17 @@ class TestGenerateMixture:
         for c in range(3):
             rows = pool.features[pool.class_index[c]]
             np.testing.assert_allclose(rows.std(axis=0), 1.0, atol=0.06)
+
+    @pytest.mark.parametrize("spec", [default_config().mixture, MixtureSpec(7, 5, 2.0, 13, 3),
+                                      MixtureSpec(1, 4, 3.0, 6, 2)])
+    def test_features_equal_a_per_class_draw_loop(self, spec):
+        c, d, s = spec.num_classes, spec.dim, spec.samples_per_class
+        pool = generate_mixture(spec)
+        means = [pool.class_means[i] for i in range(c)]
+        rng = np.random.default_rng(spec.seed)
+        rng.standard_normal((c, d))  # the raw class means
+        want = np.vstack([means[i] + rng.standard_normal((s, d)) for i in range(c)])
+        assert pool.features.tobytes() == want.tobytes()
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -206,6 +206,35 @@ class TestCorruptLabels:
                 assert count_corrupted(out) == round(rate * n * k)
 
 
+def reference_corruption(true, n, k, m, seed):
+    """corrupt_labels' documented stream, drawn one scalar per slot."""
+    observed = true.copy()
+    rng = np.random.default_rng(seed)
+    for c in range(n):
+        rows_c = np.flatnonzero(true == c)
+        for s in rng.permutation(k)[:m]:
+            r = int(rng.integers(n - 1))
+            observed[rows_c[s]] = r if r < c else r + 1
+    return observed
+
+
+class TestCorruptionStream:
+    def test_array_draws_equal_per_slot_draws(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 11):
+            for k in range(1, 6):
+                # Class rows interleaved, so a class's slots index its rows in row order.
+                true = rng.permutation(np.repeat(np.arange(n), k))
+                ep = Episode(n_way=n, k_shot=k, support_features=np.zeros((n * k, 1)),
+                             support_true_labels=true, support_observed_labels=true,
+                             query_features=np.zeros((n, 1)), query_labels=np.arange(n), seed=0)
+                for m in range(1, k + 1):
+                    for seed in range(200):
+                        got = corrupt_labels(ep, CorruptionSpec(rate=m / k, seed=seed))
+                        want = reference_corruption(true, n, k, m, seed)
+                        assert np.array_equal(got.support_observed_labels, want), (n, k, m, seed)
+
+
 class TestEpisodeValidation:
     def test_wrong_support_count_per_class(self):
         feats = np.zeros((4, 2))

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,24 @@ class TestSweep:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
         assert [r.to_dict() for r in swept] == [r.to_dict() for r in each]
+
+    def test_parallel_sweep_starts_one_process_pool(self, monkeypatch):
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
+                           corruption_rates=(0.4,), n_episodes=8, workers=2)
+        swept = run_sweep(solo, "alpha", [0.4, 0.6, 0.8])
+        assert started == [2]
+        serial = run_sweep(replace(solo, workers=1), "alpha", [0.4, 0.6, 0.8])
+        assert started == [2]
+        assert [r.to_dict() for r in swept] == [r.to_dict() for r in serial]
 
     def test_beta_sweep_rejects_fractional_values(self):
         solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),

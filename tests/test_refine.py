@@ -1,6 +1,8 @@
 """Unit tests for hybrid generation and per-query prototype refinement."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from rnnp.refine import (
     HYBRID_SOURCES,
     RefinementTrace,
     RnnpConfig,
+    _SCRATCH,
     _cluster_batch,
     _first_min_onehot,
     _refine_queries,
@@ -276,7 +279,7 @@ def update_from(feats, resp, previous):
     feats, resp, previous = (np.asarray(a, dtype=np.float64) for a in (feats, resp, previous))
     n, d = previous.shape
     return _update(feats, np.zeros((1, d)), resp.T[:, None], np.zeros((n, 1)),
-                   previous[:, None], np.empty((n, 1, d)), None)[:, 0]
+                   previous[:, None], np.empty((n, 1, d)))[:, 0]
 
 
 class TestSoftAssign:
@@ -696,39 +699,103 @@ class TestBatchedRefinement:
                 np.testing.assert_allclose(centers[i, 0], centers[i, 2], rtol=0, atol=1e-12)
 
 
-class TestWorkArrays:
-    """A run's dict of kernel work arrays changes no result and is allocated once."""
+def in_fresh_thread(fn, *args):
+    """fn(*args) run in a new thread, which starts with empty kernel scratch."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out, "the thread raised"
+    return out[0]
+
+
+class TestScratch:
+    """The kernel's per-thread scratch changes no result and is allocated once."""
 
     @staticmethod
-    def refine(seed, cfg, work):
-        ep = corrupt_labels(small_episode(seed=seed, n_way=4, k_shot=5, dim=6, queries=5),
+    def refine(seed, cfg, n_way=4, dim=6, queries=5):
+        ep = corrupt_labels(small_episode(seed=seed, n_way=n_way, k_shot=5, dim=dim,
+                                          queries=queries),
                             CorruptionSpec(rate=0.4, seed=seed))
         initial = compute_prototypes(ep, "observed").prototypes
-        return _refine_queries(ep, ep.query_features, cfg, initial, work)
+        return _refine_queries(ep, ep.query_features, cfg, initial)
+
+    @staticmethod
+    def scratch():
+        """This thread's scratch buffers, by name."""
+        return dict(vars(_SCRATCH))
 
     @pytest.mark.parametrize("iterations", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["soft", "hard"])
-    def test_results_outlive_the_next_call_and_match_fresh_arrays(self, mode, iterations):
+    def test_leftovers_of_a_larger_call_change_nothing(self, mode, iterations):
         cfg = RnnpConfig(beta=3, iterations=iterations, clustering_mode=mode, seed=5)
-        work = {}
-        first = self.refine(21, cfg, work)
-        kept = [a.copy() for a in first]
-        second = self.refine(22, cfg, work)
-        for got, want in zip(first, kept):
-            assert np.array_equal(got, want)
-        for seed, got in ((21, first), (22, second)):
-            for a, b in zip(got, self.refine(seed, cfg, None)):
-                assert np.array_equal(a, b)
+        self.refine(20, cfg, n_way=6, dim=9, queries=8)
+        got = self.refine(21, cfg)
+        for a, b in zip(got, in_fresh_thread(self.refine, 21, cfg)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_threads_match_serial_calls(self, mode):
+        # More threads than a small machine's cores, switching often: a
+        # scratch shared between threads would mix their episodes.
+        cfg = RnnpConfig(beta=3, iterations=3, clustering_mode=mode, seed=5)
+        seeds = (23, 24, 25, 26)
+        serial = {seed: self.refine(seed, cfg) for seed in seeds}
+        results = {seed: [] for seed in seeds}
+
+        def repeat(seed):
+            for _ in range(20):
+                results[seed].append(self.refine(seed, cfg))
+
+        workers = [threading.Thread(target=repeat, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for seed in seeds:
+            assert len(results[seed]) == 20
+            for got in results[seed]:
+                for a, b in zip(got, serial[seed]):
+                    assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", ["soft", "hard"])
     def test_same_shapes_allocate_nothing_new(self, mode):
         cfg = RnnpConfig(beta=3, iterations=3, clustering_mode=mode, seed=5)
-        work = {}
-        self.refine(21, cfg, work)
-        arrays = {k: id(v) for k, v in work.items()}
-        assert arrays
-        self.refine(22, cfg, work)
-        assert {k: id(v) for k, v in work.items()} == arrays
+
+        def two_calls():
+            self.refine(21, cfg)
+            first = {k: id(v) for k, v in self.scratch().items()}
+            self.refine(22, cfg)
+            return first, {k: id(v) for k, v in self.scratch().items()}
+
+        first, second = in_fresh_thread(two_calls)
+        assert first
+        assert second == first
+
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_outputs_never_share_memory_with_the_scratch(self, mode, iterations):
+        cfg = RnnpConfig(beta=3, iterations=iterations, clustering_mode=mode, seed=5)
+        first = self.refine(21, cfg)
+        kept = [a.copy() for a in first]
+        ep = corrupt_labels(small_episode(seed=22, n_way=4, k_shot=5, dim=6, queries=5),
+                            CorruptionSpec(rate=0.4, seed=22))
+        trace = refine_for_query(ep, ep.query_features[0], cfg)
+        outputs = [*first, *self.refine(22, cfg), trace.refined_prototypes.prototypes,
+                   trace.support_responsibilities]
+        buffers = self.scratch().values()
+        assert buffers
+        for out in outputs:
+            assert not any(np.shares_memory(out, buf) for buf in buffers)
+        for got, want in zip(first, kept):
+            assert np.array_equal(got, want)
 
 
 class TestFirstMinOnehot:
