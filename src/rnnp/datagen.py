@@ -4,9 +4,7 @@ The synthetic generator stands in for a feature extractor at desk scale:
 class means come from a seeded standard Gaussian, rescaled so the mean
 pairwise distance between class means equals `separation`, and samples
 add unit-variance isotropic noise. One knob (separation, in units of the
-within-class standard deviation) controls problem hardness. The true
-means are kept on the returned set so the optimal nearest-true-mean rule
-can serve as an accuracy ceiling in tests.
+within-class standard deviation) controls problem hardness.
 
 File format: CSV with header `label,f0,...,f{d-1}`, one sample per row,
 UTF-8, LF.
@@ -66,10 +64,7 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
     feats = rng.standard_normal((c, s, d))
     feats += means[:, None, :]
     labels = np.repeat(np.arange(c, dtype=np.int64), s)
-    return EmbeddingSet(
-        features=feats.reshape(c * s, d), labels=labels,
-        class_means={i: means[i].copy() for i in range(c)},
-    )
+    return EmbeddingSet(features=feats.reshape(c * s, d), labels=labels)
 
 
 def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None:

@@ -116,14 +116,10 @@ class EmbeddingSet:
         labels: (M,) int64 array of class identifiers (any integers).
         class_index: mapping from class id to the ascending row indices of
             its members; built automatically.
-        class_means: optional mapping from class id to the true generating
-            mean, populated by the synthetic generator and absent for
-            loaded data.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    class_means: dict | None = None
     class_index: dict = field(init=False)
 
     def __post_init__(self):

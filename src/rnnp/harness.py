@@ -273,10 +273,6 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
     """run_experiment on a pool already loaded for this config."""
-    if len(pool.class_index) < config.n_way:
-        raise InvalidInputError(
-            f"pool has {len(pool.class_index)} classes, episodes need {config.n_way}"
-        )
     n = config.n_episodes
     # workers is an upper bound: never start more processes than there are
     # episodes to run or CPUs to run them on.

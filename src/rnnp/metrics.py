@@ -53,9 +53,10 @@ class EvalReport:
     """Aggregate of one (method, corruption rate) evaluation.
 
     per_episode_rectification, when present, holds the [before, after]
-    numbers of supports with correct labels per evaluated episode;
-    rectification holds their means and, like n_episodes, is derived from
-    the per-episode list. episode_indices records which episode indices
+    numbers of supports with correct labels per evaluated episode.
+    mean_accuracy, ci95 (mean_ci95 of the per-episode accuracies),
+    n_episodes and rectification (the means of the pairs) are derived from
+    the per-episode lists. episode_indices records which episode indices
     were evaluated (skipped ones are absent but counted in
     skipped_episodes).
     """
@@ -66,8 +67,8 @@ class EvalReport:
     k_shot: int
     queries_per_class: int
     per_episode_accuracies: list
-    mean_accuracy: float
-    ci95: float
+    mean_accuracy: float = field(init=False)
+    ci95: float = field(init=False)
     skipped_episodes: int
     config: dict
     per_episode_rectification: list | None = None
@@ -85,17 +86,11 @@ class EvalReport:
         for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1),
                          ("skipped_episodes", 0)):
             setattr(self, name, _check_int(name, getattr(self, name), lo))
-        self.mean_accuracy = _check_real("mean_accuracy", self.mean_accuracy, 0.0, 1.0, False)
-        self.ci95 = _check_real("ci95", self.ci95, 0.0, math.inf, False)
         if not isinstance(self.per_episode_accuracies, (list, tuple)):
             raise InvalidInputError("per_episode_accuracies must be a list")
         accs = [_check_real("per-episode accuracy", a, 0.0, 1.0, False)
                 for a in self.per_episode_accuracies]
-        if len(accs) < 2:
-            raise InvalidInputError("a report needs at least 2 evaluated episodes")
-        mean, ci = mean_ci95(accs)
-        if abs(mean - self.mean_accuracy) > 1e-12 or abs(ci - self.ci95) > 1e-12:
-            raise InvalidInputError("mean_accuracy/ci95 do not match the per-episode list")
+        self.mean_accuracy, self.ci95 = mean_ci95(accs)
         indices = self.episode_indices
         if indices is not None:
             if not isinstance(indices, (list, tuple)) or len(indices) != len(accs):
@@ -119,12 +114,10 @@ class EvalReport:
     def from_accuracies(cls, method, corruption_rate, n_way, k_shot, queries_per_class,
                         per_episode_accuracies, skipped_episodes, config,
                         per_episode_rectification=None, episode_indices=None) -> "EvalReport":
-        mean, ci = mean_ci95(per_episode_accuracies)
         return cls(
             method=method, corruption_rate=corruption_rate, n_way=n_way, k_shot=k_shot,
             queries_per_class=queries_per_class,
-            per_episode_accuracies=list(per_episode_accuracies),
-            mean_accuracy=mean, ci95=ci, skipped_episodes=skipped_episodes,
+            per_episode_accuracies=list(per_episode_accuracies), skipped_episodes=skipped_episodes,
             config=dict(config), per_episode_rectification=per_episode_rectification,
             episode_indices=episode_indices,
         )
@@ -134,8 +127,9 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """The report a to_dict() gave; derived fields it stores (n_episodes,
-        rectification) must equal the ones the per-episode lists give."""
+        """The report a to_dict() gave; derived fields it stores (mean_accuracy,
+        ci95, n_episodes, rectification) must equal the ones the per-episode
+        lists give."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"a report must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in fields(cls)}

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import (Episode, _check_int, _check_labels, _check_real, _check_size, as_matrix,
-                       as_vector)
+from .episodes import Episode, _check_int, _check_real, _check_size, as_matrix, as_vector
 from .errors import InvalidInputError
 from .nnp import (ClassProbabilities, PrototypeSet, _class_means, _softmin_inplace, classify,
                   compute_prototypes)
@@ -88,15 +87,15 @@ class RefinementTrace:
 
     support_responsibilities holds the assignment computed in the final
     clustering round (for zero iterations: the assignment at the initial
-    centers), one row per support, one column per class. rectified_labels
-    are the per-row argmax, the class the clustering believes each support
-    belongs to.
+    centers), one row per support, one column per class. rectified_labels,
+    derived from it, are the read-only per-row argmax (exact ties go to the
+    lowest class), the class the clustering believes each support belongs to.
     """
 
     initial_prototypes: PrototypeSet
     refined_prototypes: PrototypeSet
     support_responsibilities: np.ndarray
-    rectified_labels: np.ndarray
+    rectified_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
         resp = as_matrix(self.support_responsibilities)
@@ -105,7 +104,8 @@ class RefinementTrace:
             raise InvalidInputError("responsibility columns must match the class count")
         if np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-9:
             raise InvalidInputError("responsibility rows must sum to 1 within 1e-9")
-        rect = _check_labels("rectified_labels", self.rectified_labels, resp.shape[0], n)
+        rect = np.argmax(resp, axis=1)
+        rect.setflags(write=False)
         object.__setattr__(self, "support_responsibilities", resp)
         object.__setattr__(self, "rectified_labels", rect)
 
@@ -356,7 +356,6 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
         initial_prototypes=initial,
         refined_prototypes=PrototypeSet(prototypes=centers[0]),
         support_responsibilities=resp[0].T,
-        rectified_labels=np.argmax(resp[0], axis=0),
     )
 
 

@@ -17,6 +17,19 @@ from rnnp.errors import EmbeddingFormatError, InvalidInputError
 from rnnp.harness import default_config
 
 
+def true_means(spec):
+    """The (C, d) class means generate_mixture adds its noise to, re-drawn from
+    the stream it documents: one standard_normal((C, d)) draw, rescaled so the
+    mean pairwise distance equals the separation (kept raw for one class)."""
+    c = spec.num_classes
+    raw = np.random.default_rng(spec.seed).standard_normal((c, spec.dim))
+    if c == 1:
+        return raw
+    diff = raw[:, None, :] - raw
+    dists = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))[np.triu_indices(c, k=1)]
+    return raw * (spec.separation / dists.mean())
+
+
 class TestGenerateMixture:
     def test_cardinality(self):
         pool = generate_mixture(MixtureSpec(20, 64, 8.0, 50, seed=7))
@@ -25,8 +38,8 @@ class TestGenerateMixture:
             assert len(pool.class_index[c]) == 50
 
     def test_mean_pairwise_separation_is_exact(self):
-        pool = generate_mixture(MixtureSpec(10, 16, 5.0, 2, seed=3))
-        means = np.vstack([pool.class_means[c] for c in range(10)])
+        # The draw-loop test below pins true_means to the generator's means.
+        means = true_means(MixtureSpec(10, 16, 5.0, 2, seed=3))
         dists = []
         for i in range(10):
             for j in range(i + 1, 10):
@@ -34,9 +47,13 @@ class TestGenerateMixture:
         np.testing.assert_allclose(np.mean(dists), 5.0, rtol=1e-9)
 
     def test_zero_separation_collapses_means(self):
-        pool = generate_mixture(MixtureSpec(6, 8, 0.0, 5, seed=1))
-        for c in range(6):
-            np.testing.assert_array_equal(pool.class_means[c], np.zeros(8))
+        spec = MixtureSpec(6, 8, 0.0, 5, seed=1)
+        np.testing.assert_array_equal(true_means(spec), np.zeros((6, 8)))
+        # Every sample is then pure noise: the stream after the mean draw.
+        rng = np.random.default_rng(spec.seed)
+        rng.standard_normal((6, 8))
+        assert generate_mixture(spec).features.tobytes() == \
+            rng.standard_normal((30, 8)).tobytes()
 
     def test_deterministic(self):
         spec = MixtureSpec(5, 12, 3.0, 10, seed=21)
@@ -48,10 +65,11 @@ class TestGenerateMixture:
     def test_sample_mean_converges_to_true_mean(self):
         # 10000 samples per class: the sample mean per dimension must land
         # within 4 standard errors of the generating mean.
-        pool = generate_mixture(MixtureSpec(2, 6, 7.0, 10000, seed=5))
+        spec = MixtureSpec(2, 6, 7.0, 10000, seed=5)
+        pool, means = generate_mixture(spec), true_means(spec)
         for c in range(2):
             rows = pool.features[pool.class_index[c]]
-            err = np.abs(rows.mean(axis=0) - pool.class_means[c])
+            err = np.abs(rows.mean(axis=0) - means[c])
             assert np.all(err < 4.0 / np.sqrt(10000))
 
     def test_unit_within_class_variance(self):
@@ -64,8 +82,7 @@ class TestGenerateMixture:
                                       MixtureSpec(1, 4, 3.0, 6, 2)])
     def test_features_equal_a_per_class_draw_loop(self, spec):
         c, d, s = spec.num_classes, spec.dim, spec.samples_per_class
-        pool = generate_mixture(spec)
-        means = [pool.class_means[i] for i in range(c)]
+        pool, means = generate_mixture(spec), true_means(spec)
         rng = np.random.default_rng(spec.seed)
         rng.standard_normal((c, d))  # the raw class means
         want = np.vstack([means[i] + rng.standard_normal((s, d)) for i in range(c)])

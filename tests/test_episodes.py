@@ -361,7 +361,7 @@ class TestCoercion:
 def _trace(resp):
     protos = PrototypeSet(prototypes=np.eye(2))
     return RefinementTrace(initial_prototypes=protos, refined_prototypes=protos,
-                           support_responsibilities=resp, rectified_labels=[0, 1])
+                           support_responsibilities=resp)
 
 
 # Every float array a constructor stores, built from the caller's array.

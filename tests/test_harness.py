@@ -10,6 +10,7 @@ import pytest
 
 from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
 from rnnp import harness
+from rnnp.cli import main
 from rnnp.errors import InvalidInputError
 from rnnp.harness import (
     ExperimentConfig,
@@ -226,6 +227,30 @@ class TestRunExperiment:
             reports = run_experiment(tiny_config(n_episodes=8, workers=workers))
             assert started.pop() == want
             assert [r.to_dict() for r in reports] == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_with_too_few_classes_is_refused(self, tmp_path, monkeypatch, capsys, workers):
+        # sample_episode holds the rule; with two workers it raises in a pool worker.
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = tiny_config(mixture=MixtureSpec(3, 4, 6.0, 10, seed=3), n_way=5, workers=workers)
+        with pytest.raises(InvalidInputError, match="pool has 3 classes"):
+            run_experiment(cfg)
+        assert started == [2] * (workers - 1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        code = main(["eval", "--config", str(path), "--workers", str(workers),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: pool has 3 classes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_default_workers_without_affinity_use_cpu_count(self, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)

@@ -136,11 +136,24 @@ class TestEvalReport:
         ("rectification", {"mean_correct_before": 15.0, "mean_correct_after": 17.0}),
         ("rectification", None),
         ("n_episodes", 4),
-    ])
+        ("mean_accuracy", 0.9),
+        ("mean_accuracy", math.nextafter(0.5, 1.0)),
+        ("ci95", 0.0),
+        ("ci95", math.nextafter(mean_ci95([0.25, 0.75])[1], 0.0)),
+    ], ids=["rectification", "rectification_none", "n_episodes", "mean", "mean_one_ulp_up",
+            "ci95", "ci95_one_ulp_down"])
     def test_from_dict_rejects_tampered_derived_fields(self, key, value):
         d = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]).to_dict()
+        assert d["mean_accuracy"] == 0.5
         with pytest.raises(InvalidInputError, match=key):
             EvalReport.from_dict({**d, key: value})
+
+    def test_from_dict_derives_the_aggregates_it_lacks(self):
+        r = make_report([0.25, 0.75, 0.5], rect=[[15, 16.0], [14, 17.5], [16, 15.25]])
+        d = r.to_dict()
+        for key in ("mean_accuracy", "ci95", "n_episodes", "rectification"):
+            del d[key]
+        assert EvalReport.from_dict(d) == r
 
     @pytest.mark.parametrize("key, value", [
         ("per_episode_rectification", [1, 2]),
@@ -181,15 +194,17 @@ class TestEvalReport:
         with pytest.raises(InvalidInputError):
             EvalReport.from_dict(edit(d))
 
+    def test_mean_and_ci_are_not_constructor_arguments(self):
+        mean, ci = mean_ci95([0.25, 0.75])
+        with pytest.raises(TypeError):
+            EvalReport(method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
+                       per_episode_accuracies=[0.25, 0.75], mean_accuracy=mean, ci95=ci,
+                       skipped_episodes=0, config={"seed": 7})
+
+    def test_one_episode_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            make_report([0.5])
+
     def test_rectification_needs_one_pair_per_episode(self):
         with pytest.raises(InvalidInputError):
             make_report([0.25, 0.75], rect=[])
-
-    def test_inconsistent_mean_rejected(self):
-        r = make_report([0.25, 0.75])
-        with pytest.raises(InvalidInputError):
-            EvalReport(
-                method=r.method, corruption_rate=r.corruption_rate, n_way=5, k_shot=5,
-                queries_per_class=15, per_episode_accuracies=[0.25, 0.75],
-                mean_accuracy=0.9, ci95=r.ci95, skipped_episodes=0, config={"seed": 7},
-            )

@@ -526,6 +526,28 @@ class TestClassifyRnnp:
             assert np.array_equal(tr1.rectified_labels, perm[tr0.rectified_labels])
 
 
+class TestRefinementTrace:
+    def build(self, resp, **extra):
+        protos = PrototypeSet(prototypes=np.eye(3))
+        return RefinementTrace(initial_prototypes=protos, refined_prototypes=protos,
+                               support_responsibilities=resp, **extra)
+
+    def test_rectified_labels_are_the_read_only_argmax(self):
+        resp = np.random.default_rng(4).dirichlet(np.ones(3), size=20)
+        trace = self.build(resp)
+        assert trace.rectified_labels.tolist() == np.argmax(resp, axis=1).tolist()
+        with pytest.raises(ValueError):
+            trace.rectified_labels[0] = 2
+
+    def test_exact_ties_go_to_the_lowest_class(self):
+        resp = [[0.5, 0.0, 0.5], [0.25, 0.375, 0.375], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5]]
+        assert self.build(resp).rectified_labels.tolist() == [0, 1, 0, 1]
+
+    def test_rectified_labels_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            self.build(np.eye(3), rectified_labels=[2, 1, 0])
+
+
 class TestRectificationDelta:
     def test_uncorrupted_counts(self):
         ep = small_episode(seed=2, spread=12.0)
