@@ -13,7 +13,7 @@ pool. Pool labels may be arbitrary integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,9 +225,12 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
     labels start equal to true labels.
 
     Raises:
-        InvalidInputError: fewer than n_way classes, or any pool class
-            with fewer than k_shot + queries_per_class members.
+        InvalidInputError: pool is not an EmbeddingSet, has fewer than
+            n_way classes, or has a class with fewer than
+            k_shot + queries_per_class members.
     """
+    if not isinstance(pool, EmbeddingSet):
+        raise InvalidInputError(f"pool must be an EmbeddingSet, got {type(pool).__name__}")
     n_way = _check_int("n_way", n_way, 2)
     k_shot = _check_int("k_shot", k_shot, 1)
     queries_per_class = _check_int("queries_per_class", queries_per_class, 1)
@@ -251,29 +254,38 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
         chosen = members[order]
         sup_rows.append(chosen[:k_shot])
         qry_rows.append(chosen[k_shot:])
-    sup_rows = np.concatenate(sup_rows)
-    qry_rows = np.concatenate(qry_rows)
 
     true = np.repeat(np.arange(n_way, dtype=np.int64), k_shot)
-    qlab = np.repeat(np.arange(n_way, dtype=np.int64), queries_per_class)
-    return Episode(
+    return _checked_episode(
         n_way=n_way,
         k_shot=k_shot,
-        support_features=pool.features[sup_rows],
+        support_features=pool.features[np.concatenate(sup_rows)],
         support_true_labels=true,
-        support_observed_labels=true.copy(),
-        query_features=pool.features[qry_rows],
-        query_labels=qlab,
+        support_observed_labels=true,
+        query_features=pool.features[np.concatenate(qry_rows)],
+        query_labels=np.repeat(np.arange(n_way, dtype=np.int64), queries_per_class),
         seed=seed,
     )
+
+
+def _checked_episode(**values) -> Episode:
+    """An Episode of values that already pass Episode.__post_init__'s checks,
+    its arrays set read-only instead of copied and checked again."""
+    episode = object.__new__(Episode)
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(episode, name, value)
+    return episode
 
 
 def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
     """Rewrite observed labels of exactly rate*K supports in every class.
 
     Each rewritten label is drawn uniformly from the other N-1 episode
-    classes; features, true labels, and queries are untouched. rate of 0
-    returns the episode unchanged.
+    classes; features, true labels, and queries are untouched, and the
+    result shares those arrays with the episode. rate of 0 returns the
+    episode unchanged.
 
     Randomized choices, in stream order from np.random.default_rng(spec.seed),
     for each episode class c = 0..N-1:
@@ -296,14 +308,15 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
 
     n, k = episode.n_way, episode.k_shot
     true = episode.support_true_labels
+    # Row c holds class c's K support rows in row order.
+    rows = np.argsort(true, kind="stable").reshape(n, k)
     observed = true.copy()
     rng = np.random.default_rng(spec.seed)
     for c in range(n):
-        rows_c = np.flatnonzero(true == c)
         slots = rng.permutation(k)[:m]
         r = rng.integers(n - 1, size=m)
-        observed[rows_c[slots]] = np.where(r < c, r, r + 1)
-    return replace(episode, support_observed_labels=observed)
+        observed[rows[c, slots]] = np.where(r < c, r, r + 1)
+    return _checked_episode(**{**vars(episode), "support_observed_labels": observed})
 
 
 def count_corrupted(episode: Episode) -> int:

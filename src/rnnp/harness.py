@@ -280,6 +280,8 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
     if workers <= 1 or n < 4:
         rows = [_evaluate_episode(pool, config, i) for i in range(n)]
     else:
+        # Refuse a pool that cannot give an episode before any worker starts.
+        sample_episode(pool, config.n_way, config.k_shot, config.queries_per_class, config.seed)
         chunk = max(1, n // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(pool, config)) as ex:
@@ -344,11 +346,10 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
     joint = replace(config, methods=tuple(replace(m, label=str(i))
                                           for i, (_, m) in enumerate(swept)))
     reports = _run_on_pool(joint, load_pool(config))
-    for (v, m), report in zip(swept, reports):
-        report.method = m.label
-        report.config = {**_snapshot(replace(config, methods=(m,)), m),
-                         "sweep": {"axis": sweep_axis, "value": v}}
-    return reports
+    return [replace(report, method=m.label,
+                    config={**_snapshot(replace(config, methods=(m,)), m),
+                            "sweep": {"axis": sweep_axis, "value": v}})
+            for (v, m), report in zip(swept, reports)]
 
 
 def run_rectification_analysis(config: ExperimentConfig) -> dict:

@@ -48,7 +48,7 @@ def mean_ci95(values) -> tuple[float, float]:
     return mean, ci
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Aggregate of one (method, corruption rate) evaluation.
 
@@ -56,8 +56,9 @@ class EvalReport:
     numbers of supports with correct labels per evaluated episode.
     mean_accuracy, ci95 (mean_ci95 of the per-episode accuracies),
     n_episodes and rectification (the means of the pairs) are derived from
-    the per-episode lists. episode_indices records which episode indices
-    were evaluated (skipped ones are absent but counted in
+    the per-episode lists. The report is frozen, so they cannot go stale;
+    dataclasses.replace derives them again. episode_indices records which
+    episode indices were evaluated (skipped ones are absent but counted in
     skipped_episodes).
     """
 
@@ -81,21 +82,22 @@ class EvalReport:
             raise InvalidInputError(f"method must be a string, got {self.method!r}")
         if not isinstance(self.config, dict):
             raise InvalidInputError(f"config must be a dict, got {type(self.config).__name__}")
-        self.corruption_rate = _check_real("corruption_rate", self.corruption_rate, 0.0, 1.0,
-                                           False)
+        object.__setattr__(self, "corruption_rate",
+                           _check_real("corruption_rate", self.corruption_rate, 0.0, 1.0, False))
         for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1),
                          ("skipped_episodes", 0)):
-            setattr(self, name, _check_int(name, getattr(self, name), lo))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if not isinstance(self.per_episode_accuracies, (list, tuple)):
             raise InvalidInputError("per_episode_accuracies must be a list")
         accs = [_check_real("per-episode accuracy", a, 0.0, 1.0, False)
                 for a in self.per_episode_accuracies]
-        self.mean_accuracy, self.ci95 = mean_ci95(accs)
+        mean, ci95 = mean_ci95(accs)
         indices = self.episode_indices
         if indices is not None:
             if not isinstance(indices, (list, tuple)) or len(indices) != len(accs):
                 raise InvalidInputError("episode_indices needs one index per evaluated episode")
-            self.episode_indices = [_check_int("episode index", i, 0) for i in indices]
+            object.__setattr__(self, "episode_indices",
+                               [_check_int("episode index", i, 0) for i in indices])
         rect = self.per_episode_rectification
         if rect is not None:
             if len(rect) != len(accs) or any(not isinstance(r, (list, tuple)) or len(r) != 2
@@ -103,12 +105,14 @@ class EvalReport:
                 raise InvalidInputError("per_episode_rectification needs one pair per episode")
             for v in (v for pair in rect for v in pair):
                 _check_real("rectification count", v, 0.0, math.inf, False)
-        self.per_episode_accuracies = accs
-        self.n_episodes = len(accs)
-        self.rectification = None if rect is None else {
+        rectification = None if rect is None else {
             "mean_correct_before": float(np.mean([r[0] for r in rect])),
             "mean_correct_after": float(np.mean([r[1] for r in rect])),
         }
+        for name, value in (("per_episode_accuracies", accs), ("mean_accuracy", mean),
+                            ("ci95", ci95), ("n_episodes", len(accs)),
+                            ("rectification", rectification)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_accuracies(cls, method, corruption_rate, n_way, k_shot, queries_per_class,

@@ -158,16 +158,15 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
         np.fill_diagonal(mates, False)
     else:
         mates = obs[:, None] != obs
-    partners = np.empty((kn, beta), dtype=np.int64)
-    for s in range(kn):
-        cands = np.flatnonzero(mates[s])
-        m = len(cands)
-        if m > beta:
-            partners[s] = cands[rng.permutation(m)[:beta]]
-        elif m > 0:
-            partners[s] = cands[np.arange(beta) % m]
-        else:
-            partners[s] = s
+    # A support without candidates is its own only one, so it pairs with itself.
+    np.fill_diagonal(mates, ~mates.any(axis=1))
+    counts = np.count_nonzero(mates, axis=1)
+    # Up to beta candidates are cycled through in ascending order; from more,
+    # one rng.permutation per support, in row order, picks beta.
+    picks = np.arange(beta) % counts[:, None]
+    for s in np.flatnonzero(counts > beta).tolist():
+        picks[s] = rng.permutation(counts[s])[:beta]
+    partners = np.nonzero(mates)[1][(np.cumsum(counts) - counts)[:, None] + picks]
     alpha = config.alpha
     feats = alpha * sup[:, None, :] + (1.0 - alpha) * sup[partners]
     return feats.reshape(kn * beta, -1), np.repeat(obs, beta)

@@ -1,9 +1,13 @@
 """Unit tests for episode sampling and label corruption."""
 
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnp.episodes import (
     CorruptionSpec,
@@ -233,6 +237,62 @@ class TestCorruptionStream:
                         got = corrupt_labels(ep, CorruptionSpec(rate=m / k, seed=seed))
                         want = reference_corruption(true, n, k, m, seed)
                         assert np.array_equal(got.support_observed_labels, want), (n, k, m, seed)
+
+
+def assert_episode_invariants(ep):
+    """ep equals, field by field, its rebuild through the public, fully
+    checked Episode constructor; its arrays are read-only and its features
+    C-contiguous float64."""
+    again = Episode(**{f.name: getattr(ep, f.name) for f in fields(Episode)})
+    for f in fields(Episode):
+        value = getattr(ep, f.name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(again, f.name)), f.name
+            assert value.dtype == getattr(again, f.name).dtype, f.name
+            assert not value.flags.writeable, f.name
+        else:
+            assert value == getattr(again, f.name), f.name
+    for feats in (ep.support_features, ep.query_features):
+        assert feats.dtype == np.float64 and feats.flags.c_contiguous
+
+
+class TestDerivedEpisodes:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        num_classes=st.integers(2, 7),
+        n_way=st.integers(2, 7),
+        k_shot=st.integers(1, 6),
+        queries=st.integers(1, 4),
+        spare=st.integers(0, 3),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampled_and_corrupted_episodes_keep_episode_invariants(
+            self, data, num_classes, n_way, k_shot, queries, spare, dim, seed):
+        n_way = min(n_way, num_classes)
+        # Pool class ids are any distinct integers, members in shuffled rows.
+        ids = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=num_classes,
+                                 max_size=num_classes, unique=True))
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(ids, k_shot + queries + spare))
+        pool = EmbeddingSet(features=rng.normal(size=(labels.size, dim)), labels=labels)
+        ep = sample_episode(pool, n_way, k_shot, queries, seed)
+        assert_episode_invariants(ep)
+        for m in range(k_shot + 1):  # every legal rate
+            out = corrupt_labels(ep, CorruptionSpec(rate=m / k_shot, seed=seed + m))
+            assert_episode_invariants(out)
+            assert count_corrupted(out) == m * n_way
+            for name in ("support_features", "support_true_labels", "query_features",
+                         "query_labels"):
+                assert getattr(out, name) is getattr(ep, name), name
+
+    def test_pool_must_be_an_embedding_set(self):
+        pool = make_pool(num_classes=3, per_class=4)
+        stand_in = SimpleNamespace(features=pool.features, labels=pool.labels,
+                                   class_index=pool.class_index)
+        with pytest.raises(InvalidInputError, match="EmbeddingSet"):
+            sample_episode(stand_in, 2, 1, 1, 0)
 
 
 class TestEpisodeValidation:

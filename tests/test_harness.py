@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
+from rnnp.episodes import Episode
 from rnnp import harness
 from rnnp.cli import main
 from rnnp.errors import InvalidInputError
@@ -228,9 +229,23 @@ class TestRunExperiment:
             assert started.pop() == want
             assert [r.to_dict() for r in reports] == serial
 
+    def test_episodes_are_not_validated_again(self, monkeypatch):
+        # Sampled and corrupted episodes come from checked data; the public
+        # Episode constructor's copies and checks stay off the hot path.
+        calls = []
+        post_init = Episode.__post_init__
+        monkeypatch.setattr(Episode, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        run_experiment(tiny_config())
+        assert calls == []
+        Episode(n_way=2, k_shot=1, support_features=np.eye(2), support_true_labels=[0, 1],
+                support_observed_labels=[0, 1], query_features=np.eye(2), query_labels=[0, 1])
+        assert calls == [1]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_with_too_few_classes_is_refused(self, tmp_path, monkeypatch, capsys, workers):
-        # sample_episode holds the rule; with two workers it raises in a pool worker.
+        # sample_episode holds the rule; with two workers the parent samples
+        # episode 0 before it starts a process pool, so none starts.
         started = []
 
         class CountingPool(harness.ProcessPoolExecutor):
@@ -243,7 +258,7 @@ class TestRunExperiment:
         cfg = tiny_config(mixture=MixtureSpec(3, 4, 6.0, 10, seed=3), n_way=5, workers=workers)
         with pytest.raises(InvalidInputError, match="pool has 3 classes"):
             run_experiment(cfg)
-        assert started == [2] * (workers - 1)
+        assert started == []
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         code = main(["eval", "--config", str(path), "--workers", str(workers),

@@ -1,6 +1,7 @@
 """Unit tests for accuracy aggregation and paired comparison."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ class TestEvalReport:
             EvalReport(method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
                        per_episode_accuracies=[0.25, 0.75], mean_accuracy=mean, ci95=ci,
                        skipped_episodes=0, config={"seed": 7})
+
+    @pytest.mark.parametrize("key", ["per_episode_accuracies", "mean_accuracy", "method",
+                                     "config"])
+    def test_fields_cannot_be_assigned(self, key):
+        r = make_report([0.25, 0.75])
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, key, getattr(r, key))
+
+    def test_replace_derives_the_aggregates_again(self):
+        r = replace(make_report([0.25, 0.75]), per_episode_accuracies=[0.5, 1.0, 0.0],
+                    method="other")
+        assert (r.method, r.n_episodes) == ("other", 3)
+        assert (r.mean_accuracy, r.ci95) == mean_ci95([0.5, 1.0, 0.0])
 
     def test_one_episode_rejected(self):
         with pytest.raises(InvalidInputError, match="at least 2"):

@@ -261,6 +261,67 @@ class TestGenerateHybrids:
         assert np.array_equal(feats, np.array(want).reshape(kn * beta, dim))
         assert np.array_equal(parents, np.repeat(observed, beta))
 
+    def test_partners_match_the_per_support_loop(self):
+        reached = {"same_class": set(), "different_class": set()}
+        for i, (source, n_way, k_shot, beta, observed) in enumerate(partner_layouts()):
+            kn = n_way * k_shot
+            sup = np.random.default_rng(i).normal(size=(kn, 3))
+            true = np.repeat(np.arange(n_way), k_shot)
+            ep = Episode(n_way=n_way, k_shot=k_shot, support_features=sup,
+                         support_true_labels=true, support_observed_labels=observed,
+                         query_features=sup[:1], query_labels=true[:1], seed=i)
+            alpha = 0.7
+            cfg = RnnpConfig(beta=beta, alpha=alpha, hybrid_source=source, seed=3 * i)
+            partners, branches = loop_partners(observed, beta, source,
+                                               np.random.default_rng([cfg.seed, ep.seed]))
+            reached[source].update(branches)
+            feats, parents = build_hybrids(ep, cfg)
+            want = alpha * sup[:, None, :] + (1.0 - alpha) * sup[partners]
+            assert np.array_equal(feats, want.reshape(kn * beta, 3)), i
+            assert np.array_equal(parents, np.repeat(observed, beta)), i
+        assert reached == {source: {"draw", "exact", "cycle", "self"} for source in reached}
+
+
+def loop_partners(observed, beta, source, rng):
+    """build_hybrids' partner choice as one flatnonzero per support in row
+    order, and the branch each support took."""
+    kn = len(observed)
+    partners = np.empty((kn, beta), dtype=np.int64)
+    branches = []
+    for s in range(kn):
+        cands = np.flatnonzero((observed == observed[s]) == (source == "same_class"))
+        cands = cands[cands != s]
+        m = len(cands)
+        if m > beta:
+            partners[s] = cands[rng.permutation(m)[:beta]]
+        elif m > 0:
+            partners[s] = cands[np.arange(beta) % m]
+        else:
+            partners[s] = s
+        branches.append("draw" if m > beta else "exact" if m == beta else
+                        "cycle" if m else "self")
+    return partners, branches
+
+
+def partner_layouts():
+    """(source, n_way, k_shot, beta, observed labels) cases. Each one with a
+    drawing support has one after a support that draws nothing, so a draw
+    taken out of turn would shift the stream."""
+    rng = np.random.default_rng(2024)
+    # different_class pairs a support with itself only when every label is equal.
+    cases = [("different_class", 3, 2, 2, np.zeros(6, dtype=np.int64))]
+    while len(cases) < 240:
+        source = ("same_class", "different_class")[len(cases) % 2]
+        n_way, k_shot = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        kn = n_way * k_shot
+        beta = int(rng.integers(1, k_shot if source == "same_class" else kn))
+        observed = rng.choice(n_way, size=kn, p=rng.dirichlet(np.full(n_way, 0.4)))
+        branches = loop_partners(observed, beta, source, np.random.default_rng(0))[1]
+        draws = np.array(branches) == "draw"
+        if draws.any() and not draws[:np.flatnonzero(draws)[-1]].all():
+            cases.append((source, n_way, k_shot, beta, observed))
+    return cases
+
 
 def assign_at(feats, centers, mode="soft"):
     """The kernel's assignment of feats (m, d) at centers (N, d), as (m, N):
