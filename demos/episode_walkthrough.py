@@ -91,7 +91,7 @@ def main():
           f"(argmax pulls it back toward the true cluster)")
     print(f"query prediction {pred}, true {episode.query_labels[0]}, "
           "class probabilities "
-          + np.array2string(probs.probs, precision=3, suppress_small=True))
+          + np.array2string(probs, precision=3, suppress_small=True))
 
     before, after = rectification_delta(episode, trace)
     print(f"correct support labels: {before} before refinement, {after} after")

@@ -35,7 +35,7 @@ from .harness import (
     save_sweep,
 )
 from .metrics import EvalReport, episode_accuracy, paired_delta
-from .nnp import ClassProbabilities, PrototypeSet, classify, compute_prototypes
+from .nnp import classify, compute_prototypes
 from .refine import (
     RefinementTrace,
     RnnpConfig,
@@ -48,7 +48,6 @@ from .refine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassProbabilities",
     "CorruptionSpec",
     "DegenerateClassError",
     "DegenerateInputError",
@@ -60,7 +59,6 @@ __all__ = [
     "InvalidInputError",
     "MethodSpec",
     "MixtureSpec",
-    "PrototypeSet",
     "RefinementTrace",
     "RnnpConfig",
     "build_hybrids",

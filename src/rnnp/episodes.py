@@ -79,7 +79,10 @@ def as_vector(values) -> np.ndarray:
 def as_matrix(vectors) -> np.ndarray:
     """vectors as a read-only copy: a finite, non-empty 2-D float64 array in
     C order, one row per vector."""
-    mat = np.array(vectors, dtype=np.float64, order="C")
+    try:
+        mat = np.array(vectors, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
+        raise InvalidInputError(f"expected a stack of real vectors: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
         raise InvalidInputError(f"expected a non-empty 2-D stack of vectors, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):

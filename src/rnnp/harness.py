@@ -24,7 +24,7 @@ from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real,
                        _corrupted_per_class, corrupt_labels, sample_episode)
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
-from .nnp import PrototypeSet, _classify_arrays, compute_prototypes
+from .nnp import _classify_arrays, compute_prototypes
 from .refine import RnnpConfig, _check_partners, _refine_queries
 
 CORRUPTION_SEED_SALT = 0x9E3779B97F4A7C15
@@ -193,7 +193,7 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     return load_embeddings(config.data_path)
 
 
-def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
+def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: np.ndarray):
     """(accuracy, [correct_before, mean correct_after]) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
@@ -202,7 +202,7 @@ def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: PrototypeSet):
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
     queries = episode.query_features
-    centers, resp = _refine_queries(episode, queries, rcfg, initial.prototypes)
+    centers, resp = _refine_queries(episode, queries, rcfg, initial)
     preds = _classify_arrays(centers, queries)[1]
     afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
@@ -232,7 +232,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
         cells = []
         for m in config.methods:
             if m.method == "nnp":
-                preds = _classify_arrays(protos.prototypes, corrupted.query_features)[1]
+                preds = _classify_arrays(protos, corrupted.query_features)[1]
                 cells.append((episode_accuracy(preds, corrupted.query_labels), None))
             else:
                 cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))

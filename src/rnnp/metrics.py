@@ -52,12 +52,13 @@ def mean_ci95(values) -> tuple[float, float]:
 class EvalReport:
     """Aggregate of one (method, corruption rate) evaluation.
 
-    per_episode_rectification, when present, holds the [before, after]
-    numbers of supports with correct labels per evaluated episode.
-    mean_accuracy, ci95 (mean_ci95 of the per-episode accuracies),
-    n_episodes and rectification (the means of the pairs) are derived from
-    the per-episode lists. The report is frozen, so they cannot go stale;
-    dataclasses.replace derives them again. episode_indices records which
+    per_episode_rectification, when present, holds the (before, after)
+    numbers of supports with correct labels per evaluated episode, each at
+    most n_way * k_shot. mean_accuracy, ci95 (mean_ci95 of the per-episode
+    accuracies), n_episodes and rectification (the means of the pairs) are
+    derived from the per-episode sequences. The report is frozen and stores
+    those sequences as tuples, so they cannot go stale; dataclasses.replace
+    derives them again. episode_indices records, strictly increasing, which
     episode indices were evaluated (skipped ones are absent but counted in
     skipped_episodes).
     """
@@ -67,13 +68,13 @@ class EvalReport:
     n_way: int
     k_shot: int
     queries_per_class: int
-    per_episode_accuracies: list
+    per_episode_accuracies: tuple
     mean_accuracy: float = field(init=False)
     ci95: float = field(init=False)
     skipped_episodes: int
     config: dict
-    per_episode_rectification: list | None = None
-    episode_indices: list | None = None
+    per_episode_rectification: tuple | None = None
+    episode_indices: tuple | None = None
     n_episodes: int = field(init=False)
     rectification: dict | None = field(init=False)
 
@@ -89,28 +90,31 @@ class EvalReport:
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if not isinstance(self.per_episode_accuracies, (list, tuple)):
             raise InvalidInputError("per_episode_accuracies must be a list")
-        accs = [_check_real("per-episode accuracy", a, 0.0, 1.0, False)
-                for a in self.per_episode_accuracies]
+        accs = tuple(_check_real("per-episode accuracy", a, 0.0, 1.0, False)
+                     for a in self.per_episode_accuracies)
         mean, ci95 = mean_ci95(accs)
         indices = self.episode_indices
         if indices is not None:
             if not isinstance(indices, (list, tuple)) or len(indices) != len(accs):
                 raise InvalidInputError("episode_indices needs one index per evaluated episode")
-            object.__setattr__(self, "episode_indices",
-                               [_check_int("episode index", i, 0) for i in indices])
+            indices = tuple(_check_int("episode index", i, 0) for i in indices)
+            if any(later <= earlier for earlier, later in zip(indices, indices[1:])):
+                raise InvalidInputError("episode_indices must be strictly increasing")
         rect = self.per_episode_rectification
         if rect is not None:
-            if len(rect) != len(accs) or any(not isinstance(r, (list, tuple)) or len(r) != 2
-                                             for r in rect):
+            if not isinstance(rect, (list, tuple)) or len(rect) != len(accs) or any(
+                    not isinstance(r, (list, tuple)) or len(r) != 2 for r in rect):
                 raise InvalidInputError("per_episode_rectification needs one pair per episode")
             for v in (v for pair in rect for v in pair):
-                _check_real("rectification count", v, 0.0, math.inf, False)
+                _check_real("rectification count", v, 0.0, self.n_way * self.k_shot, False)
+            rect = tuple(tuple(pair) for pair in rect)
         rectification = None if rect is None else {
             "mean_correct_before": float(np.mean([r[0] for r in rect])),
             "mean_correct_after": float(np.mean([r[1] for r in rect])),
         }
         for name, value in (("per_episode_accuracies", accs), ("mean_accuracy", mean),
-                            ("ci95", ci95), ("n_episodes", len(accs)),
+                            ("ci95", ci95), ("episode_indices", indices),
+                            ("per_episode_rectification", rect), ("n_episodes", len(accs)),
                             ("rectification", rectification)):
             object.__setattr__(self, name, value)
 

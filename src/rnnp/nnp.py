@@ -7,8 +7,6 @@ distances to the prototypes and predict the argmax class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .episodes import Episode, as_matrix, as_vector
@@ -17,43 +15,9 @@ from .errors import DegenerateClassError, InvalidInputError
 LABEL_SOURCES = ("observed", "true")
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """One prototype row per episode class, indexed by class id."""
-
-    prototypes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "prototypes", as_matrix(self.prototypes))
-
-    @property
-    def n_classes(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.prototypes.shape[1]
-
-
-@dataclass(frozen=True)
-class ClassProbabilities:
-    """Class membership probabilities for one query; rows sum to 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
-            raise InvalidInputError(f"expected a finite 1-D probability vector, got shape {p.shape}")
-        if p.min() < 0.0 or p.max() > 1.0 or abs(p.sum() - 1.0) > 1e-9:
-            raise InvalidInputError("probabilities must lie in [0,1] and sum to 1 within 1e-9")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-
-def compute_prototypes(episode: Episode, label_source: str = "observed") -> PrototypeSet:
-    """Average support features per class into prototypes.
+def compute_prototypes(episode: Episode, label_source: str = "observed") -> np.ndarray:
+    """Average support features per class into prototypes: a fresh read-only
+    (N, d) float64 array whose row c is class c's prototype.
 
     Args:
         episode: the task providing supports.
@@ -69,7 +33,9 @@ def compute_prototypes(episode: Episode, label_source: str = "observed") -> Prot
         raise InvalidInputError(f"label_source must be one of {LABEL_SOURCES}, got {label_source!r}")
     labels = (episode.support_observed_labels if label_source == "observed"
               else episode.support_true_labels)
-    return PrototypeSet(prototypes=_class_means(episode.support_features, labels, episode.n_way))
+    means = _class_means(episode.support_features, labels, episode.n_way)
+    means.setflags(write=False)
+    return means
 
 
 def _class_means(features: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -120,16 +86,19 @@ def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.nd
     return probs, np.argmax(probs, axis=1)
 
 
-def classify(prototypes: PrototypeSet, query) -> tuple[ClassProbabilities, int]:
-    """Classify one query against a prototype set.
+def classify(prototypes, query) -> tuple[np.ndarray, int]:
+    """Classify one query against (N, d) prototypes, one row per class.
 
-    Probabilities are a softmax over the negated squared Euclidean
-    query-to-prototype distances (computed with max-subtraction so large
-    distances cannot underflow everything at once). The predicted class is the argmax;
-    exact ties resolve to the lowest class index.
+    Probabilities, a read-only (N,) array, are a softmax over the negated
+    squared Euclidean query-to-prototype distances (computed with
+    max-subtraction so large distances cannot underflow everything at once).
+    The predicted class is the argmax; exact ties resolve to the lowest
+    class index.
     """
+    protos = as_matrix(prototypes)
     q = as_vector(query)
-    if q.shape[0] != prototypes.dim:
-        raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {prototypes.dim}")
-    probs, pred = _classify_arrays(prototypes.prototypes, q[None, :])
-    return ClassProbabilities(probs=probs[0]), int(pred[0])
+    if q.shape[0] != protos.shape[1]:
+        raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {protos.shape[1]}")
+    probs, pred = _classify_arrays(protos, q[None, :])
+    probs.setflags(write=False)
+    return probs[0], int(pred[0])

@@ -25,8 +25,7 @@ import numpy as np
 
 from .episodes import Episode, _check_int, _check_real, _check_size, as_matrix, as_vector
 from .errors import InvalidInputError
-from .nnp import (ClassProbabilities, PrototypeSet, _class_means, _softmin_inplace, classify,
-                  compute_prototypes)
+from .nnp import _class_means, _softmin_inplace, classify, compute_prototypes
 
 CLUSTERING_MODES = ("soft", "hard")
 HYBRID_SOURCES = ("same_class", "different_class", "gaussian_noise")
@@ -85,29 +84,32 @@ class RnnpConfig:
 class RefinementTrace:
     """Diagnostics from one refinement run.
 
-    support_responsibilities holds the assignment computed in the final
-    clustering round (for zero iterations: the assignment at the initial
-    centers), one row per support, one column per class. rectified_labels,
-    derived from it, are the read-only per-row argmax (exact ties go to the
-    lowest class), the class the clustering believes each support belongs to.
+    initial_prototypes and refined_prototypes are read-only (N, d) arrays,
+    one row per class. support_responsibilities holds the assignment
+    computed in the final clustering round (for zero iterations: the
+    assignment at the initial centers), one row per support, one column per
+    class. rectified_labels, derived from it, are the read-only per-row
+    argmax (exact ties go to the lowest class), the class the clustering
+    believes each support belongs to.
     """
 
-    initial_prototypes: PrototypeSet
-    refined_prototypes: PrototypeSet
+    initial_prototypes: np.ndarray
+    refined_prototypes: np.ndarray
     support_responsibilities: np.ndarray
     rectified_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        initial, refined = as_matrix(self.initial_prototypes), as_matrix(self.refined_prototypes)
         resp = as_matrix(self.support_responsibilities)
-        n = self.initial_prototypes.n_classes
-        if resp.shape[1] != n or self.refined_prototypes.n_classes != n:
-            raise InvalidInputError("responsibility columns must match the class count")
+        if resp.shape[1] != initial.shape[0] or refined.shape != initial.shape:
+            raise InvalidInputError("prototype shapes and responsibility columns must match")
         if np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-9:
             raise InvalidInputError("responsibility rows must sum to 1 within 1e-9")
         rect = np.argmax(resp, axis=1)
         rect.setflags(write=False)
-        object.__setattr__(self, "support_responsibilities", resp)
-        object.__setattr__(self, "rectified_labels", rect)
+        for name, value in (("initial_prototypes", initial), ("refined_prototypes", refined),
+                            ("support_responsibilities", resp), ("rectified_labels", rect)):
+            object.__setattr__(self, name, value)
 
 
 def _check_partners(config: RnnpConfig, k_shot: int) -> None:
@@ -350,16 +352,16 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     if q.shape[0] != episode.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
     initial = compute_prototypes(episode, "observed")
-    centers, resp = _refine_queries(episode, q[None, :], config, initial.prototypes)
+    centers, resp = _refine_queries(episode, q[None, :], config, initial)
     return RefinementTrace(
         initial_prototypes=initial,
-        refined_prototypes=PrototypeSet(prototypes=centers[0]),
+        refined_prototypes=centers[0],
         support_responsibilities=resp[0].T,
     )
 
 
 def classify_rnnp(episode: Episode, query,
-                  config: RnnpConfig) -> tuple[ClassProbabilities, int, RefinementTrace]:
+                  config: RnnpConfig) -> tuple[np.ndarray, int, RefinementTrace]:
     """Classify one query against refine_for_query's refined prototypes."""
     trace = refine_for_query(episode, query, config)
     probs, pred = classify(trace.refined_prototypes, query)
@@ -371,7 +373,7 @@ def rectification_delta(episode: Episode, trace: RefinementTrace) -> tuple[int, 
     true = episode.support_true_labels
     if trace.rectified_labels.shape != true.shape:
         raise InvalidInputError("trace does not match the episode's support count")
-    if trace.initial_prototypes.n_classes != episode.n_way:
+    if trace.initial_prototypes.shape[0] != episode.n_way:
         raise InvalidInputError("trace does not match the episode's class count")
     before = int(np.sum(episode.support_observed_labels == true))
     after = int(np.sum(trace.rectified_labels == true))

@@ -166,7 +166,7 @@ def test_6_clustering_objectives_never_increase(capsys):
                               build_hybrids(episode, configs[-1])[0], query[None, :]])
             values = []
             for cfg in configs:
-                centers = refine_for_query(episode, query, cfg).refined_prototypes.prototypes
+                centers = refine_for_query(episode, query, cfg).refined_prototypes
                 values.append(objective(pool, centers))
             runs += 1
             for prev, nxt in zip(values, values[1:]):
@@ -213,7 +213,7 @@ def test_7_matches_independent_loop_reference(capsys):
             hybrid_source=source, config_seed=cseed, episode_seed=episode.seed,
         )
         coord = float(np.max(np.abs(
-            trace.refined_prototypes.prototypes - np.asarray(ref["refined_centers"]))))
+            trace.refined_prototypes - np.asarray(ref["refined_centers"]))))
         max_coord = max(max_coord, coord)
         if pred != ref["predicted_class"]:
             pred_mismatches += 1
@@ -243,10 +243,10 @@ def test_8_noop_and_invariance_suite(capsys):
         for q in ep.query_features[:2]:
             probs_r, pred_r, trace = classify_rnnp(ep, q, cfg0)
             probs_b, pred_b = classify(protos, q)
-            check(np.array_equal(probs_r.probs, probs_b.probs), "zero-iter probs bitwise")
+            check(np.array_equal(probs_r, probs_b), "zero-iter probs bitwise")
             check(pred_r == pred_b, "zero-iter prediction")
-            check(np.array_equal(trace.refined_prototypes.prototypes,
-                                 trace.initial_prototypes.prototypes),
+            check(np.array_equal(trace.refined_prototypes,
+                                 trace.initial_prototypes),
                   "zero-iter centers untouched")
 
     # translating every feature by the same vector keeps all predictions

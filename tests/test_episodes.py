@@ -22,7 +22,6 @@ from rnnp.episodes import (
 from rnnp.datagen import MixtureSpec
 from rnnp.errors import InvalidInputError
 from rnnp.harness import MethodSpec, default_config, run_sweep
-from rnnp.nnp import PrototypeSet
 from rnnp.refine import RefinementTrace, RnnpConfig
 
 
@@ -418,9 +417,8 @@ class TestCoercion:
         assert mat.flags.c_contiguous and not mat.flags.writeable
 
 
-def _trace(resp):
-    protos = PrototypeSet(prototypes=np.eye(2))
-    return RefinementTrace(initial_prototypes=protos, refined_prototypes=protos,
+def _trace(resp=np.eye(2), initial=np.eye(2), refined=np.eye(2)):
+    return RefinementTrace(initial_prototypes=initial, refined_prototypes=refined,
                            support_responsibilities=resp)
 
 
@@ -429,7 +427,8 @@ STORED_ARRAYS = {
     "EmbeddingSet.features": (lambda a: EmbeddingSet(features=a, labels=[0, 1]), "features"),
     "Episode.support_features": (lambda a: _episode(support_features=a), "support_features"),
     "Episode.query_features": (lambda a: _episode(query_features=a), "query_features"),
-    "PrototypeSet.prototypes": (lambda a: PrototypeSet(prototypes=a), "prototypes"),
+    "RefinementTrace.initial_prototypes": (lambda a: _trace(initial=a), "initial_prototypes"),
+    "RefinementTrace.refined_prototypes": (lambda a: _trace(refined=a), "refined_prototypes"),
     "RefinementTrace.support_responsibilities": (_trace, "support_responsibilities"),
 }
 

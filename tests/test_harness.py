@@ -304,7 +304,7 @@ class TestRunExperiment:
         assert reports[0].skipped_episodes + reports[0].n_episodes == 40
         assert reports[0].episode_indices == reports[1].episode_indices
         idx = reports[0].episode_indices
-        assert idx == sorted(idx) and len(set(idx)) == len(idx)
+        assert idx == tuple(sorted(idx)) and len(set(idx)) == len(idx)
 
 
 class TestSweep:
@@ -473,8 +473,8 @@ class TestEpisodeAveragesMatchPublicApi:
             acc = float(np.mean(np.asarray([pred for _, pred, _ in outs]) == corr.query_labels))
             assert acc == report.per_episode_accuracies[i]
             pairs = [rectification_delta(corr, trace) for _, _, trace in outs]
-            assert report.per_episode_rectification[i] == [
-                pairs[0][0], float(np.mean([after for _, after in pairs]))]
+            assert report.per_episode_rectification[i] == (
+                pairs[0][0], float(np.mean([after for _, after in pairs])))
 
     def test_harness_rnnp_accuracy_matches_per_query_calls(self):
         self.check_against_per_query_calls(tiny_config(corruption_rates=(0.4,)))

@@ -1,5 +1,6 @@
 """Unit tests for accuracy aggregation and paired comparison."""
 
+import json
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -163,8 +164,12 @@ class TestEvalReport:
         ("per_episode_rectification", [[True, 1.0], [15, 16.5]]),
         ("per_episode_rectification", [[math.nan, 16.0], [15, 16.5]]),
         ("per_episode_rectification", [[-1, 16.0], [15, 16.5]]),
+        ("per_episode_rectification", [[1e9, 5], [0, 0]]),
+        ("per_episode_rectification", [[15, 25.5], [15, 16.5]]),
+        ("per_episode_rectification", 5),
         ("per_episode_accuracies", ["x", 0.75]),
-    ], ids=["ints", "singletons", "strings", "bool", "nan", "negative", "string_accuracy"])
+    ], ids=["ints", "singletons", "strings", "bool", "nan", "negative", "before_above_nk",
+            "after_above_nk", "not_a_list", "string_accuracy"])
     def test_from_dict_rejects_hostile_lists(self, key, value):
         # Without the stored rectification, only the lists' own checks can refuse them.
         d = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]).to_dict()
@@ -180,11 +185,14 @@ class TestEvalReport:
         lambda d: [d],
         lambda d: {**d, "episode_indices": [0, 2, 3]},
         lambda d: {**d, "episode_indices": "02"},
+        lambda d: {**d, "episode_indices": [1, 1]},
+        lambda d: {**d, "episode_indices": [2, 0]},
         lambda d: {**d, "n_way": "5"},
         lambda d: {**d, "corruption_rate": "0.2"},
         lambda d: {**d, "config": [1, 2]},
     ], ids=["skipped_string", "ci95_string", "mean_none", "unknown_key", "list_not_dict",
-            "indices_too_many", "indices_string", "n_way_string", "rate_string", "config_list"])
+            "indices_too_many", "indices_string", "indices_repeated", "indices_decreasing",
+            "n_way_string", "rate_string", "config_list"])
     def test_from_dict_rejects_hostile_fields(self, edit):
         d = EvalReport.from_accuracies(
             method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
@@ -208,6 +216,21 @@ class TestEvalReport:
         r = make_report([0.25, 0.75])
         with pytest.raises(FrozenInstanceError):
             setattr(r, key, getattr(r, key))
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.per_episode_accuracies.append(0.0),
+        lambda r: r.episode_indices.__setitem__(0, 5),
+        lambda r: r.per_episode_rectification.append((15, 16.0)),
+        lambda r: r.per_episode_rectification[0].__setitem__(1, 25.0),
+    ], ids=["accuracies", "indices", "rectification", "rectification_pair"])
+    def test_per_episode_sequences_cannot_be_edited_in_place(self, edit):
+        r = EvalReport.from_accuracies(
+            method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
+            per_episode_accuracies=[0.25, 0.75], skipped_episodes=0, config={"seed": 7},
+            per_episode_rectification=[[15, 16.0], [15, 16.5]], episode_indices=[0, 2])
+        with pytest.raises((AttributeError, TypeError)):
+            edit(r)
+        assert EvalReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
 
     def test_replace_derives_the_aggregates_again(self):
         r = replace(make_report([0.25, 0.75]), per_episode_accuracies=[0.5, 1.0, 0.0],

@@ -8,8 +8,6 @@ import pytest
 from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels, sample_episode
 from rnnp.errors import DegenerateClassError, InvalidInputError
 from rnnp.nnp import (
-    ClassProbabilities,
-    PrototypeSet,
     _pairwise_raw,
     _softmin_inplace,
     classify,
@@ -42,8 +40,8 @@ class TestComputePrototypes:
     def test_mean_of_two(self):
         ep = two_class_episode()
         protos = compute_prototypes(ep, "observed")
-        np.testing.assert_allclose(protos.prototypes[0], [1.0, 1.0])
-        np.testing.assert_allclose(protos.prototypes[1], [11.0, 1.0])
+        np.testing.assert_allclose(protos[0], [1.0, 1.0])
+        np.testing.assert_allclose(protos[1], [11.0, 1.0])
 
     def test_single_shot_identity(self):
         ep = Episode(
@@ -55,8 +53,8 @@ class TestComputePrototypes:
             query_labels=np.array([0]),
         )
         protos = compute_prototypes(ep, "observed")
-        np.testing.assert_allclose(protos.prototypes[0], [3.0, 4.0])
-        np.testing.assert_allclose(protos.prototypes[1], [-1.0, 2.0])
+        np.testing.assert_allclose(protos[0], [3.0, 4.0])
+        np.testing.assert_allclose(protos[1], [-1.0, 2.0])
 
     def test_constant_supports(self):
         v = np.array([2.5, -1.0, 7.0])
@@ -69,7 +67,7 @@ class TestComputePrototypes:
             query_labels=np.array([0]),
         )
         protos = compute_prototypes(ep, "observed")
-        np.testing.assert_allclose(protos.prototypes[0], v)
+        np.testing.assert_allclose(protos[0], v)
 
     def test_observed_vs_true_source(self):
         ep = two_class_episode()
@@ -83,8 +81,8 @@ class TestComputePrototypes:
         )
         by_true = compute_prototypes(flipped, "true")
         by_obs = compute_prototypes(flipped, "observed")
-        np.testing.assert_allclose(by_true.prototypes[0], [1.0, 1.0])
-        np.testing.assert_allclose(by_obs.prototypes[0], [6.0, 1.0])
+        np.testing.assert_allclose(by_true[0], [1.0, 1.0])
+        np.testing.assert_allclose(by_obs[0], [6.0, 1.0])
 
     def test_degenerate_class_raises(self):
         ep = Episode(
@@ -102,24 +100,34 @@ class TestComputePrototypes:
         with pytest.raises(InvalidInputError):
             compute_prototypes(two_class_episode(), "guessed")
 
+    def test_each_call_returns_a_fresh_read_only_array(self):
+        ep = two_class_episode()
+        first, second = compute_prototypes(ep), compute_prototypes(ep)
+        for protos in (first, second):
+            assert protos.dtype == np.float64 and protos.shape == (2, 2)
+            assert protos.flags.c_contiguous and not protos.flags.writeable
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
 
 class TestClassify:
     def test_equidistant_probs_uniform(self):
         # Five prototypes at the same distance from the origin query.
-        protos = PrototypeSet(prototypes=np.array([
+        protos = np.array([
             [1.0, 0.0, 0.0, 0.0, 0.0],
             [0.0, 1.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 0.0, 1.0],
-        ]))
+        ])
         probs, _ = classify(protos, np.zeros(5))
-        np.testing.assert_allclose(probs.probs, 0.2, rtol=1e-12)
+        np.testing.assert_allclose(probs, 0.2, rtol=1e-12)
 
     def test_coincident_prototype_wins(self):
-        protos = PrototypeSet(prototypes=np.array([
+        protos = np.array([
             [50.0, 0.0], [0.0, 50.0], [3.0, 4.0], [-40.0, -40.0],
-        ]))
+        ])
         _, pred = classify(protos, np.array([3.0, 4.0]))
         assert pred == 2
 
@@ -127,11 +135,11 @@ class TestClassify:
         # Squared distances 0 and ln 3 give probabilities 0.75 / 0.25;
         # verified against an independent scalar computation.
         q = np.array([0.0])
-        protos = PrototypeSet(prototypes=np.array([[0.0], [math.sqrt(math.log(3.0))]]))
+        protos = np.array([[0.0], [math.sqrt(math.log(3.0))]])
         probs, pred = classify(protos, q)
         oracle = scalar_softmax_neg([0.0, math.log(3.0)])
         np.testing.assert_allclose(oracle, [0.75, 0.25], rtol=1e-12)
-        np.testing.assert_allclose(probs.probs, oracle, rtol=1e-9)
+        np.testing.assert_allclose(probs, oracle, rtol=1e-9)
         assert pred == 0
 
     def test_probs_sum_to_one(self):
@@ -139,9 +147,9 @@ class TestClassify:
         for _ in range(200):
             n = int(rng.integers(2, 8))
             d = int(rng.integers(1, 16))
-            protos = PrototypeSet(prototypes=rng.normal(size=(n, d)))
+            protos = rng.normal(size=(n, d))
             probs, pred = classify(protos, rng.normal(size=d))
-            assert abs(probs.probs.sum() - 1.0) < 1e-9
+            assert abs(probs.sum() - 1.0) < 1e-9
             assert 0 <= pred < n
 
     def test_matches_scalar_oracle(self):
@@ -151,16 +159,16 @@ class TestClassify:
             d = int(rng.integers(1, 10))
             pr = rng.normal(size=(n, d))
             q = rng.normal(size=d)
-            probs, _ = classify(PrototypeSet(prototypes=pr), q)
+            probs, _ = classify(pr, q)
             oracle = scalar_softmax_neg([_sq_dist(q, p) for p in pr])
-            np.testing.assert_allclose(probs.probs, oracle, rtol=1e-9)
+            np.testing.assert_allclose(probs, oracle, rtol=1e-9)
 
     def test_shift_of_distances_is_harmless(self):
         # Distances large enough to underflow a naive softmax.
-        protos = PrototypeSet(prototypes=np.array([[100.0], [101.0]]))
+        protos = np.array([[100.0], [101.0]])
         probs, pred = classify(protos, np.array([0.0]))
         assert pred == 0
-        assert probs.probs[0] > 0.9
+        assert probs[0] > 0.9
 
     def test_translation_invariance_of_prediction(self):
         rng = np.random.default_rng(13)
@@ -169,8 +177,8 @@ class TestClassify:
             pr = rng.normal(size=(n, d))
             q = rng.normal(size=d)
             t = rng.normal(size=d) * 10.0
-            _, pred0 = classify(PrototypeSet(prototypes=pr), q)
-            _, pred1 = classify(PrototypeSet(prototypes=pr + t), q + t)
+            _, pred0 = classify(pr, q)
+            _, pred1 = classify(pr + t, q + t)
             assert pred0 == pred1
 
     def test_class_permutation_equivariance(self):
@@ -180,35 +188,53 @@ class TestClassify:
             pr = rng.normal(size=(n, d))
             q = rng.normal(size=d)
             perm = rng.permutation(n)
-            probs0, pred0 = classify(PrototypeSet(prototypes=pr), q)
-            probs1, pred1 = classify(PrototypeSet(prototypes=pr[perm]), q)
-            np.testing.assert_allclose(probs1.probs, probs0.probs[perm], rtol=1e-12)
+            probs0, pred0 = classify(pr, q)
+            probs1, pred1 = classify(pr[perm], q)
+            np.testing.assert_allclose(probs1, probs0[perm], rtol=1e-12)
             assert pred1 == int(np.flatnonzero(perm == pred0)[0])
 
     def test_tie_breaks_to_lowest_index(self):
-        protos = PrototypeSet(prototypes=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+        protos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         _, pred = classify(protos, np.zeros(2))
         assert pred == 0
 
     def test_dimension_mismatch(self):
-        protos = PrototypeSet(prototypes=np.eye(3))
+        protos = np.eye(3)
         with pytest.raises(InvalidInputError):
             classify(protos, np.zeros(2))
 
     def test_rejects_nan_query(self):
-        protos = PrototypeSet(prototypes=np.eye(3))
+        protos = np.eye(3)
         with pytest.raises(InvalidInputError):
             classify(protos, np.array([0.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("protos", [np.eye(3), np.eye(3).tolist(), np.eye(3).T.copy(order="F"),
+                                        np.eye(3, dtype=np.int64)],
+                             ids=["array", "nested-lists", "fortran-order", "int-array"])
+    def test_accepts_arrays_and_nested_lists(self, protos):
+        probs, pred = classify(protos, [1, 0, 0])
+        assert pred == 0
+        assert np.array_equal(probs, classify(np.eye(3), [1.0, 0.0, 0.0])[0])
 
-class TestClassProbabilities:
-    def test_rejects_unnormalized(self):
+    @pytest.mark.parametrize("protos", [
+        [1.0, 0.0, 0.0],
+        [[0.0, np.nan, 0.0], [1.0, 0.0, 0.0]],
+        [[0.0, np.inf, 0.0], [1.0, 0.0, 0.0]],
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+        [[1.0, 0.0, 0.0], [1.0, 0.0]],
+        np.zeros((2, 2, 3)),
+    ], ids=["1-d", "nan", "inf", "no-rows", "no-columns", "ragged", "3-d"])
+    def test_rejects_bad_prototypes(self, protos):
         with pytest.raises(InvalidInputError):
-            ClassProbabilities(probs=np.array([0.5, 0.4]))
+            classify(protos, [1.0, 0.0, 0.0])
 
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            ClassProbabilities(probs=np.array([1.2, -0.2]))
+    def test_probs_are_read_only_and_sum_to_one(self):
+        probs, _ = classify(np.random.default_rng(3).normal(size=(5, 4)), np.zeros(4))
+        assert probs.shape == (5,) and not probs.flags.writeable
+        assert abs(probs.sum() - 1.0) < 1e-12
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
 
 
 class TestEndToEndOnCleanEpisode:
@@ -230,7 +256,7 @@ class TestEndToEndOnCleanEpisode:
         noisy = corrupt_labels(ep, CorruptionSpec(rate=0.4, seed=1))
         clean_protos = compute_prototypes(ep, "observed")
         noisy_protos = compute_prototypes(noisy, "observed")
-        assert not np.allclose(clean_protos.prototypes, noisy_protos.prototypes)
+        assert not np.allclose(clean_protos, noisy_protos)
 
 
 def sq_dist(a, b):

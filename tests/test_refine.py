@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels, sample_episode
 from rnnp.errors import InvalidInputError
-from rnnp.nnp import PrototypeSet, _classify_arrays, classify, compute_prototypes
+from rnnp.nnp import _classify_arrays, classify, compute_prototypes
 from rnnp.refine import (
     HYBRID_SOURCES,
     RefinementTrace,
@@ -178,7 +178,7 @@ class TestGenerateHybrids:
         assert hybrids.shape == (36, ep.dim)
         # With spread 50 the classes are far apart, so every hybrid must
         # sit near its own class mean if both parents share a class.
-        protos = compute_prototypes(ep, "observed").prototypes
+        protos = compute_prototypes(ep, "observed")
         for row, h in enumerate(hybrids):
             s = row // 2
             c = ep.support_observed_labels[s]
@@ -193,7 +193,7 @@ class TestGenerateHybrids:
         assert hybrids.shape == (24, ep.dim)
         # A cross-class blend at alpha=0.8 leaves the 20% foreign pull
         # visible: the hybrid is off its parent mean by a macroscopic amount.
-        protos = compute_prototypes(ep, "observed").prototypes
+        protos = compute_prototypes(ep, "observed")
         for row, h in enumerate(hybrids):
             s = row // 2
             c = ep.support_observed_labels[s]
@@ -421,8 +421,7 @@ class TestRefineForQuery:
         ep = small_episode()
         cfg = RnnpConfig(beta=4, iterations=0)
         trace = refine_for_query(ep, ep.query_features[0], cfg)
-        assert np.array_equal(trace.refined_prototypes.prototypes,
-                              trace.initial_prototypes.prototypes)
+        assert np.array_equal(trace.refined_prototypes, trace.initial_prototypes)
 
     def test_matches_reference_on_1d_instance(self):
         ep = spec_1d_episode()
@@ -434,7 +433,7 @@ class TestRefineForQuery:
             config_seed=cfg.seed, episode_seed=ep.seed,
         )
         np.testing.assert_allclose(
-            trace.refined_prototypes.prototypes, ref["refined_centers"], atol=1e-9
+            trace.refined_prototypes, ref["refined_centers"], atol=1e-9
         )
         np.testing.assert_allclose(
             trace.support_responsibilities, ref["support_responsibilities"], atol=1e-9
@@ -453,7 +452,7 @@ class TestRefineForQuery:
         want = np.vstack([feats[labels == c].mean(axis=0) for c in range(3)])
         for q in ep.query_features:
             trace = refine_for_query(ep, q, cfg)
-            assert np.array_equal(trace.refined_prototypes.prototypes, want)
+            assert np.array_equal(trace.refined_prototypes, want)
             assert np.array_equal(trace.rectified_labels, ep.support_observed_labels)
 
     def test_clean_separable_rectifies_nothing(self):
@@ -468,7 +467,7 @@ class TestRefineForQuery:
         cfg = RnnpConfig(beta=3, iterations=3, seed=2)
         a = refine_for_query(ep, ep.query_features[0], cfg)
         b = refine_for_query(ep, ep.query_features[0], cfg)
-        assert np.array_equal(a.refined_prototypes.prototypes, b.refined_prototypes.prototypes)
+        assert np.array_equal(a.refined_prototypes, b.refined_prototypes)
         assert np.array_equal(a.support_responsibilities, b.support_responsibilities)
         assert np.array_equal(a.rectified_labels, b.rectified_labels)
 
@@ -493,7 +492,7 @@ class TestClassifyRnnp:
         for q in ep.query_features:
             probs_r, pred_r, _ = classify_rnnp(ep, q, cfg)
             probs_n, pred_n = classify(protos, q)
-            assert np.array_equal(probs_r.probs, probs_n.probs)
+            assert np.array_equal(probs_r, probs_n)
             assert pred_r == pred_n
 
     def test_labeled_direct_full_pairing_equals_plain_prototypes(self):
@@ -513,11 +512,11 @@ class TestClassifyRnnp:
                     if i != j:
                         cloud.append(0.8 * zi + 0.2 * zj)
             brute = np.mean(cloud, axis=0)
-            np.testing.assert_allclose(brute, protos.prototypes[c], rtol=1e-9)
+            np.testing.assert_allclose(brute, protos[c], rtol=1e-9)
         for q in ep.query_features:
             probs_d, pred_d, trace = classify_rnnp(ep, q, cfg)
             probs_n, pred_n = classify(protos, q)
-            np.testing.assert_allclose(probs_d.probs, probs_n.probs, rtol=1e-9)
+            np.testing.assert_allclose(probs_d, probs_n, rtol=1e-9)
             assert pred_d == pred_n
             assert np.array_equal(trace.rectified_labels, ep.support_observed_labels)
 
@@ -557,7 +556,7 @@ class TestClassifyRnnp:
             cfg = RnnpConfig(beta=3, clustering_mode=mode, hybrid_source=source, seed=seed % 997)
             labels = []
             for e in (ep, moved):
-                initial = compute_prototypes(e, "observed").prototypes
+                initial = compute_prototypes(e, "observed")
                 centers, resp = _refine_queries(e, e.query_features, cfg, initial)
                 labels.append((_classify_arrays(initial, e.query_features)[1],
                                _classify_arrays(centers, e.query_features)[1],
@@ -583,13 +582,13 @@ class TestClassifyRnnp:
             probs0, pred0, tr0 = classify_rnnp(ep, ep.query_features[qi], cfg)
             probs1, pred1, tr1 = classify_rnnp(permuted, ep.query_features[qi], cfg)
             assert pred1 == perm[pred0]
-            np.testing.assert_allclose(probs1.probs[perm], probs0.probs, atol=1e-9)
+            np.testing.assert_allclose(probs1[perm], probs0, atol=1e-9)
             assert np.array_equal(tr1.rectified_labels, perm[tr0.rectified_labels])
 
 
 class TestRefinementTrace:
     def build(self, resp, **extra):
-        protos = PrototypeSet(prototypes=np.eye(3))
+        protos = np.eye(3)
         return RefinementTrace(initial_prototypes=protos, refined_prototypes=protos,
                                support_responsibilities=resp, **extra)
 
@@ -607,6 +606,17 @@ class TestRefinementTrace:
     def test_rectified_labels_are_not_an_argument(self):
         with pytest.raises(TypeError):
             self.build(np.eye(3), rectified_labels=[2, 1, 0])
+
+    @pytest.mark.parametrize("refined, resp", [
+        (np.ones((3, 2)), np.eye(3)),
+        (np.eye(2), np.eye(3)),
+        (np.eye(3), np.full((3, 2), 0.5)),
+        ([[1.0, 0.0], [1.0]], np.eye(3)),
+    ], ids=["refined-dim", "refined-classes", "resp-columns", "ragged"])
+    def test_mismatched_shapes_are_refused(self, refined, resp):
+        with pytest.raises(InvalidInputError):
+            RefinementTrace(initial_prototypes=np.eye(3), refined_prototypes=refined,
+                            support_responsibilities=resp)
 
 
 class TestRectificationDelta:
@@ -673,7 +683,7 @@ class TestAgainstReferenceLoop:
                 mode=cfg.clustering_mode, config_seed=cfg.seed, episode_seed=ep.seed,
             )
             np.testing.assert_allclose(
-                trace.refined_prototypes.prototypes, ref["refined_centers"], atol=1e-9,
+                trace.refined_prototypes, ref["refined_centers"], atol=1e-9,
                 err_msg=f"trial {trial}",
             )
             assert pred == ref["predicted_class"], f"trial {trial}"
@@ -705,7 +715,7 @@ def batch_problem(seed, n_way, k_shot, dim, batch, beta, iterations, mode):
     # A shuffled batch of any size, queries repeated when it outgrows the episode.
     order = rng.permutation(np.arange(batch) % ep.query_features.shape[0])
     shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
-    initial = compute_prototypes(ep, "observed").prototypes
+    initial = compute_prototypes(ep, "observed")
     return ep, cfg, ep.query_features[order], shared, initial
 
 
@@ -727,7 +737,7 @@ class TestBatchedRefinement:
             _, pred, trace = classify_rnnp(ep, q, cfg)
             assert preds[i] == pred
             assert np.array_equal(np.argmax(resp[i, :, :kn], axis=0), trace.rectified_labels)
-            np.testing.assert_allclose(centers[i], trace.refined_prototypes.prototypes,
+            np.testing.assert_allclose(centers[i], trace.refined_prototypes,
                                        rtol=0, atol=1e-12)
             alone, alone_resp = _cluster_batch(shared, q[None, :], initial, cfg)
             np.testing.assert_allclose(centers[i], alone[0], rtol=0, atol=1e-12)
@@ -737,12 +747,12 @@ class TestBatchedRefinement:
         ep = corrupt_labels(small_episode(seed=12, n_way=4, k_shot=5),
                             CorruptionSpec(rate=0.4, seed=12))
         cfg = RnnpConfig(beta=3, hybrid_labeling="labeled_direct", seed=4)
-        initial = compute_prototypes(ep, "observed").prototypes
+        initial = compute_prototypes(ep, "observed")
         centers, resp = _refine_queries(ep, ep.query_features, cfg, initial)
         assert centers.shape == (16, 4, ep.dim) and resp.shape == (16, 4, 20)
         for i, q in enumerate(ep.query_features):
             trace = refine_for_query(ep, q, cfg)
-            assert np.array_equal(centers[i], trace.refined_prototypes.prototypes)
+            assert np.array_equal(centers[i], trace.refined_prototypes)
             assert np.array_equal(resp[i].T, trace.support_responsibilities)
 
     @pytest.mark.parametrize("iterations", [0, 1, 3])
@@ -758,7 +768,7 @@ class TestBatchedRefinement:
                      query_features=ep.query_features, query_labels=ep.query_labels, seed=8)
         cfg = RnnpConfig(beta=2, iterations=iterations, clustering_mode=mode)
         shared = np.vstack([sup, build_hybrids(ep, cfg)[0]])
-        initial = compute_prototypes(ep, "observed").prototypes
+        initial = compute_prototypes(ep, "observed")
         assert np.array_equal(initial[0], initial[2])
         queries = ep.query_features
         centers, resp = _cluster_batch(shared, queries, initial, cfg)
@@ -801,7 +811,7 @@ class TestScratch:
         ep = corrupt_labels(small_episode(seed=seed, n_way=n_way, k_shot=5, dim=dim,
                                           queries=queries),
                             CorruptionSpec(rate=0.4, seed=seed))
-        initial = compute_prototypes(ep, "observed").prototypes
+        initial = compute_prototypes(ep, "observed")
         return _refine_queries(ep, ep.query_features, cfg, initial)
 
     @staticmethod
@@ -871,7 +881,7 @@ class TestScratch:
         ep = corrupt_labels(small_episode(seed=22, n_way=4, k_shot=5, dim=6, queries=5),
                             CorruptionSpec(rate=0.4, seed=22))
         trace = refine_for_query(ep, ep.query_features[0], cfg)
-        outputs = [*first, *self.refine(22, cfg), trace.refined_prototypes.prototypes,
+        outputs = [*first, *self.refine(22, cfg), trace.refined_prototypes,
                    trace.support_responsibilities]
         buffers = self.scratch().values()
         assert buffers
