@@ -73,8 +73,7 @@ def main():
                                n_episodes=args.episodes, workers=1)
     print("\nbeta sweep (same-class hybrids, soft assignment):")
     for r in run_sweep(sweep_cfg, "beta", [1, 2, 3, 4]):
-        v = r.config["sweep"]["value"]
-        print(f"  beta={v}: {r.mean_accuracy:.4f} +/- {r.ci95:.4f}")
+        print(f"  beta={r.method}: {r.mean_accuracy:.4f} +/- {r.ci95:.4f}")
 
 
 if __name__ == "__main__":

@@ -94,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_rates(text: str) -> tuple:
+def _parse_floats(flag: str, text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidInputError(f"bad --corruption value {text!r}: {exc}") from exc
+        raise InvalidInputError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def _build_config(args, *, rnnp_only: bool) -> ExperimentConfig:
@@ -123,7 +123,7 @@ def _build_config(args, *, rnnp_only: bool) -> ExperimentConfig:
 
     top = {f: v for f in TOP_FIELDS if (v := getattr(args, f)) is not None}
     if "corruption_rates" in top:
-        top["corruption_rates"] = _parse_rates(top["corruption_rates"])
+        top["corruption_rates"] = _parse_floats("--corruption", top["corruption_rates"])
     overrides = {f: FIELD_WORDS.get(f, {}).get(v, v) for f in RNNP_FIELDS
                  if (v := getattr(args, f)) is not None}
     if overrides:
@@ -160,14 +160,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args, rnnp_only=True)
-    try:
-        values = [float(part) for part in args.values.split(",")]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad --values {args.values!r}: {exc}") from exc
-    reports = run_sweep(config, args.axis, values)
+    reports = run_sweep(config, args.axis, _parse_floats("--values", args.values))
     for r in reports:
-        v = r.config["sweep"]["value"]
-        print(f"{args.axis}={v}: {r.mean_accuracy:.4f} +/- {r.ci95:.4f}")
+        print(f"{args.axis}={r.method}: {r.mean_accuracy:.4f} +/- {r.ci95:.4f}")
     path = save_sweep(args.axis, reports, args.out)
     print(f"wrote {path}")
     return 0

@@ -52,7 +52,10 @@ def _check_real(name: str, value, lo: float, hi: float, strict: bool) -> float:
 def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
     """values as a read-only int64 array of `length` labels, each in 0..n-1
     (any integer when n is None)."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidInputError(f"{name}: expected {length} labels: {exc}") from exc
     if arr.ndim != 1 or arr.shape[0] != length:
         raise InvalidInputError(f"{name}: expected {length} entries, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -68,7 +71,10 @@ def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
 
 def as_vector(values) -> np.ndarray:
     """values as a finite, non-empty 1-D float64 array."""
-    vec = np.asarray(values, dtype=np.float64)
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
+        raise InvalidInputError(f"expected a real vector: {exc}") from exc
     if vec.ndim != 1 or vec.size == 0:
         raise InvalidInputError(f"expected a non-empty 1-D vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):

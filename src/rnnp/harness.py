@@ -88,8 +88,8 @@ class MethodSpec:
 class ExperimentConfig:
     """Everything one run needs; JSON config files mirror it field-for-field.
 
-    workers is a runtime knob: it never influences results and is excluded
-    from report snapshots.
+    workers is a runtime knob: it never influences results and is left out
+    of to_dict.
     """
 
     methods: tuple
@@ -109,7 +109,7 @@ class ExperimentConfig:
             raise InvalidInputError("exactly one of mixture / data_path must be set")
         if self.data_path is not None:
             # An integer would be opened as a file descriptor; a path object is
-            # stored as its string, which report snapshots can hold.
+            # stored as its string, which report.json can hold.
             path = os.fspath(self.data_path) if isinstance(self.data_path, os.PathLike) \
                 else self.data_path
             if not isinstance(path, str):
@@ -298,16 +298,11 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
                 method=m.label, corruption_rate=rate, n_way=config.n_way,
                 k_shot=config.k_shot, queries_per_class=config.queries_per_class,
                 per_episode_accuracies=[acc for _, (acc, _) in kept],
-                skipped_episodes=n - len(kept), config=_snapshot(config, m),
+                skipped_episodes=n - len(kept), seed=config.seed,
                 per_episode_rectification=None if m.method == "nnp" else [r for _, (_, r) in kept],
                 episode_indices=[i for i, _ in kept],
             ))
     return reports
-
-
-def _snapshot(config: ExperimentConfig, method: MethodSpec) -> dict:
-    """The config a report of `method` records: the run's and the method's."""
-    return {"seed": config.seed, "experiment": config.to_dict(), "method": method.to_dict()}
 
 
 def _single_rnnp_rate(config: ExperimentConfig, what: str) -> MethodSpec:
@@ -325,9 +320,9 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
 
     Needs a single rnnp method and a single corruption rate, so the
     emitted table is unambiguous about what varied. Every value is one
-    method of a single run, so each episode is sampled, corrupted and given
-    prototypes once for all values; each report then gets back the label
-    and config snapshot of a run of its value alone.
+    method of a single run, labeled with the value's repr, so each episode
+    is sampled, corrupted and given prototypes once for all values, and a
+    repeated value is refused as a duplicate label before any episode runs.
     """
     if sweep_axis not in SWEEP_AXES:
         raise InvalidInputError(f"sweep_axis must be one of {SWEEP_AXES}, got {sweep_axis!r}")
@@ -342,14 +337,9 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
             if not v.is_integer():
                 raise InvalidInputError(f"{sweep_axis} values must be integers, got {v}")
             v = int(v)
-        swept.append((v, replace(method, rnnp=replace(method.rnnp, **{sweep_axis: v}))))
-    joint = replace(config, methods=tuple(replace(m, label=str(i))
-                                          for i, (_, m) in enumerate(swept)))
-    reports = _run_on_pool(joint, load_pool(config))
-    return [replace(report, method=m.label,
-                    config={**_snapshot(replace(config, methods=(m,)), m),
-                            "sweep": {"axis": sweep_axis, "value": v}})
-            for (v, m), report in zip(swept, reports)]
+        swept.append(replace(method, label=repr(v),
+                             rnnp=replace(method.rnnp, **{sweep_axis: v})))
+    return _run_on_pool(replace(config, methods=tuple(swept)), load_pool(config))
 
 
 def run_rectification_analysis(config: ExperimentConfig) -> dict:
@@ -385,10 +375,7 @@ def save_reports(config: ExperimentConfig, reports, out_dir) -> tuple[str, str]:
 
 def save_sweep(sweep_axis: str, reports, out_dir) -> str:
     lines = ["value,mean,ci95"]
-    for r in reports:
-        v = r.config["sweep"]["value"]
-        value_text = repr(v) if isinstance(v, float) else str(v)
-        lines.append(f"{value_text},{r.mean_accuracy!r},{r.ci95!r}")
+    lines += [f"{r.method},{r.mean_accuracy!r},{r.ci95!r}" for r in reports]
     return _write(out_dir, f"sweep_{sweep_axis}.csv", "\n".join(lines) + "\n")
 
 

@@ -52,15 +52,15 @@ def mean_ci95(values) -> tuple[float, float]:
 class EvalReport:
     """Aggregate of one (method, corruption rate) evaluation.
 
-    per_episode_rectification, when present, holds the (before, after)
-    numbers of supports with correct labels per evaluated episode, each at
-    most n_way * k_shot. mean_accuracy, ci95 (mean_ci95 of the per-episode
-    accuracies), n_episodes and rectification (the means of the pairs) are
-    derived from the per-episode sequences. The report is frozen and stores
-    those sequences as tuples, so they cannot go stale; dataclasses.replace
-    derives them again. episode_indices records, strictly increasing, which
-    episode indices were evaluated (skipped ones are absent but counted in
-    skipped_episodes).
+    seed is the run's base seed. per_episode_rectification, when present,
+    holds the (before, after) numbers of supports with correct labels per
+    evaluated episode, each at most n_way * k_shot. mean_accuracy, ci95
+    (mean_ci95 of the per-episode accuracies), n_episodes and rectification
+    (the means of the pairs) are derived from the per-episode sequences. The
+    report is frozen and stores those sequences as tuples, so they cannot go
+    stale; dataclasses.replace derives them again. episode_indices records,
+    strictly increasing, which episode indices were evaluated (skipped ones
+    are absent but counted in skipped_episodes).
     """
 
     method: str
@@ -72,21 +72,18 @@ class EvalReport:
     mean_accuracy: float = field(init=False)
     ci95: float = field(init=False)
     skipped_episodes: int
-    config: dict
+    seed: int
     per_episode_rectification: tuple | None = None
     episode_indices: tuple | None = None
     n_episodes: int = field(init=False)
-    rectification: dict | None = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.method, str):
             raise InvalidInputError(f"method must be a string, got {self.method!r}")
-        if not isinstance(self.config, dict):
-            raise InvalidInputError(f"config must be a dict, got {type(self.config).__name__}")
         object.__setattr__(self, "corruption_rate",
                            _check_real("corruption_rate", self.corruption_rate, 0.0, 1.0, False))
         for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1),
-                         ("skipped_episodes", 0)):
+                         ("skipped_episodes", 0), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if not isinstance(self.per_episode_accuracies, (list, tuple)):
             raise InvalidInputError("per_episode_accuracies must be a list")
@@ -108,30 +105,35 @@ class EvalReport:
             for v in (v for pair in rect for v in pair):
                 _check_real("rectification count", v, 0.0, self.n_way * self.k_shot, False)
             rect = tuple(tuple(pair) for pair in rect)
-        rectification = None if rect is None else {
+        for name, value in (("per_episode_accuracies", accs), ("mean_accuracy", mean),
+                            ("ci95", ci95), ("episode_indices", indices),
+                            ("per_episode_rectification", rect), ("n_episodes", len(accs))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rectification(self) -> dict | None:
+        """The means of the per-episode pairs, as a new dict on every access."""
+        rect = self.per_episode_rectification
+        return None if rect is None else {
             "mean_correct_before": float(np.mean([r[0] for r in rect])),
             "mean_correct_after": float(np.mean([r[1] for r in rect])),
         }
-        for name, value in (("per_episode_accuracies", accs), ("mean_accuracy", mean),
-                            ("ci95", ci95), ("episode_indices", indices),
-                            ("per_episode_rectification", rect), ("n_episodes", len(accs)),
-                            ("rectification", rectification)):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def from_accuracies(cls, method, corruption_rate, n_way, k_shot, queries_per_class,
-                        per_episode_accuracies, skipped_episodes, config,
+                        per_episode_accuracies, skipped_episodes, seed,
                         per_episode_rectification=None, episode_indices=None) -> "EvalReport":
         return cls(
             method=method, corruption_rate=corruption_rate, n_way=n_way, k_shot=k_shot,
             queries_per_class=queries_per_class,
             per_episode_accuracies=list(per_episode_accuracies), skipped_episodes=skipped_episodes,
-            config=dict(config), per_episode_rectification=per_episode_rectification,
+            seed=seed, per_episode_rectification=per_episode_rectification,
             episode_indices=episode_indices,
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "rectification": self.rectification}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
@@ -140,14 +142,15 @@ class EvalReport:
         lists give."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"a report must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
+        derived = [f.name for f in fields(cls) if not f.init] + ["rectification"]
+        unknown = set(d) - {f.name for f in fields(cls)} - set(derived)
         missing = {f.name for f in fields(cls)
                    if f.init and f.default is MISSING and f.name not in d}
         if unknown or missing:
             raise InvalidInputError(f"report keys: unknown {sorted(unknown)}, "
                                     f"missing {sorted(missing)}")
         d = dict(d)
-        stored = {f.name: d.pop(f.name) for f in fields(cls) if not f.init and f.name in d}
+        stored = {k: d.pop(k) for k in derived if k in d}
         report = cls(**d)
         wrong = sorted(k for k, v in stored.items() if v != getattr(report, k))
         if wrong:
@@ -164,7 +167,7 @@ def paired_delta(report_a: EvalReport, report_b: EvalReport) -> tuple[float, flo
     """
     if report_a.n_episodes != report_b.n_episodes:
         raise InvalidInputError("reports cover different episode counts; not paired")
-    if report_a.config.get("seed") != report_b.config.get("seed"):
+    if report_a.seed != report_b.seed:
         raise InvalidInputError("reports come from different base seeds; not paired")
     if report_a.episode_indices != report_b.episode_indices:
         raise InvalidInputError("reports cover different episode indices; not paired")

@@ -6,14 +6,17 @@ recorded.json's reference_sha256, that is, when any prediction changed.
 It also re-derives each report's first episode through the per-query
 public API (compute_prototypes, classify, classify_rnnp,
 rectification_delta) and fails on any disagreement. This test makes the
-same four calls and the same per-query checks at the reference size. They
-run in a subprocess because
+same four calls and the same per-query checks at the reference size, and
+runs each reference config's reports through the rest of what a timed
+call reads: slice_quality (rectification, paired_delta) and save_reports.
+They run in a subprocess because
 importing perfbench/run.py pins the BLAS thread variables of its process,
 and the csv-ingest pool is written to a temporary directory, not to
 perfbench's cache.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,20 +27,23 @@ import rnnp
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 REFERENCE_CALLS = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import run
 import rnnp
 csv_path = sys.argv[2]
 run.write_csv(0, run.TINY_CSV_ROWS, csv_path)
-calls, library = {}, {}
+calls, library, quality, saved = {}, {}, {}, {}
 for w in run.WORKLOADS:
     csv = csv_path if w == "csv-ingest" else None
     calls[w] = run.reference_call(rnnp, w, csv)
     config = run.make_config(rnnp, w, 0, run.REFERENCE_EPISODES, csv)
     pool = rnnp.load_pool(config)
-    library[w] = run.library_problems(rnnp, pool, config, rnnp.run_experiment(config))
-print(json.dumps([calls, library]))
+    reports = rnnp.run_experiment(config)
+    library[w] = run.library_problems(rnnp, pool, config, reports)
+    quality[w] = run.slice_quality(rnnp, config, reports)
+    saved[w] = rnnp.save_reports(config, reports, os.path.join("reports", w))
+print(json.dumps([calls, library, quality, saved]))
 """
 
 
@@ -49,9 +55,13 @@ def test_reference_digests_match_the_record(tmp_path):
         [sys.executable, "-c", REFERENCE_CALLS, str(PERFBENCH), str(tmp_path / "pool.csv")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
-    calls, library = json.loads(proc.stdout.splitlines()[-1])
+    calls, library, quality, saved = json.loads(proc.stdout.splitlines()[-1])
     recorded = json.loads((PERFBENCH / "recorded.json").read_text(encoding="utf-8"))
     assert {w: problems for w, (_, problems) in calls.items()} == {w: [] for w in recorded}
     assert library == {w: [] for w in recorded}
+    assert {w: sorted(q) for w, q in quality.items()} == \
+        {w: ["accuracy_mean", "paired_delta", "rectified_correct"] for w in recorded}
+    assert all(math.isfinite(v) for q in quality.values() for v in q.values())
+    assert all((tmp_path / path).is_file() for paths in saved.values() for path in paths)
     assert {w: digest for w, (digest, _) in calls.items()} == \
         {w: record["reference_sha256"] for w, record in recorded.items()}

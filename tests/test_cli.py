@@ -51,6 +51,16 @@ def test_option_strings_are_pinned():
     assert got == OPTIONS
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["eval", "--corruption", "0,x"], "--corruption"),
+    (["sweep", "--corruption", "0.4", "--axis", "beta", "--values", "1,x"], "--values"),
+], ids=["eval_corruption", "sweep_values"])
+def test_bad_number_list_exits_2(tmp_path, capsys, args, flag):
+    cfg = write_config(tmp_path)
+    assert main(args + ["--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad {flag} ")
+
+
 class TestGenerate:
     def test_writes_loadable_pool(self, tmp_path, capsys):
         code = main(["generate", "--classes", "4", "--dim", "3", "--separation", "5",
@@ -88,6 +98,11 @@ class TestEval:
         payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert len(payload["reports"]) == 4
         assert (out_dir / "report.csv").exists()
+        # The run's config is written once, at the top; each report keeps its seed.
+        assert payload["config"]["seed"] == 5
+        assert json.dumps(payload).count('"methods"') == 1
+        for report in payload["reports"]:
+            assert report["seed"] == 5 and "config" not in report
 
     def test_flag_overrides_reach_the_run(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -99,18 +114,17 @@ class TestEval:
         payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert len(payload["reports"]) == 2
         rnnp_report = payload["reports"][1]
-        for experiment in (payload["config"], rnnp_report["config"]["experiment"]):
-            assert experiment["n_episodes"] == 3
-            assert experiment["corruption_rates"] == [0.4]
-            assert experiment["seed"] == 9
-        assert rnnp_report["config"]["seed"] == 9
-        for rnnp_method in (payload["config"]["methods"][1], rnnp_report["config"]["method"]):
-            assert rnnp_method["beta"] == 1
-            assert rnnp_method["iterations"] == 1
-            assert rnnp_method["clustering_mode"] == "hard"
-            assert rnnp_method["alpha"] == 0.6
-            assert rnnp_method["hybrid_source"] == "different_class"
-            assert rnnp_method["hybrid_labeling"] == "labeled_direct"
+        experiment = payload["config"]
+        assert experiment["n_episodes"] == 3
+        assert experiment["corruption_rates"] == [0.4]
+        assert experiment["seed"] == rnnp_report["seed"] == 9
+        rnnp_method = experiment["methods"][1]
+        assert rnnp_method["beta"] == 1
+        assert rnnp_method["iterations"] == 1
+        assert rnnp_method["clustering_mode"] == "hard"
+        assert rnnp_method["alpha"] == 0.6
+        assert rnnp_method["hybrid_source"] == "different_class"
+        assert rnnp_method["hybrid_labeling"] == "labeled_direct"
 
     def test_eval_from_data_file(self, tmp_path):
         assert main(["generate", "--classes", "6", "--dim", "4", "--separation", "6",
@@ -211,12 +225,6 @@ class TestEval:
             main(["eval", "--best-of", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--best-of" in capsys.readouterr().err
-
-    def test_bad_corruption_value_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["eval", "--config", cfg, "--out", str(tmp_path),
-                     "--corruption", "0.4,alpha"]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestSweep:

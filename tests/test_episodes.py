@@ -46,6 +46,8 @@ class TestEmbeddingSet:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(InvalidInputError):
             EmbeddingSet(features=np.zeros((2, 2)), labels=np.array([0.5, 1.0]))
+        with pytest.raises(InvalidInputError, match="query_labels"):
+            _episode(query_labels=[[0], [0, 1]])  # ragged
 
     def test_unsigned_labels_beyond_int64_rejected(self):
         big = np.array([2**63, 1], dtype=np.uint64)
@@ -399,7 +401,8 @@ def test_real_fields_share_one_check(build, accepted):
 
 
 class TestCoercion:
-    @pytest.mark.parametrize("bad", [[], [[1.0]], [1.0, math.nan], [math.inf]])
+    @pytest.mark.parametrize("bad", [[], [[1.0]], [1.0, math.nan], [math.inf],
+                                     [[1.0], [1.0, 2.0]]])
     def test_as_vector_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             as_vector(bad)

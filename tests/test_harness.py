@@ -323,7 +323,7 @@ class TestSweep:
             corruption_rates=(0.4,),
         )
         reports = run_sweep(solo, "iterations", [0, 2])
-        assert [r.config["sweep"]["value"] for r in reports] == [0, 2]
+        assert [r.method for r in reports] == ["0", "2"]
         baseline = run_experiment(tiny_config(methods=(MethodSpec(method="nnp"),),
                                               corruption_rates=(0.4,)))[0]
         assert reports[0].per_episode_accuracies == baseline.per_episode_accuracies
@@ -342,9 +342,7 @@ class TestSweep:
             cfg = tiny_config(methods=(MethodSpec(method="rnnp",
                                                   rnnp=RnnpConfig(beta=2, alpha=v)),),
                               corruption_rates=(0.4,), n_episodes=4)
-            report = run_experiment(cfg)[0]
-            report.config["sweep"] = {"axis": "alpha", "value": v}
-            each.append(report)
+            each.append(replace(run_experiment(cfg)[0], method=repr(v)))
         a = save_sweep("alpha", swept, tmp_path / "a")
         b = save_sweep("alpha", each, tmp_path / "b")
         with open(a, "rb") as fa, open(b, "rb") as fb:
@@ -368,6 +366,23 @@ class TestSweep:
         serial = run_sweep(replace(solo, workers=1), "alpha", [0.4, 0.6, 0.8])
         assert started == [2]
         assert [r.to_dict() for r in swept] == [r.to_dict() for r in serial]
+
+    def test_reports_are_labeled_by_value(self):
+        solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
+                           corruption_rates=(0.4,), n_episodes=4)
+        reports = run_sweep(solo, "alpha", [0.5, np.float32(0.25)])
+        assert [r.method for r in reports] == ["0.5", "0.25"]
+        reports = run_sweep(solo, "beta", [2, np.int64(1), 3.0])
+        assert [r.method for r in reports] == ["2", "1", "3"]
+
+    @pytest.mark.parametrize("axis, values", [("beta", [1, 1]), ("beta", [1, 1.0]),
+                                              ("alpha", [0.5, 0.5])])
+    def test_repeated_value_rejected_before_any_episode(self, monkeypatch, axis, values):
+        monkeypatch.setattr(harness, "load_pool", lambda cfg: pytest.fail("pool loaded"))
+        solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
+                           corruption_rates=(0.4,))
+        with pytest.raises(InvalidInputError, match="duplicate method labels"):
+            run_sweep(solo, axis, values)
 
     def test_beta_sweep_rejects_fractional_values(self):
         solo = tiny_config(methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
@@ -415,7 +430,7 @@ class TestSaving:
         json_path, _ = save_reports(cfg, run_experiment(cfg), tmp_path / "out")
         payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
         assert payload["config"]["data_path"] == str(data)
-        assert payload["reports"][0]["config"]["experiment"]["data_path"] == str(data)
+        assert payload["reports"][0]["seed"] == cfg.seed
 
     def test_bytes_data_path_rejected(self):
         with pytest.raises(InvalidInputError, match="data_path"):

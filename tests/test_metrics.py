@@ -15,7 +15,7 @@ def make_report(accs, method="m", seed=7, rate=0.4, rect=None):
     return EvalReport.from_accuracies(
         method=method, corruption_rate=rate, n_way=5, k_shot=5,
         queries_per_class=15, per_episode_accuracies=list(accs),
-        skipped_episodes=0, config={"seed": seed}, per_episode_rectification=rect,
+        skipped_episodes=0, seed=seed, per_episode_rectification=rect,
     )
 
 
@@ -189,14 +189,15 @@ class TestEvalReport:
         lambda d: {**d, "episode_indices": [2, 0]},
         lambda d: {**d, "n_way": "5"},
         lambda d: {**d, "corruption_rate": "0.2"},
-        lambda d: {**d, "config": [1, 2]},
+        lambda d: {**d, "seed": "7"},
+        lambda d: {**{k: v for k, v in d.items() if k != "seed"}, "config": {"seed": 7}},
     ], ids=["skipped_string", "ci95_string", "mean_none", "unknown_key", "list_not_dict",
             "indices_too_many", "indices_string", "indices_repeated", "indices_decreasing",
-            "n_way_string", "rate_string", "config_list"])
+            "n_way_string", "rate_string", "seed_string", "old_config_layout"])
     def test_from_dict_rejects_hostile_fields(self, edit):
         d = EvalReport.from_accuracies(
             method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
-            per_episode_accuracies=[0.25, 0.75], skipped_episodes=1, config={"seed": 7},
+            per_episode_accuracies=[0.25, 0.75], skipped_episodes=1, seed=7,
             episode_indices=[0, 2],
         ).to_dict()
         assert EvalReport.from_dict(d).to_dict() == d
@@ -208,10 +209,10 @@ class TestEvalReport:
         with pytest.raises(TypeError):
             EvalReport(method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
                        per_episode_accuracies=[0.25, 0.75], mean_accuracy=mean, ci95=ci,
-                       skipped_episodes=0, config={"seed": 7})
+                       skipped_episodes=0, seed=7)
 
     @pytest.mark.parametrize("key", ["per_episode_accuracies", "mean_accuracy", "method",
-                                     "config"])
+                                     "seed"])
     def test_fields_cannot_be_assigned(self, key):
         r = make_report([0.25, 0.75])
         with pytest.raises(FrozenInstanceError):
@@ -226,11 +227,17 @@ class TestEvalReport:
     def test_per_episode_sequences_cannot_be_edited_in_place(self, edit):
         r = EvalReport.from_accuracies(
             method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
-            per_episode_accuracies=[0.25, 0.75], skipped_episodes=0, config={"seed": 7},
+            per_episode_accuracies=[0.25, 0.75], skipped_episodes=0, seed=7,
             per_episode_rectification=[[15, 16.0], [15, 16.5]], episode_indices=[0, 2])
         with pytest.raises((AttributeError, TypeError)):
             edit(r)
         assert EvalReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+
+    def test_editing_the_rectification_dict_leaves_the_report_alone(self):
+        r = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]])
+        r.rectification["mean_correct_after"] = 0.0
+        assert r.rectification == {"mean_correct_before": 15.0, "mean_correct_after": 16.25}
+        assert EvalReport.from_dict(r.to_dict()) == r
 
     def test_replace_derives_the_aggregates_again(self):
         r = replace(make_report([0.25, 0.75]), per_episode_accuracies=[0.5, 1.0, 0.0],
