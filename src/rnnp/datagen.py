@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import EmbeddingSet, _check_int, _check_real, _check_size
+from .episodes import (EmbeddingSet, _check_int, _check_real, _check_size, _check_type,
+                       _checked, _class_index)
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
 from .nnp import _pairwise_raw
 
@@ -49,6 +50,7 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
     Class labels are 0..C-1, class-major. With a single class the raw mean
     is kept unscaled (there is no pairwise distance to normalize).
     """
+    _check_type("spec", spec, MixtureSpec)
     c, d, s = spec.num_classes, spec.dim, spec.samples_per_class
     _check_size(f"num_classes={c} x samples_per_class={s}", c * s, d)
     rng = np.random.default_rng(spec.seed)
@@ -72,6 +74,7 @@ def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None
 
     file_format must be "csv"; any other value raises InvalidInputError.
     """
+    _check_type("pool", pool, EmbeddingSet)
     if file_format != "csv":
         raise InvalidInputError(f"file_format must be 'csv', got {file_format!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -87,23 +90,23 @@ def load_embeddings(path) -> EmbeddingSet:
     A CSV goes through one numpy pass when it is plain (see _load_csv_fast)
     and through the line loop _parse_csv otherwise; both give the same
     arrays, bit for bit, and any file the fast pass cannot vouch for gets
-    the line loop's verdict.
+    the line loop's verdict. Both check what EmbeddingSet would, so the pool
+    holds their arrays read-only, uncopied: fast-pass features are a view.
 
     Raises:
         EmbeddingFormatError: empty file, bytes that are not UTF-8,
             malformed row, ragged dimensions, non-finite values, or a label
             outside int64; messages carry the offending line number.
     """
-    fast = _load_csv_fast(path)
-    if fast is not None:
-        return EmbeddingSet(features=fast[1], labels=fast[0])
-    labels, rows = _parse_csv(_read_lines(path))
-    if not rows:
-        raise EmbeddingFormatError(f"{path}: file contains no samples")
-    return EmbeddingSet(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-    )
+    parsed = _load_csv_fast(path)
+    if parsed is None:
+        labels, rows = _parse_csv(_read_lines(path))
+        if not rows:
+            raise EmbeddingFormatError(f"{path}: file contains no samples")
+        parsed = np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)
+    labels, features = parsed
+    return _checked(EmbeddingSet, features=features, labels=labels,
+                    class_index=_class_index(labels))
 
 
 def _read_lines(path) -> list[str]:
@@ -138,8 +141,8 @@ def _plain_lines(fh):
 def _load_csv_fast(path):
     """(labels, features) of a plain CSV from one np.loadtxt pass, or None.
 
-    Both are strided views of one table, which EmbeddingSet copies. None
-    means the line loop must decide: the file is not plain ASCII,
+    Both are strided views of one table, which the pool keeps read-only.
+    None means the line loop must decide: the file is not plain ASCII,
     the header or any row does not parse, numpy warns (a header-only
     file), or a value is non-finite. On every file it accepts, the
     result equals _parse_csv's bit for bit: numpy strips the same ASCII

@@ -49,6 +49,13 @@ def _check_real(name: str, value, lo: float, hi: float, strict: bool) -> float:
     return x
 
 
+def _check_type(name: str, value, cls: type):
+    """value, if it is a cls; InvalidInputError naming cls otherwise."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"expected {name} of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
     """values as a read-only int64 array of `length` labels, each in 0..n-1
     (any integer when n is None)."""
@@ -120,11 +127,14 @@ def _check_size(what: str, rows: int, cols: int) -> None:
 class EmbeddingSet:
     """Immutable pool of labeled feature vectors.
 
+    The constructor checks the caller's arrays and stores read-only copies;
+    load_embeddings's features may be a read-only view of its parsed table.
+
     Attributes:
         features: (M, d) float64 array, one embedding per row.
         labels: (M,) int64 array of class identifiers (any integers).
-        class_index: mapping from class id to the ascending row indices of
-            its members; built automatically.
+        class_index: mapping from class id, ascending, to the ascending row
+            indices of its members; built automatically.
     """
 
     features: np.ndarray
@@ -134,12 +144,9 @@ class EmbeddingSet:
     def __post_init__(self):
         feats = as_matrix(self.features)
         labels = _check_labels("labels", self.labels, feats.shape[0], None)
-        index = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-        for rows in index.values():
-            rows.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_index", index)
+        object.__setattr__(self, "class_index", _class_index(labels))
 
     @property
     def dim(self) -> int:
@@ -148,6 +155,15 @@ class EmbeddingSet:
     @property
     def num_classes(self) -> int:
         return len(self.class_index)
+
+
+def _class_index(labels: np.ndarray) -> dict:
+    """EmbeddingSet.class_index of (M,) int64 labels: from one stable sort,
+    class ids ascending, each with its read-only ascending row indices."""
+    order = np.argsort(labels, kind="stable")
+    order.setflags(write=False)  # so are the views np.split takes of it
+    ids, starts = np.unique(labels[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
 @dataclass(frozen=True)
@@ -238,8 +254,7 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
             n_way classes, or has a class with fewer than
             k_shot + queries_per_class members.
     """
-    if not isinstance(pool, EmbeddingSet):
-        raise InvalidInputError(f"pool must be an EmbeddingSet, got {type(pool).__name__}")
+    _check_type("pool", pool, EmbeddingSet)
     n_way = _check_int("n_way", n_way, 2)
     k_shot = _check_int("k_shot", k_shot, 1)
     queries_per_class = _check_int("queries_per_class", queries_per_class, 1)
@@ -265,9 +280,8 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
         qry_rows.append(chosen[k_shot:])
 
     true = np.repeat(np.arange(n_way, dtype=np.int64), k_shot)
-    return _checked_episode(
-        n_way=n_way,
-        k_shot=k_shot,
+    return _checked(
+        Episode, n_way=n_way, k_shot=k_shot,
         support_features=pool.features[np.concatenate(sup_rows)],
         support_true_labels=true,
         support_observed_labels=true,
@@ -277,15 +291,16 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
     )
 
 
-def _checked_episode(**values) -> Episode:
-    """An Episode of values that already pass Episode.__post_init__'s checks,
-    its arrays set read-only instead of copied and checked again."""
-    episode = object.__new__(Episode)
+def _checked(cls: type, **values):
+    """A cls (Episode or EmbeddingSet) of values that already pass its
+    __post_init__'s checks, every field given, its arrays set read-only
+    instead of copied and checked again."""
+    obj = object.__new__(cls)
     for name, value in values.items():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(episode, name, value)
-    return episode
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
@@ -306,9 +321,12 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
        r[i] + 1.
 
     Raises:
-        InvalidInputError: rate*K not an integer (within 1e-9), or the
-            episode already has observed != true labels.
+        InvalidInputError: episode or spec of another type, rate*K not an
+            integer (within 1e-9), or the episode already has observed !=
+            true labels.
     """
+    _check_type("episode", episode, Episode)
+    _check_type("spec", spec, CorruptionSpec)
     if np.any(episode.support_observed_labels != episode.support_true_labels):
         raise InvalidInputError("corrupt_labels expects an uncorrupted episode")
     m = _corrupted_per_class(spec.rate, episode.k_shot)
@@ -325,9 +343,10 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
         slots = rng.permutation(k)[:m]
         r = rng.integers(n - 1, size=m)
         observed[rows[c, slots]] = np.where(r < c, r, r + 1)
-    return _checked_episode(**{**vars(episode), "support_observed_labels": observed})
+    return _checked(Episode, **{**vars(episode), "support_observed_labels": observed})
 
 
 def count_corrupted(episode: Episode) -> int:
     """Number of supports whose observed label differs from the true label."""
+    _check_type("episode", episode, Episode)
     return int(np.sum(episode.support_observed_labels != episode.support_true_labels))

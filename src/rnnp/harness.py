@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .datagen import MixtureSpec, generate_mixture, load_embeddings
-from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real,
+from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real, _check_type,
                        _corrupted_per_class, corrupt_labels, sample_episode)
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
@@ -188,6 +188,7 @@ def default_config(**overrides) -> ExperimentConfig:
 
 
 def load_pool(config: ExperimentConfig) -> EmbeddingSet:
+    _check_type("config", config, ExperimentConfig)
     if config.mixture is not None:
         return generate_mixture(config.mixture)
     return load_embeddings(config.data_path)
@@ -308,6 +309,7 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
 def _single_rnnp_rate(config: ExperimentConfig, what: str) -> MethodSpec:
     """The method of a config with one rnnp method and one corruption rate;
     InvalidInputError naming `what` otherwise."""
+    _check_type("config", config, ExperimentConfig)
     if len(config.methods) != 1 or config.methods[0].method != "rnnp":
         raise InvalidInputError(f"{what} needs exactly one configured method, of type rnnp")
     if len(config.corruption_rates) != 1:
@@ -368,7 +370,8 @@ def _write(out_dir, name: str, text: str) -> str:
 
 def save_reports(config: ExperimentConfig, reports, out_dir) -> tuple[str, str]:
     """Write report.json (full) and report.csv (flat) into out_dir."""
-    payload = {"config": config.to_dict(), "reports": [r.to_dict() for r in reports]}
+    payload = {"config": _check_type("config", config, ExperimentConfig).to_dict(),
+               "reports": [_check_type("report", r, EvalReport).to_dict() for r in reports]}
     return (_write(out_dir, "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"),
             _write(out_dir, "report.csv", reports_to_csv(reports)))
 

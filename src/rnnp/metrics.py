@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .episodes import _check_int, _check_real
+from .episodes import _check_int, _check_real, _check_type
 from .errors import InvalidInputError
 
 Z_95 = 1.96
@@ -165,6 +165,8 @@ def paired_delta(report_a: EvalReport, report_b: EvalReport) -> tuple[float, flo
     (identical episode streams). The win rate is the fraction of episodes
     where a is strictly better.
     """
+    _check_type("report_a", report_a, EvalReport)
+    _check_type("report_b", report_b, EvalReport)
     if report_a.n_episodes != report_b.n_episodes:
         raise InvalidInputError("reports cover different episode counts; not paired")
     if report_a.seed != report_b.seed:

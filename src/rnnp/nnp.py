@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .episodes import Episode, as_matrix, as_vector
+from .episodes import Episode, _check_type, as_matrix, as_vector
 from .errors import DegenerateClassError, InvalidInputError
 
 LABEL_SOURCES = ("observed", "true")
@@ -29,6 +29,7 @@ def compute_prototypes(episode: Episode, label_source: str = "observed") -> np.n
             labels (possible after corruption when K is small); callers that
             iterate over many episodes should record and skip such episodes.
     """
+    _check_type("episode", episode, Episode)
     if label_source not in LABEL_SOURCES:
         raise InvalidInputError(f"label_source must be one of {LABEL_SOURCES}, got {label_source!r}")
     labels = (episode.support_observed_labels if label_source == "observed"

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import Episode, _check_int, _check_real, _check_size, as_matrix, as_vector
+from .episodes import (Episode, _check_int, _check_real, _check_size, _check_type, as_matrix,
+                       as_vector)
 from .errors import InvalidInputError
 from .nnp import _class_means, _softmin_inplace, classify, compute_prototypes
 
@@ -142,6 +143,8 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     rng.normal call from the support set's per-dimension mean and
     (population) standard deviation, and has no parent labels.
     """
+    _check_type("episode", episode, Episode)
+    _check_type("config", config, RnnpConfig)
     _check_partners(config, episode.k_shot)
     sup = episode.support_features
     kn = sup.shape[0]
@@ -348,10 +351,11 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
         DegenerateClassError: some class has no observed supports, so
             initial prototypes cannot be formed.
     """
+    _check_type("config", config, RnnpConfig)
+    initial = compute_prototypes(episode, "observed")
     q = as_vector(query)
     if q.shape[0] != episode.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
-    initial = compute_prototypes(episode, "observed")
     centers, resp = _refine_queries(episode, q[None, :], config, initial)
     return RefinementTrace(
         initial_prototypes=initial,
@@ -370,6 +374,8 @@ def classify_rnnp(episode: Episode, query,
 
 def rectification_delta(episode: Episode, trace: RefinementTrace) -> tuple[int, int]:
     """Correct observed labels before refinement vs correct rectified labels after."""
+    _check_type("episode", episode, Episode)
+    _check_type("trace", trace, RefinementTrace)
     true = episode.support_true_labels
     if trace.rectified_labels.shape != true.shape:
         raise InvalidInputError("trace does not match the episode's support count")

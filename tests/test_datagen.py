@@ -1,5 +1,7 @@
 """Unit tests for the mixture generator and file I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -13,6 +15,7 @@ from rnnp.datagen import (
     load_embeddings,
     write_embeddings,
 )
+from rnnp.episodes import EmbeddingSet
 from rnnp.errors import EmbeddingFormatError, InvalidInputError
 from rnnp.harness import default_config
 
@@ -87,6 +90,12 @@ class TestGenerateMixture:
         rng.standard_normal((c, d))  # the raw class means
         want = np.vstack([means[i] + rng.standard_normal((s, d)) for i in range(c)])
         assert pool.features.tobytes() == want.tobytes()
+
+    def test_overflowing_mixture_rejected(self):
+        # Means scaled to 1e308 apart overflow to infinity in the pool.
+        spec = MixtureSpec(num_classes=2, dim=1, separation=1e308, samples_per_class=2, seed=0)
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            generate_mixture(spec)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -197,6 +206,47 @@ class TestFileRoundTrip:
         labels, features = _load_csv_fast(path)
         assert labels.dtype == np.int64 and np.array_equal(labels, pool.labels)
         assert features.dtype == np.float64 and np.array_equal(features, pool.features)
+
+
+class TestLoadedPool:
+    """A loaded pool holds the arrays its parser built, read-only and uncopied."""
+
+    def test_load_holds_the_table_once(self, tmp_path):
+        # A 4000-row table is 1.06 MB; a second copy of it reads about 2.1x.
+        pool = generate_mixture(MixtureSpec(20, 32, 3.0, 200, seed=0))
+        path = tmp_path / "pool.csv"
+        write_embeddings(pool, path)
+        table_bytes = pool.features.shape[0] * (pool.dim + 1) * 8
+        del pool
+        tracemalloc.start()
+        try:
+            load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * table_bytes, peak / table_bytes
+
+    # An underscore in a label is a value int() reads and numpy does not.
+    @pytest.mark.parametrize("extra_row", ["", "1_0,0.5,0.25\n"], ids=["fast_pass", "line_loop"])
+    def test_equals_its_rebuild_through_the_constructor(self, tmp_path, extra_row):
+        pool = generate_mixture(MixtureSpec(4, 2, 3.0, 5, seed=3))
+        path = tmp_path / "pool.csv"
+        write_embeddings(pool, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(extra_row)
+        assert (_load_csv_fast(path) is None) == bool(extra_row)
+        loaded = load_embeddings(path)
+        rebuilt = EmbeddingSet(features=np.array(loaded.features), labels=np.array(loaded.labels))
+        for name in ("features", "labels"):
+            got, want = getattr(loaded, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert list(loaded.class_index) == list(rebuilt.class_index)
+        for c, rows in rebuilt.class_index.items():
+            assert np.array_equal(loaded.class_index[c], rows)
+        arrays = [loaded.features, loaded.labels, *loaded.class_index.values()]
+        assert not any(a.flags.writeable for a in arrays)
+        assert loaded.labels.tolist()[-1] == (10 if extra_row else 3)
 
 
 def line_loop(path):

@@ -19,10 +19,14 @@ from rnnp.episodes import (
     count_corrupted,
     sample_episode,
 )
-from rnnp.datagen import MixtureSpec
+from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
 from rnnp.errors import InvalidInputError
-from rnnp.harness import MethodSpec, default_config, run_sweep
-from rnnp.refine import RefinementTrace, RnnpConfig
+from rnnp.harness import (MethodSpec, default_config, run_experiment, run_rectification_analysis,
+                          run_sweep, save_reports)
+from rnnp.metrics import EvalReport, paired_delta
+from rnnp.nnp import compute_prototypes
+from rnnp.refine import (RefinementTrace, RnnpConfig, build_hybrids, classify_rnnp,
+                         rectification_delta, refine_for_query)
 
 
 def make_pool(num_classes=20, per_class=25, dim=8, seed=0):
@@ -38,6 +42,19 @@ class TestEmbeddingSet:
         for c, rows in pool.class_index.items():
             assert np.all(np.diff(rows) > 0)
             assert np.all(pool.labels[rows] == c)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(labels=st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([-2**63, 2**63 - 1])),
+                           min_size=1, max_size=40))
+    def test_class_index_equals_one_mask_per_class(self, labels):
+        labels = np.array(labels, dtype=np.int64)
+        index = EmbeddingSet(features=np.zeros((labels.size, 1)), labels=labels).class_index
+        expected = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+        assert list(index) == list(expected)
+        assert all(type(c) is int for c in index)
+        for c, rows in expected.items():
+            assert index[c].dtype == rows.dtype and np.array_equal(index[c], rows)
+            assert not index[c].flags.writeable
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -288,12 +305,61 @@ class TestDerivedEpisodes:
                          "query_labels"):
                 assert getattr(out, name) is getattr(ep, name), name
 
-    def test_pool_must_be_an_embedding_set(self):
-        pool = make_pool(num_classes=3, per_class=4)
-        stand_in = SimpleNamespace(features=pool.features, labels=pool.labels,
-                                   class_index=pool.class_index)
-        with pytest.raises(InvalidInputError, match="EmbeddingSet"):
-            sample_episode(stand_in, 2, 1, 1, 0)
+
+def _typed_objects(tmp_path):
+    """Objects of every type a public function checks, plus stand-ins that
+    carry the same attributes without being of that type."""
+    pool = make_pool(num_classes=3, per_class=4)
+    ep = sample_episode(pool, 2, 2, 1, 0)
+    return SimpleNamespace(
+        pool=pool, ep=ep, query=ep.query_features[0], rnnp=RnnpConfig(beta=1),
+        pool_stand_in=SimpleNamespace(**vars(pool)), ep_stand_in=SimpleNamespace(**vars(ep)),
+        report=EvalReport(method="nnp", corruption_rate=0.0, n_way=2, k_shot=1,
+                          queries_per_class=1, per_episode_accuracies=[0.5, 1.0],
+                          skipped_episodes=0, seed=0),
+        out=tmp_path / "out")
+
+
+# Public calls given an object of another type than the one they take, each
+# with the name of the type they expect.
+WRONG_TYPES = {
+    "sample_episode": (lambda o: sample_episode(o.pool_stand_in, 2, 1, 1, 0), "EmbeddingSet"),
+    "refine_for_query.episode": (
+        lambda o: refine_for_query(o.ep.support_features, o.query, o.rnnp), "Episode"),
+    "refine_for_query.config": (
+        lambda o: refine_for_query(o.ep, o.query, vars(o.rnnp)), "RnnpConfig"),
+    "classify_rnnp.episode": (
+        lambda o: classify_rnnp(o.ep.support_features, o.query, o.rnnp), "Episode"),
+    "classify_rnnp.config": (
+        lambda o: classify_rnnp(o.ep, o.query, vars(o.rnnp)), "RnnpConfig"),
+    "build_hybrids.episode": (lambda o: build_hybrids(o.ep_stand_in, o.rnnp), "Episode"),
+    "build_hybrids.config": (lambda o: build_hybrids(o.ep, None), "RnnpConfig"),
+    "compute_prototypes": (lambda o: compute_prototypes(o.ep_stand_in), "Episode"),
+    "corrupt_labels.episode": (
+        lambda o: corrupt_labels(o.ep_stand_in, CorruptionSpec(rate=0.5, seed=1)), "Episode"),
+    "corrupt_labels.spec": (
+        lambda o: corrupt_labels(o.ep, {"rate": 0.2, "seed": 1}), "CorruptionSpec"),
+    "count_corrupted": (lambda o: count_corrupted(o.ep_stand_in), "Episode"),
+    "rectification_delta": (lambda o: rectification_delta(o.ep, None), "RefinementTrace"),
+    "generate_mixture": (lambda o: generate_mixture(vars(_mixture())), "MixtureSpec"),
+    "write_embeddings": (
+        lambda o: write_embeddings(o.pool.features, o.out / "pool.csv"), "EmbeddingSet"),
+    "paired_delta": (lambda o: paired_delta(None, None), "EvalReport"),
+    "run_experiment": (lambda o: run_experiment(default_config().to_dict()), "ExperimentConfig"),
+    "run_sweep": (lambda o: run_sweep(default_config().to_dict(), "beta", [1]), "ExperimentConfig"),
+    "run_rectification_analysis": (
+        lambda o: run_rectification_analysis(default_config().to_dict()), "ExperimentConfig"),
+    "save_reports": (
+        lambda o: save_reports(default_config(), [o.report, vars(o.report)], o.out), "EvalReport"),
+}
+
+
+@pytest.mark.parametrize("call, expected", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_wrong_typed_objects_are_refused(tmp_path, call, expected):
+    objects = _typed_objects(tmp_path)
+    with pytest.raises(InvalidInputError, match=rf"^expected \w+ of type {expected}, got \w+$"):
+        call(objects)
+    assert not objects.out.exists()
 
 
 class TestEpisodeValidation:
