@@ -25,7 +25,7 @@ from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real, _c
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
 from .nnp import _classify_arrays, compute_prototypes
-from .refine import RnnpConfig, _check_partners, _refine_queries
+from .refine import RnnpConfig, _check_partners, _refine_queries, _span_coordinates
 
 CORRUPTION_SEED_SALT = 0x9E3779B97F4A7C15
 
@@ -194,17 +194,18 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     return load_embeddings(config.data_path)
 
 
-def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: np.ndarray):
+def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: np.ndarray, span):
     """(accuracy, [correct_before, mean correct_after]) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
-    refinement problem, and one batched call runs them all.
+    refinement problem, and one batched call runs them all. span is the
+    episode's _span_coordinates; the queries are classified in the
+    coordinates the prototypes come back in, where distances are the same.
     """
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
-    queries = episode.query_features
-    centers, resp = _refine_queries(episode, queries, rcfg, initial)
-    preds = _classify_arrays(centers, queries)[1]
+    centers, resp, points = _refine_queries(episode, episode.query_features, rcfg, initial, span)
+    preds = _classify_arrays(centers, points)[1]
     afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
 
@@ -222,6 +223,8 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
     episode = sample_episode(pool, config.n_way, config.k_shot,
                              config.queries_per_class, config.seed + index)
     corr_seed = (config.seed ^ CORRUPTION_SEED_SALT) + index
+    # Corruption moves no feature, so every rate and method shares one span.
+    span = _span_coordinates(episode.support_features, episode.query_features)
     out = []
     for rate in config.corruption_rates:
         corrupted = corrupt_labels(episode, CorruptionSpec(rate=rate, seed=corr_seed))
@@ -236,7 +239,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
                 preds = _classify_arrays(protos, corrupted.query_features)[1]
                 cells.append((episode_accuracy(preds, corrupted.query_labels), None))
             else:
-                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))
+                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos, span))
         out.append(cells)
     return out
 
@@ -377,12 +380,15 @@ def save_reports(config: ExperimentConfig, reports, out_dir) -> tuple[str, str]:
 
 
 def save_sweep(sweep_axis: str, reports, out_dir) -> str:
+    _check_type("sweep_axis", sweep_axis, str)
+    reports = [_check_type("report", r, EvalReport) for r in reports]
     lines = ["value,mean,ci95"]
     lines += [f"{r.method},{r.mean_accuracy!r},{r.ci95!r}" for r in reports]
     return _write(out_dir, f"sweep_{sweep_axis}.csv", "\n".join(lines) + "\n")
 
 
 def save_rectification(result: dict, out_dir) -> str:
+    _check_type("result", result, dict)
     lines = ["episode_index,correct_before,correct_after"]
     lines += [f"{i},{before},{after!r}" for i, before, after in result["rows"]]
     lines.append(f"mean,{result['mean_correct_before']!r},{result['mean_correct_after']!r}")

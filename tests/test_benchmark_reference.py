@@ -9,6 +9,9 @@ rectification_delta) and fails on any disagreement. This test makes the
 same four calls and the same per-query checks at the reference size, and
 runs each reference config's reports through the rest of what a timed
 call reads: slice_quality (rectification, paired_delta) and save_reports.
+For the workloads in SLICED it also digests the full-size seed-0 slices,
+which a full --seed 0 run checks against recorded.json's slices_sha256_*,
+so a change of kernel arithmetic that moves a prediction fails here too.
 They run in a subprocess because
 importing perfbench/run.py pins the BLAS thread variables of its process,
 and the csv-ingest pool is written to a temporary directory, not to
@@ -26,8 +29,13 @@ import rnnp
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# Workloads whose full-size seed-0 slice digests are checked as well: one
+# run of each at its benchmark size, the same calls a --seed 0 run digests.
+SLICED = ("paper-w1", "ablation-w1")
+
 REFERENCE_CALLS = """
 import json, os, sys
+from dataclasses import replace
 sys.path.insert(0, sys.argv[1])
 import run
 import rnnp
@@ -43,7 +51,14 @@ for w in run.WORKLOADS:
     library[w] = run.library_problems(rnnp, pool, config, reports)
     quality[w] = run.slice_quality(rnnp, config, reports)
     saved[w] = rnnp.save_reports(config, reports, os.path.join("reports", w))
-print(json.dumps([calls, library, quality, saved]))
+slices = {}
+for w in sys.argv[3:]:
+    episodes, n = run.SIZES[w]
+    config = run.make_config(rnnp, w, 0, episodes, None)
+    slices[w] = {f"slices_sha256_{episodes}x{n}": run.digest(
+        [rnnp.run_experiment(replace(config, seed=config.seed + k * episodes))
+         for k in range(n)])}
+print(json.dumps([calls, library, quality, saved, slices]))
 """
 
 
@@ -52,10 +67,11 @@ def test_reference_digests_match_the_record(tmp_path):
     src = str(Path(rnnp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", REFERENCE_CALLS, str(PERFBENCH), str(tmp_path / "pool.csv")],
+        [sys.executable, "-c", REFERENCE_CALLS, str(PERFBENCH), str(tmp_path / "pool.csv"),
+         *SLICED],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
-    calls, library, quality, saved = json.loads(proc.stdout.splitlines()[-1])
+    calls, library, quality, saved, slices = json.loads(proc.stdout.splitlines()[-1])
     recorded = json.loads((PERFBENCH / "recorded.json").read_text(encoding="utf-8"))
     assert {w: problems for w, (_, problems) in calls.items()} == {w: [] for w in recorded}
     assert library == {w: [] for w in recorded}
@@ -65,3 +81,4 @@ def test_reference_digests_match_the_record(tmp_path):
     assert all((tmp_path / path).is_file() for paths in saved.values() for path in paths)
     assert {w: digest for w, (digest, _) in calls.items()} == \
         {w: record["reference_sha256"] for w, record in recorded.items()}
+    assert slices == {w: {key: recorded[w].get(key) for key in slices.get(w, {})} for w in SLICED}

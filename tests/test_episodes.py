@@ -22,7 +22,7 @@ from rnnp.episodes import (
 from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
 from rnnp.errors import InvalidInputError
 from rnnp.harness import (MethodSpec, default_config, run_experiment, run_rectification_analysis,
-                          run_sweep, save_reports)
+                          run_sweep, save_rectification, save_reports, save_sweep)
 from rnnp.metrics import EvalReport, paired_delta
 from rnnp.nnp import compute_prototypes
 from rnnp.refine import (RefinementTrace, RnnpConfig, build_hybrids, classify_rnnp,
@@ -351,6 +351,9 @@ WRONG_TYPES = {
         lambda o: run_rectification_analysis(default_config().to_dict()), "ExperimentConfig"),
     "save_reports": (
         lambda o: save_reports(default_config(), [o.report, vars(o.report)], o.out), "EvalReport"),
+    "save_sweep.reports": (lambda o: save_sweep("beta", [o.report, None], o.out), "EvalReport"),
+    "save_sweep.sweep_axis": (lambda o: save_sweep(None, [o.report], o.out), "str"),
+    "save_rectification": (lambda o: save_rectification(None, o.out), "dict"),
 }
 
 

@@ -19,7 +19,9 @@ from rnnp.refine import (
     _SCRATCH,
     _cluster_batch,
     _first_min_onehot,
+    _from_span,
     _refine_queries,
+    _span_coordinates,
     _update,
     build_hybrids,
     classify_rnnp,
@@ -540,14 +542,17 @@ class TestClassifyRnnp:
             assert pred0 == pred1
             assert np.array_equal(tr0.rectified_labels, tr1.rectified_labels)
 
+    # Dim 8 has fewer dimensions than 20 supports and refines in R^d; dim 32
+    # refines in the supports' span.
+    @pytest.mark.parametrize("dim", [8, 32])
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31 - 1), exponent=st.integers(0, 8),
            source=st.sampled_from(HYBRID_SOURCES))
-    def test_offsets_up_to_1e8_change_no_prediction(self, seed, exponent, source):
+    def test_offsets_up_to_1e8_change_no_prediction(self, dim, seed, exponent, source):
         # The kernel measures distances from the mean of the supports and
         # hybrids, so a far-off episode keeps the precision of a centred one.
         rng = np.random.default_rng(seed)
-        ep = corrupt_labels(small_episode(seed=seed, n_way=4, k_shot=5, dim=8, queries=5,
+        ep = corrupt_labels(small_episode(seed=seed, n_way=4, k_shot=5, dim=dim, queries=5,
                                           spread=float(rng.uniform(1.0, 4.0))),
                             CorruptionSpec(rate=0.4, seed=seed))
         moved = shift(ep, rng.normal(size=ep.dim) * 10.0 ** exponent)
@@ -557,9 +562,10 @@ class TestClassifyRnnp:
             labels = []
             for e in (ep, moved):
                 initial = compute_prototypes(e, "observed")
-                centers, resp = _refine_queries(e, e.query_features, cfg, initial)
+                span = _span_coordinates(e.support_features, e.query_features)
+                centers, resp, points = _refine_queries(e, e.query_features, cfg, initial, span)
                 labels.append((_classify_arrays(initial, e.query_features)[1],
-                               _classify_arrays(centers, e.query_features)[1],
+                               _classify_arrays(centers, points)[1],
                                np.argmax(resp, axis=1)))
             for at_origin, far in zip(*labels):
                 assert np.array_equal(at_origin, far)
@@ -748,7 +754,8 @@ class TestBatchedRefinement:
                             CorruptionSpec(rate=0.4, seed=12))
         cfg = RnnpConfig(beta=3, hybrid_labeling="labeled_direct", seed=4)
         initial = compute_prototypes(ep, "observed")
-        centers, resp = _refine_queries(ep, ep.query_features, cfg, initial)
+        centers, resp, points = _refine_queries(ep, ep.query_features, cfg, initial, None)
+        assert points is ep.query_features
         assert centers.shape == (16, 4, ep.dim) and resp.shape == (16, 4, 20)
         for i, q in enumerate(ep.query_features):
             trace = refine_for_query(ep, q, cfg)
@@ -792,6 +799,120 @@ class TestBatchedRefinement:
                 np.testing.assert_allclose(centers[i, 0], centers[i, 2], rtol=0, atol=1e-12)
 
 
+def span_problem(seed, n_way, k_shot, dim, batch, flat, duplicates, exponent):
+    """A corrupted episode refined in its supports' span (KN + 1 < dim), with
+    hostile cases: supports moved into a random `flat`-dimensional plane
+    (unless 0) and `duplicates` supports copied over a classmate, both of
+    which make the span rank-deficient; a batch that holds a support (a
+    query inside the span) and, from three classes on, the support mean
+    (residual exactly 0) besides episode queries; and every feature moved
+    by an offset of about 10**exponent."""
+    rng = np.random.default_rng(seed)
+    ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=4,
+                       spread=float(rng.uniform(0.5, 6.0)))
+    sup = ep.support_features.copy()
+    if flat:
+        plane = np.linalg.qr(rng.normal(size=(dim, flat)))[0]
+        mean = sup.mean(axis=0)
+        sup = mean + (sup - mean) @ plane @ plane.T
+    for _ in range(duplicates if k_shot > 1 else 0):
+        first = int(rng.integers(0, n_way)) * k_shot
+        src, dst = rng.choice(k_shot, 2, replace=False)
+        sup[first + dst] = sup[first + src]
+    offset = rng.normal(size=dim) * 10.0 ** exponent
+    sup += offset
+    inside = [sup[int(rng.integers(0, sup.shape[0]))], sup.mean(axis=0)]
+    if n_way == 2:
+        # Two classes' support mean is the midpoint of their start centres
+        # (of equal size): an exact tie, which rounding breaks in any path.
+        inside.pop()
+    queries = np.vstack([ep.query_features + offset, inside])
+    queries = queries[rng.permutation(np.arange(batch) % queries.shape[0])]
+    ep = Episode(n_way=n_way, k_shot=k_shot, support_features=sup,
+                 support_true_labels=ep.support_true_labels,
+                 support_observed_labels=ep.support_observed_labels,
+                 query_features=queries, query_labels=np.zeros(batch, dtype=np.int64), seed=seed)
+    # Fewer than K corrupted per class, so every class keeps an observed support.
+    wrong = int(rng.integers(0, k_shot))
+    return corrupt_labels(ep, CorruptionSpec(rate=wrong / k_shot, seed=seed))
+
+
+class TestSpanCoordinates:
+    """Refining in the supports' span gives the full-space kernel's results."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n_way=st.integers(2, 5), k_shot=st.integers(1, 5),
+           extra_dims=st.integers(1, 37), batch=st.integers(1, 20),
+           source=st.sampled_from(["same_class", "different_class"]),
+           beta=st.integers(1, 4), iterations=st.integers(1, 4),
+           flat=st.sampled_from([0, 0, 1, 2]), duplicates=st.sampled_from([0, 0, 1, 3]),
+           exponent=st.sampled_from([0, 0, 4, 8]))
+    def test_span_path_equals_the_full_space_kernel(self, seed, n_way, k_shot, extra_dims, batch,
+                                                    source, beta, iterations, flat, duplicates,
+                                                    exponent):
+        if source == "same_class" and k_shot == 1:
+            source = "different_class"  # one shot has no classmates to blend with
+        kn = n_way * k_shot
+        dim = min(kn + 1 + extra_dims, 64)
+        ep = span_problem(seed, n_way, k_shot, dim, batch, flat, duplicates, exponent)
+        event(f"K={k_shot} {source} offset 1e{exponent} plane {flat} duplicates {duplicates}")
+        queries = ep.query_features
+        span = _span_coordinates(ep.support_features, queries)
+        assert span is not None and span[1].shape == (dim, kn)
+        initial = compute_prototypes(ep, "observed")
+        # Centres far from the origin carry their magnitude's rounding in either path.
+        tol = 1e-9 * max(1.0, float(np.abs(ep.support_features).max()))
+        for mode in ("soft", "hard"):
+            cfg = RnnpConfig(beta=beta if source == "different_class" else min(beta, k_shot - 1),
+                             iterations=iterations, clustering_mode=mode, hybrid_source=source,
+                             seed=seed % 1000)
+            shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
+            full, full_resp = _cluster_batch(shared, queries, initial, cfg, kept=kn)
+            centers, resp, points = _refine_queries(ep, queries, cfg, initial, span)
+            assert centers.shape == (batch, n_way, kn + 1) and points is span[2]
+            assert np.array_equal(_classify_arrays(centers, points)[1],
+                                  _classify_arrays(full, queries)[1])
+            assert np.array_equal(np.argmax(resp, axis=1), np.argmax(full_resp, axis=1))
+            for i, q in enumerate(queries):
+                back = _from_span(centers[i], (*span[:2], span[2][i:i + 1]), q)
+                np.testing.assert_allclose(back, full[i], rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dim, kwargs", [
+        (16, {}),
+        (40, {"hybrid_source": "gaussian_noise"}),
+        (40, {"hybrid_labeling": "labeled_direct"}),
+        (40, {"iterations": 0}),
+    ], ids=["kn_plus_1_at_least_d", "gaussian_noise", "labeled_direct", "zero_iterations"])
+    def test_other_paths_are_the_full_space_path(self, dim, kwargs):
+        ep = corrupt_labels(small_episode(seed=6, n_way=3, k_shot=5, dim=dim),
+                            CorruptionSpec(rate=0.4, seed=6))
+        cfg = RnnpConfig(beta=3, seed=2, **kwargs)
+        queries = ep.query_features
+        span = _span_coordinates(ep.support_features, queries)
+        assert (span is None) == (dim == 16)
+        initial = compute_prototypes(ep, "observed")
+        got = _refine_queries(ep, queries, cfg, initial, span)
+        assert got[2] is queries
+        for a, b in zip(got, _refine_queries(ep, queries, cfg, initial, None)):
+            assert np.array_equal(a, b)
+        for q in queries:
+            alone = _refine_queries(ep, q[None, :], cfg, initial, None)[0][0]
+            assert np.array_equal(refine_for_query(ep, q, cfg).refined_prototypes, alone)
+
+    def test_library_maps_span_centres_back_to_r_d(self):
+        ep = corrupt_labels(small_episode(seed=9, n_way=3, k_shot=5, dim=40),
+                            CorruptionSpec(rate=0.4, seed=9))
+        cfg = RnnpConfig(beta=3, seed=2)
+        shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
+        initial = compute_prototypes(ep, "observed")
+        for q in ep.query_features:
+            trace = refine_for_query(ep, q, cfg)
+            full, full_resp = _cluster_batch(shared, q[None, :], initial, cfg, kept=15)
+            assert trace.refined_prototypes.shape == (3, 40)
+            np.testing.assert_allclose(trace.refined_prototypes, full[0], rtol=0, atol=1e-12)
+            assert np.array_equal(trace.rectified_labels, np.argmax(full_resp[0], axis=0))
+
+
 def in_fresh_thread(fn, *args):
     """fn(*args) run in a new thread, which starts with empty kernel scratch."""
     out = []
@@ -812,7 +933,8 @@ class TestScratch:
                                           queries=queries),
                             CorruptionSpec(rate=0.4, seed=seed))
         initial = compute_prototypes(ep, "observed")
-        return _refine_queries(ep, ep.query_features, cfg, initial)
+        span = _span_coordinates(ep.support_features, ep.query_features)
+        return _refine_queries(ep, ep.query_features, cfg, initial, span)
 
     @staticmethod
     def scratch():
