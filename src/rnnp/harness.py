@@ -20,12 +20,13 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .datagen import MixtureSpec, generate_mixture, load_embeddings
-from .episodes import (CorruptionSpec, EmbeddingSet, _check_int, _check_real, _check_type,
-                       _corrupted_per_class, corrupt_labels, sample_episode)
+from .episodes import (CorruptionSpec, EmbeddingSet, Episode, _check_int, _check_real,
+                       _check_size, _check_type, _checked, _corrupted_per_class, corrupt_labels,
+                       sample_episode)
 from .errors import DegenerateClassError, InvalidInputError
 from .metrics import EvalReport, episode_accuracy, reports_to_csv
-from .nnp import _classify_arrays, compute_prototypes
-from .refine import RnnpConfig, _check_partners, _refine_queries, _span_coordinates
+from .nnp import _pairwise_raw, compute_prototypes
+from .refine import RnnpConfig, _check_partners, _refine_queries, _span_episode
 
 CORRUPTION_SEED_SALT = 0x9E3779B97F4A7C15
 
@@ -194,18 +195,18 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     return load_embeddings(config.data_path)
 
 
-def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: np.ndarray, span):
+def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: np.ndarray):
     """(accuracy, [correct_before, mean correct_after]) for one episode.
 
     Equivalent to calling classify_rnnp per query: every query is its own
-    refinement problem, and one batched call runs them all. span is the
-    episode's _span_coordinates; the queries are classified in the
-    coordinates the prototypes come back in, where distances are the same.
+    refinement problem, and one batched call runs them all, in the episode's
+    coordinates: a span episode's for blend hybrids, where every distance is
+    the one in R^d. A query's prediction is its nearest prototype.
     """
     true = episode.support_true_labels
     before = int(np.sum(episode.support_observed_labels == true))
-    centers, resp, points = _refine_queries(episode, episode.query_features, rcfg, initial, span)
-    preds = _classify_arrays(centers, points)[1]
+    centers, resp = _refine_queries(episode, episode.query_features, rcfg, initial)
+    preds = np.argmin(_pairwise_raw(episode.query_features, centers), axis=1)
     afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
     return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
 
@@ -219,27 +220,41 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
     rectification) pair per method in config.methods order, where
     rectification is [correct_before, mean correct_after] for rnnp and
     None for nnp.
+
+    The episode is projected once into its supports' span (_span_episode),
+    and every rate and method runs on that span episode: corruption, class
+    means, the nnp baseline and blend-hybrid refinement. gaussian_noise
+    hybrids leave the span, so they get the R^d episode and class means
+    under the rate's observed labels.
     """
     episode = sample_episode(pool, config.n_way, config.k_shot,
                              config.queries_per_class, config.seed + index)
     corr_seed = (config.seed ^ CORRUPTION_SEED_SALT) + index
-    # Corruption moves no feature, so every rate and method shares one span.
-    span = _span_coordinates(episode.support_features, episode.query_features)
+    noise = [m.rnnp is not None and m.rnnp.hybrid_source == "gaussian_noise"
+             for m in config.methods]
+    work, span = _span_episode(episode)
     out = []
     for rate in config.corruption_rates:
-        corrupted = corrupt_labels(episode, CorruptionSpec(rate=rate, seed=corr_seed))
+        corrupted = corrupt_labels(work, CorruptionSpec(rate=rate, seed=corr_seed))
         try:
             protos = compute_prototypes(corrupted, "observed")
         except DegenerateClassError:
             out.append(None)
             continue
+        full, full_protos = corrupted, protos
+        if span is not None and any(noise):
+            full = _checked(Episode, **{**vars(episode), "support_observed_labels":
+                                        corrupted.support_observed_labels})
+            full_protos = compute_prototypes(full, "observed")
         cells = []
-        for m in config.methods:
+        for m, in_full in zip(config.methods, noise):
             if m.method == "nnp":
-                preds = _classify_arrays(protos, corrupted.query_features)[1]
+                preds = np.argmin(_pairwise_raw(corrupted.query_features, protos), axis=1)
                 cells.append((episode_accuracy(preds, corrupted.query_labels), None))
+            elif in_full:
+                cells.append(_evaluate_rnnp_episode(full, m.rnnp, full_protos))
             else:
-                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos, span))
+                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))
         out.append(cells)
     return out
 
@@ -278,6 +293,9 @@ def run_experiment(config: ExperimentConfig) -> list:
 def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
     """run_experiment on a pool already loaded for this config."""
     n = config.n_episodes
+    # Hybrids are refused by their size in R^d, whatever coordinates they are built in.
+    beta = max((m.rnnp.beta for m in config.methods if m.rnnp is not None), default=0)
+    _check_size(f"beta={beta}", config.n_way * config.k_shot * beta, pool.dim)
     # workers is an upper bound: never start more processes than there are
     # episodes to run or CPUs to run them on.
     workers = min(config.workers or n, n, _usable_cpus())

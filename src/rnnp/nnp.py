@@ -2,7 +2,7 @@
 
 The baseline few-shot classifier: average each class's support features
 into a prototype, then score a query by a softmax over the negated
-distances to the prototypes and predict the argmax class.
+distances to the prototypes and predict the nearest prototype's class.
 """
 
 from __future__ import annotations
@@ -79,27 +79,22 @@ def _softmin_inplace(d: np.ndarray, axis: int = -1) -> np.ndarray:
     return d
 
 
-def _classify_arrays(prototypes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """classify() for a (Q, d) stack of queries on bare arrays; hot-loop entry
-    point. prototypes is (N, d), shared by all queries, or (Q, N, d), one set
-    per query. Returns the (Q, N) probabilities and (Q,) predictions."""
-    probs = _softmin_inplace(_pairwise_raw(queries, prototypes))
-    return probs, np.argmax(probs, axis=1)
-
-
 def classify(prototypes, query) -> tuple[np.ndarray, int]:
     """Classify one query against (N, d) prototypes, one row per class.
 
     Probabilities, a read-only (N,) array, are a softmax over the negated
     squared Euclidean query-to-prototype distances (computed with
     max-subtraction so large distances cannot underflow everything at once).
-    The predicted class is the argmax; exact ties resolve to the lowest
-    class index.
+    The predicted class is the argmin of those distances, exact ties to the
+    lowest class index: the argmax of the probabilities, except where the
+    softmax rounds two distances closer than about 1e-16 to one value.
     """
     protos = as_matrix(prototypes)
     q = as_vector(query)
     if q.shape[0] != protos.shape[1]:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {protos.shape[1]}")
-    probs, pred = _classify_arrays(protos, q[None, :])
+    dists = _pairwise_raw(q[None, :], protos)[0]
+    pred = int(np.argmin(dists))
+    probs = _softmin_inplace(dists)
     probs.setflags(write=False)
-    return probs[0], int(pred[0])
+    return probs, pred

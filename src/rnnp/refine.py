@@ -14,14 +14,15 @@ classify each other. The library (refine_for_query, classify_rnnp) and
 the harness share one path, _refine_queries: a batch of queries, each
 its own problem, with the library calling it for a batch of one.
 
-Every center is a weighted mean of the supports, their blend hybrids and
-its own query, so a problem lives in the supports' span plus one residual
-axis for its query. When the hybrids are blends, KN + 1 < d and at least
-one round runs, the clustering runs in those KN + 1 coordinates
-(_span_coordinates) instead of d: the kernel's flops scale with KN, not
-with d. Distances are the same in exact arithmetic; centers move by about
-1e-14 from a full-space run, and no prediction, rectified label or report
-byte of the benchmark changes.
+Supports, blend hybrids, class means and centers lie in the supports'
+span, and a query adds one residual axis. When KN + 1 < d, the harness
+projects each episode once into those KN + 1 coordinates (_span_episode),
+and everything after it runs there, with flops that scale with KN instead
+of d; only gaussian_noise hybrids, which leave the span, run in R^d. The
+library does so for blend hybrids clustered for a round, and maps its
+centers back. Distances are the same in exact arithmetic; centers move by
+about 1e-14, and no prediction, rectified label or report byte of the
+benchmark changes.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import (Episode, _check_int, _check_real, _check_size, _check_type, as_matrix,
-                       as_vector)
+from .episodes import (Episode, _check_int, _check_real, _check_size, _check_type, _checked,
+                       as_matrix, as_vector)
 from .errors import InvalidInputError
 from .nnp import _class_means, _softmin_inplace, classify, compute_prototypes
 
@@ -319,14 +320,6 @@ def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
             np.broadcast_to(kept_resp, (q,) + kept_resp.shape[1:]))
 
 
-def _into_span(x: np.ndarray, origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """[(x - origin) basis, 0]: the (rows, KN + 1) span coordinates of rows
-    of x that lie in the supports' span."""
-    out = np.zeros((x.shape[0], basis.shape[1] + 1))
-    np.matmul(x - origin, basis, out=out[:, :-1])
-    return out
-
-
 def _span_coordinates(support: np.ndarray, queries: np.ndarray):
     """(origin, basis, coords) of the supports' span, or None when KN + 1 >= d.
 
@@ -336,16 +329,35 @@ def _span_coordinates(support: np.ndarray, queries: np.ndarray):
     places each query x at [(x - origin) basis, |r|], where r is the part of
     x - origin outside that space. A point of the span sits at
     [(p - origin) basis, 0], so every distance between a query and such a
-    point, or a weighted mean of both, is the one in R^d.
+    point, or a weighted mean of both, is the one in R^d. Each query is
+    projected by its own matrix product, so its coordinates are bit for bit
+    the ones it gets alone, whatever the other queries.
     """
     kn, d = support.shape
     if kn + 1 >= d:
         return None
     origin = support.mean(axis=0)
     basis = np.linalg.qr((support - origin).T)[0]
-    coords = _into_span(queries, origin, basis)
-    coords[:, -1] = np.linalg.norm(queries - origin - coords[:, :-1] @ basis.T, axis=1)
-    return origin, basis, coords
+    centred = (queries - origin)[:, None, :]
+    inside = np.matmul(centred, basis)
+    resid = np.linalg.norm((centred - np.matmul(inside, basis.T))[:, 0], axis=1)
+    return origin, basis, np.column_stack([inside[:, 0], resid])
+
+
+def _span_episode(episode: Episode) -> tuple[Episode, tuple | None]:
+    """(span episode, _span_coordinates(supports, queries)) of an episode, or
+    (episode, None) when KN + 1 >= d. The span episode keeps the labels,
+    shape and seed, with supports at [(s - origin) basis, 0] and queries at
+    their coordinates: every distance among them and their weighted means
+    (class means, blend hybrids, centers) is the one in R^d."""
+    span = _span_coordinates(episode.support_features, episode.query_features)
+    if span is None:
+        return episode, None
+    origin, basis, coords = span
+    support = np.zeros((basis.shape[1], basis.shape[1] + 1))
+    np.matmul(episode.support_features - origin, basis, out=support[:, :-1])
+    return _checked(Episode, **{**vars(episode), "support_features": support,
+                                "query_features": coords}), span
 
 
 def _from_span(centers: np.ndarray, span, query: np.ndarray) -> np.ndarray:
@@ -361,10 +373,10 @@ def _from_span(centers: np.ndarray, span, query: np.ndarray) -> np.ndarray:
 
 
 def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
-                    initial: np.ndarray, span) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Refined prototypes (Q, N, D), support responsibilities (Q, N, KN) and
-    the (Q, D) queries in the prototypes' coordinates, for each of the
-    (Q, d) queries, each its own problem.
+                    initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refined prototypes (Q, N, d) and support responsibilities (Q, N, KN)
+    for each of the (Q, d) queries, each its own problem, in the episode's
+    coordinates (d = KN + 1 on a span episode).
 
     unlabeled_cluster clusters supports + hybrids as shared rows and the
     query as its problem's own row, starting from initial, the (N, d)
@@ -372,14 +384,6 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     hybrid inherits its parent's observed label, the prototypes are the
     per-class means of supports plus hybrids, the same for every query,
     and the responsibilities are one-hot on the observed labels.
-
-    span is _span_coordinates(support features, queries). When it is not
-    None, the hybrids are blends (they stay in the supports' span) and at
-    least one round runs, the clustering runs in those KN + 1 coordinates
-    (D = KN + 1); the distances, and so the assignments, are the same as
-    in R^d in exact arithmetic, and the kernel's flops scale with KN
-    instead of d. In floating point the centers differ from an R^d run by
-    about 1e-14. Otherwise (D = d) the prototypes and queries are in R^d.
     """
     hybrids, parents = build_hybrids(episode, config)
     shared = np.vstack([episode.support_features, hybrids])
@@ -389,13 +393,8 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
         one_hot = np.arange(episode.n_way)[:, None] == episode.support_observed_labels
         q = queries.shape[0]
         return (np.broadcast_to(protos, (q,) + protos.shape),
-                np.broadcast_to(one_hot.astype(np.float64), (q,) + one_hot.shape), queries)
-    kn = episode.support_features.shape[0]
-    if span is None or config.hybrid_source == "gaussian_noise" or not config.iterations:
-        return (*_cluster_batch(shared, queries, initial, config, kept=kn), queries)
-    origin, basis, coords = span
-    return (*_cluster_batch(_into_span(shared, origin, basis), coords,
-                            _into_span(initial, origin, basis), config, kept=kn), coords)
+                np.broadcast_to(one_hot.astype(np.float64), (q,) + one_hot.shape))
+    return _cluster_batch(shared, queries, initial, config, kept=episode.support_features.shape[0])
 
 
 def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:
@@ -409,8 +408,9 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     labeled_direct nothing is clustered: each hybrid inherits its parent's
     observed label, the prototypes are plain means of supports plus
     hybrids per class, and the trace reports the observed labels
-    unchanged (structurally, nothing was rectified). Centers refined in
-    the supports' span are mapped back to R^d.
+    unchanged (structurally, nothing was rectified). Blend hybrids
+    clustered for at least one round run on the span episode of the
+    supports and this query, and their centers are mapped back to R^d.
 
     Raises:
         DegenerateClassError: some class has no observed supports, so
@@ -421,12 +421,18 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     q = as_vector(query)
     if q.shape[0] != episode.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
-    span = _span_coordinates(episode.support_features, q[None, :])
-    centers, resp, _ = _refine_queries(episode, q[None, :], config, initial, span)
-    refined = centers[0] if centers.shape[2] == episode.dim else _from_span(centers[0], span, q)
+    # The one query's episode; refinement reads no query label.
+    work = _checked(Episode, **{**vars(episode), "query_features": q[None, :],
+                                "query_labels": np.zeros(1, dtype=np.int64)})
+    span = None
+    if (config.hybrid_source != "gaussian_noise"
+            and config.hybrid_labeling == "unlabeled_cluster" and config.iterations):
+        work, span = _span_episode(work)
+    centers, resp = _refine_queries(work, work.query_features, config,
+                                    initial if span is None else compute_prototypes(work))
     return RefinementTrace(
         initial_prototypes=initial,
-        refined_prototypes=refined,
+        refined_prototypes=centers[0] if span is None else _from_span(centers[0], span, q),
         support_responsibilities=resp[0].T,
     )
 

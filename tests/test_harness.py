@@ -52,6 +52,16 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# Every refinement path but the default one, besides the baseline.
+OFF_DEFAULT_METHODS = (MethodSpec(method="nnp"),) + tuple(
+    MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2, **kwargs), label=label)
+    for label, kwargs in [("hard", {"clustering_mode": "hard"}),
+                          ("different", {"hybrid_source": "different_class"}),
+                          ("noise", {"hybrid_source": "gaussian_noise"}),
+                          ("direct", {"hybrid_labeling": "labeled_direct"}),
+                          ("zero", {"iterations": 0})])
+
+
 def test_harness_imports_functions_only_from_traced_layers():
     # perfbench's tracer wraps every function harness imports from another
     # rnnp module and files its span under the defining module; its selftest
@@ -499,3 +509,86 @@ class TestEpisodeAveragesMatchPublicApi:
             beta=2, hybrid_labeling="labeled_direct"))
         self.check_against_per_query_calls(tiny_config(corruption_rates=(0.4,),
                                                        methods=(method,)))
+
+    @pytest.mark.parametrize("dim", [24, 12], ids=["span", "full_space"])
+    def test_predictions_off_the_default_method_match_per_query_calls(self, monkeypatch, dim):
+        from rnnp.datagen import generate_mixture
+        from rnnp.episodes import CorruptionSpec, corrupt_labels, sample_episode
+        from rnnp.nnp import classify, compute_prototypes
+        from rnnp.refine import classify_rnnp, rectification_delta
+
+        cfg = tiny_config(mixture=replace(tiny_mixture(), dim=dim), methods=OFF_DEFAULT_METHODS)
+        # KN + 1 = 16: dim 24 runs on the span episode, dim 12 in R^d.
+        assert (cfg.n_way * cfg.k_shot + 1 < dim) == (dim == 24)
+        pool = generate_mixture(cfg.mixture)
+        seen = []
+        accuracy = harness.episode_accuracy
+        monkeypatch.setattr(harness, "episode_accuracy",
+                            lambda preds, labels: seen.append(preds) or accuracy(preds, labels))
+        for i in range(cfg.n_episodes):
+            rows = harness._evaluate_episode(pool, cfg, i)
+            ep = sample_episode(pool, cfg.n_way, cfg.k_shot, cfg.queries_per_class, cfg.seed + i)
+            for rate, cells in zip(cfg.corruption_rates, rows):
+                corr = corrupt_labels(ep, CorruptionSpec(
+                    rate=rate, seed=(cfg.seed ^ harness.CORRUPTION_SEED_SALT) + i))
+                protos = compute_prototypes(corr, "observed")
+                for m, (_, rectification) in zip(cfg.methods, cells):
+                    if m.method == "nnp":
+                        preds = [classify(protos, q)[1] for q in corr.query_features]
+                        nearest = [int(np.argmin(np.sum((protos - q) ** 2, axis=1)))
+                                   for q in corr.query_features]
+                        assert preds == nearest
+                    else:
+                        outs = [classify_rnnp(corr, q, m.rnnp) for q in corr.query_features]
+                        preds = [pred for _, pred, _ in outs]
+                        pairs = [rectification_delta(corr, trace) for _, _, trace in outs]
+                        assert rectification == [pairs[0][0],
+                                                 float(np.mean([a for _, a in pairs]))]
+                    assert seen.pop(0).tolist() == preds, (i, rate, m.label)
+        assert seen == []
+
+
+class TestOneProjectionPerEpisode:
+    """The episode is projected to its supports' span once; everything after
+    that, but gaussian_noise hybrids, runs in its KN + 1 coordinates."""
+
+    @pytest.mark.parametrize("rates, methods", [
+        ((0.4,), OFF_DEFAULT_METHODS[1:2]),
+        ((0.0, 0.2, 0.4), OFF_DEFAULT_METHODS),
+    ], ids=["one_rate_one_method", "three_rates_six_methods"])
+    def test_span_coordinates_run_once_per_episode(self, monkeypatch, rates, methods):
+        import rnnp.refine as refine
+
+        inside, projections, refined_dims, classified_dims = [], [], [], []
+
+        def outside_refinement(fn, record):
+            def wrapped(*args, **kwargs):
+                assert not inside, f"{fn.__name__} ran inside _refine_queries"
+                record.append(1)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        refine_queries = harness._refine_queries
+
+        def refine_inside(episode, *args):
+            refined_dims.append(episode.dim)
+            inside.append(1)
+            try:
+                return refine_queries(episode, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(refine, "_span_coordinates",
+                            outside_refinement(refine._span_coordinates, projections))
+        monkeypatch.setattr(np.linalg, "qr", outside_refinement(np.linalg.qr, []))
+        monkeypatch.setattr(harness, "_refine_queries", refine_inside)
+        pairwise = harness._pairwise_raw
+        monkeypatch.setattr(harness, "_pairwise_raw",
+                            lambda r, c: classified_dims.append(r.shape[1]) or pairwise(r, c))
+        cfg = tiny_config(mixture=replace(tiny_mixture(), dim=24), corruption_rates=rates,
+                          methods=methods, n_episodes=4)
+        run_experiment(cfg)
+        assert len(projections) == cfg.n_episodes
+        # KN + 1 = 16 for all but gaussian_noise, which refines and classifies in R^24.
+        want = {16, 24} if any(m.label == "noise" for m in methods) else {16}
+        assert set(refined_dims) == set(classified_dims) == want

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rnnp.episodes import CorruptionSpec, EmbeddingSet, Episode, corrupt_labels, sample_episode
 from rnnp.errors import InvalidInputError
-from rnnp.nnp import _classify_arrays, classify, compute_prototypes
+from rnnp.nnp import _pairwise_raw, classify, compute_prototypes
 from rnnp.refine import (
     HYBRID_SOURCES,
     RefinementTrace,
@@ -22,6 +22,7 @@ from rnnp.refine import (
     _from_span,
     _refine_queries,
     _span_coordinates,
+    _span_episode,
     _update,
     build_hybrids,
     classify_rnnp,
@@ -30,6 +31,11 @@ from rnnp.refine import (
 )
 
 from _reference import reference_hybrids, reference_refine
+
+
+def predict(prototypes, queries):
+    """The harness's prediction: each query's nearest prototype."""
+    return np.argmin(_pairwise_raw(queries, prototypes), axis=1)
 
 
 def small_episode(seed=0, n_way=3, k_shot=5, dim=6, queries=4, spread=6.0):
@@ -561,11 +567,12 @@ class TestClassifyRnnp:
             cfg = RnnpConfig(beta=3, clustering_mode=mode, hybrid_source=source, seed=seed % 997)
             labels = []
             for e in (ep, moved):
-                initial = compute_prototypes(e, "observed")
-                span = _span_coordinates(e.support_features, e.query_features)
-                centers, resp, points = _refine_queries(e, e.query_features, cfg, initial, span)
-                labels.append((_classify_arrays(initial, e.query_features)[1],
-                               _classify_arrays(centers, points)[1],
+                # As in the harness: noise hybrids in R^d, blends on the span episode.
+                work = e if source == "gaussian_noise" else _span_episode(e)[0]
+                initial = compute_prototypes(work, "observed")
+                centers, resp = _refine_queries(work, work.query_features, cfg, initial)
+                labels.append((predict(initial, work.query_features),
+                               predict(centers, work.query_features),
                                np.argmax(resp, axis=1)))
             for at_origin, far in zip(*labels):
                 assert np.array_equal(at_origin, far)
@@ -695,6 +702,40 @@ class TestAgainstReferenceLoop:
             assert pred == ref["predicted_class"], f"trial {trial}"
 
 
+    @pytest.mark.parametrize("source", ["same_class", "different_class"])
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_span_path_matches_in_high_dimensions(self, mode, source):
+        # KN + 1 < d throughout, so classify_rnnp refines in the supports'
+        # span and maps its centres back; the reference works in R^d.
+        for case, (d, exponent) in enumerate([(d, e) for d in (32, 64, 160, 640)
+                                              for e in (0, 3, 6)]):
+            rng = np.random.default_rng([case, len(mode), len(source)])
+            n, k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            assert n * k + 1 < d
+            ep = shift(small_episode(seed=case, n_way=n, k_shot=k, dim=d, queries=1,
+                                     spread=float(rng.uniform(0.3, 1.5))),
+                       rng.normal(size=d) * 10.0 ** exponent)
+            ep = corrupt_labels(ep, CorruptionSpec(rate=1 / k, seed=case))
+            cfg = RnnpConfig(beta=int(rng.integers(1, k)), alpha=float(rng.uniform(0.55, 0.95)),
+                             iterations=int(rng.integers(1, 4)), clustering_mode=mode,
+                             hybrid_source=source, seed=case)
+            # At a 1e6 offset one unit in the last place of a coordinate is 1.2e-10.
+            tol = max(1e-9, 1e-14 * float(np.abs(ep.support_features).max()))
+            for q in ep.query_features:
+                probs, pred, trace = classify_rnnp(ep, q, cfg)
+                ref = reference_refine(
+                    ep.support_features.tolist(), ep.support_observed_labels.tolist(), n,
+                    q.tolist(), alpha=cfg.alpha, beta=cfg.beta, iterations=cfg.iterations,
+                    mode=mode, hybrid_source=source, config_seed=cfg.seed,
+                    episode_seed=ep.seed)
+                where = f"d={d} offset 1e{exponent}"
+                np.testing.assert_allclose(trace.refined_prototypes, ref["refined_centers"],
+                                           rtol=0, atol=tol, err_msg=where)
+                np.testing.assert_allclose(probs, ref["probs"], rtol=0, atol=1e-9, err_msg=where)
+                assert pred == ref["predicted_class"], where
+                assert trace.rectified_labels.tolist() == ref["rectified_labels"], where
+
+
 BATCH_PROBLEMS = dict(
     seed=st.integers(0, 2**31 - 1),
     n_way=st.integers(2, 5),
@@ -735,7 +776,7 @@ class TestBatchedRefinement:
         ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
                                                           beta, iterations, mode)
         centers, resp = _cluster_batch(shared, queries, initial, cfg)
-        preds = _classify_arrays(centers, queries)[1]
+        preds = predict(centers, queries)
         kn = ep.support_features.shape[0]
         assert centers.shape == (batch, n_way, dim)
         assert resp.shape == (batch, n_way, shared.shape[0])
@@ -754,8 +795,7 @@ class TestBatchedRefinement:
                             CorruptionSpec(rate=0.4, seed=12))
         cfg = RnnpConfig(beta=3, hybrid_labeling="labeled_direct", seed=4)
         initial = compute_prototypes(ep, "observed")
-        centers, resp, points = _refine_queries(ep, ep.query_features, cfg, initial, None)
-        assert points is ep.query_features
+        centers, resp = _refine_queries(ep, ep.query_features, cfg, initial)
         assert centers.shape == (16, 4, ep.dim) and resp.shape == (16, 4, 20)
         for i, q in enumerate(ep.query_features):
             trace = refine_for_query(ep, q, cfg)
@@ -792,7 +832,7 @@ class TestBatchedRefinement:
                 if iterations <= 1:
                     # Assigned at the start centers: no row reaches the upper copy.
                     assert not resp[i, 2].any()
-                assert _classify_arrays(centers, queries)[1][i] == ref["predicted_class"]
+                assert predict(centers, queries)[i] == ref["predicted_class"]
             else:
                 # Both copies take equal mass from every row and stay together.
                 np.testing.assert_allclose(resp[i, 0], resp[i, 2], rtol=1e-12, atol=0)
@@ -857,9 +897,11 @@ class TestSpanCoordinates:
         ep = span_problem(seed, n_way, k_shot, dim, batch, flat, duplicates, exponent)
         event(f"K={k_shot} {source} offset 1e{exponent} plane {flat} duplicates {duplicates}")
         queries = ep.query_features
-        span = _span_coordinates(ep.support_features, queries)
+        work, span = _span_episode(ep)
         assert span is not None and span[1].shape == (dim, kn)
+        assert work.support_features.shape == (kn, kn + 1) and work.query_features is span[2]
         initial = compute_prototypes(ep, "observed")
+        work_initial = compute_prototypes(work, "observed")
         # Centres far from the origin carry their magnitude's rounding in either path.
         tol = 1e-9 * max(1.0, float(np.abs(ep.support_features).max()))
         for mode in ("soft", "hard"):
@@ -868,14 +910,33 @@ class TestSpanCoordinates:
                              seed=seed % 1000)
             shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
             full, full_resp = _cluster_batch(shared, queries, initial, cfg, kept=kn)
-            centers, resp, points = _refine_queries(ep, queries, cfg, initial, span)
-            assert centers.shape == (batch, n_way, kn + 1) and points is span[2]
-            assert np.array_equal(_classify_arrays(centers, points)[1],
-                                  _classify_arrays(full, queries)[1])
+            centers, resp = _refine_queries(work, work.query_features, cfg, work_initial)
+            assert centers.shape == (batch, n_way, kn + 1)
+            assert np.array_equal(predict(centers, work.query_features), predict(full, queries))
             assert np.array_equal(np.argmax(resp, axis=1), np.argmax(full_resp, axis=1))
             for i, q in enumerate(queries):
                 back = _from_span(centers[i], (*span[:2], span[2][i:i + 1]), q)
                 np.testing.assert_allclose(back, full[i], rtol=0, atol=tol)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), kn=st.integers(1, 30),
+           extra_dims=st.integers(1, 300), batch=st.integers(1, 40),
+           exponent=st.sampled_from([0, 0, 3, 6]))
+    def test_stacked_queries_get_their_one_query_coordinates(self, seed, kn, extra_dims, batch,
+                                                            exponent):
+        # No transduction in the projection: a query's coordinates, residual
+        # included, do not depend on the queries stacked with it.
+        rng = np.random.default_rng(seed)
+        dim = kn + 1 + extra_dims
+        offset = rng.normal(size=dim) * 10.0 ** exponent
+        support = rng.normal(size=(kn, dim)) * 10.0 ** rng.uniform(-2, 3) + offset
+        queries = rng.normal(size=(batch, dim)) * 3.0 + offset
+        queries[0] = support[0]  # a query inside the span
+        origin, basis, coords = _span_coordinates(support, queries)
+        for i in range(batch):
+            alone = _span_coordinates(support, queries[i:i + 1])
+            assert np.array_equal(alone[0], origin) and np.array_equal(alone[1], basis)
+            assert np.array_equal(alone[2][0], coords[i])
 
     @pytest.mark.parametrize("dim, kwargs", [
         (16, {}),
@@ -884,19 +945,16 @@ class TestSpanCoordinates:
         (40, {"iterations": 0}),
     ], ids=["kn_plus_1_at_least_d", "gaussian_noise", "labeled_direct", "zero_iterations"])
     def test_other_paths_are_the_full_space_path(self, dim, kwargs):
+        # The library's rule: only blend hybrids clustered for a round move to
+        # the span, and only when KN + 1 < d.
         ep = corrupt_labels(small_episode(seed=6, n_way=3, k_shot=5, dim=dim),
                             CorruptionSpec(rate=0.4, seed=6))
         cfg = RnnpConfig(beta=3, seed=2, **kwargs)
-        queries = ep.query_features
-        span = _span_coordinates(ep.support_features, queries)
-        assert (span is None) == (dim == 16)
+        work, span = _span_episode(ep)
+        assert (span is None) == (dim == 16) and (work is ep) == (dim == 16)
         initial = compute_prototypes(ep, "observed")
-        got = _refine_queries(ep, queries, cfg, initial, span)
-        assert got[2] is queries
-        for a, b in zip(got, _refine_queries(ep, queries, cfg, initial, None)):
-            assert np.array_equal(a, b)
-        for q in queries:
-            alone = _refine_queries(ep, q[None, :], cfg, initial, None)[0][0]
+        for q in ep.query_features:
+            alone = _refine_queries(ep, q[None, :], cfg, initial)[0][0]
             assert np.array_equal(refine_for_query(ep, q, cfg).refined_prototypes, alone)
 
     def test_library_maps_span_centres_back_to_r_d(self):
@@ -932,9 +990,8 @@ class TestScratch:
         ep = corrupt_labels(small_episode(seed=seed, n_way=n_way, k_shot=5, dim=dim,
                                           queries=queries),
                             CorruptionSpec(rate=0.4, seed=seed))
-        initial = compute_prototypes(ep, "observed")
-        span = _span_coordinates(ep.support_features, ep.query_features)
-        return _refine_queries(ep, ep.query_features, cfg, initial, span)
+        work = _span_episode(ep)[0]
+        return _refine_queries(work, work.query_features, cfg, compute_prototypes(work, "observed"))
 
     @staticmethod
     def scratch():
