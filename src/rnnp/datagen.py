@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import (EmbeddingSet, _check_int, _check_real, _check_size, _check_type,
-                       _checked, _class_index)
+from .episodes import (_FEATURE_LIMIT, EmbeddingSet, _check_int, _check_real, _check_size,
+                       _check_type, _checked, _class_index, _limit_message, _within_limit)
 from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
 from .nnp import _pairwise_raw
 
@@ -95,8 +95,9 @@ def load_embeddings(path) -> EmbeddingSet:
 
     Raises:
         EmbeddingFormatError: empty file, bytes that are not UTF-8,
-            malformed row, ragged dimensions, non-finite values, or a label
-            outside int64; messages carry the offending line number.
+            malformed row, ragged dimensions, a value that is NaN, infinite
+            or beyond 1e150 in magnitude, or a label outside int64;
+            messages carry the offending line number.
     """
     parsed = _load_csv_fast(path)
     if parsed is None:
@@ -144,12 +145,12 @@ def _load_csv_fast(path):
     Both are strided views of one table, which the pool keeps read-only.
     None means the line loop must decide: the file is not plain ASCII,
     the header or any row does not parse, numpy warns (a header-only
-    file), or a value is non-finite. On every file it accepts, the
-    result equals _parse_csv's bit for bit: numpy strips the same ASCII
-    whitespace as float() and converts a value with the same correctly
-    rounded PyOS_string_to_double, and it takes only signed decimal
-    digits as a label, where int() also takes underscores (those files
-    go to the line loop).
+    file), or a value is NaN, infinite or beyond 1e150 in magnitude. On
+    every file it accepts, the result equals _parse_csv's bit for bit:
+    numpy strips the same ASCII whitespace as float() and converts a value
+    with the same correctly rounded PyOS_string_to_double, and it takes
+    only signed decimal digits as a label, where int() also takes
+    underscores (those files go to the line loop).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -161,7 +162,7 @@ def _load_csv_fast(path):
                                    delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    if not np.isfinite(table["f"]).all():
+    if not _within_limit(table["f"]):
         return None
     return table["label"], table["f"]
 
@@ -196,8 +197,8 @@ def _parse_csv(lines):
             values = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise EmbeddingFormatError(f"line {num}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise EmbeddingFormatError(f"line {num}: non-finite feature value")
+        if not all(abs(v) <= _FEATURE_LIMIT for v in values):
+            raise EmbeddingFormatError(f"line {num}: a feature value is {_limit_message()}")
         labels.append(_check_label(num, label))
         rows.append(values)
     return labels, rows

@@ -19,6 +19,15 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# The largest feature magnitude accepted. A squared distance between such
+# features is at most (2e150)^2 = 4e300 per dimension, so distances stay
+# finite up to about 10^7 dimensions. Past the limit a few dimensions can
+# overflow them, and refinement would compare infinities.
+_FEATURE_LIMIT = 1e150
+# The limit of arrays that need only be finite: prototypes and traces,
+# which are means of features, or of noise drawn around them.
+_ANY_FINITE = float(np.finfo(np.float64).max)
+
 
 def _check_int(name: str, value, lo: int) -> int:
     """value as a Python int; bool and non-integers or values below lo are errors."""
@@ -76,30 +85,45 @@ def _check_labels(name: str, values, length: int, n: int | None) -> np.ndarray:
     return arr
 
 
+def _within_limit(arr: np.ndarray, limit: float = _FEATURE_LIMIT) -> bool:
+    """Every entry of a non-empty array is at most limit in magnitude, so
+    neither NaN nor an infinity."""
+    return bool(-limit <= arr.min() and arr.max() <= limit)
+
+
+def _limit_message(limit: float = _FEATURE_LIMIT) -> str:
+    """What an array that fails _within_limit(arr, limit) holds."""
+    if limit == _ANY_FINITE:
+        return "NaN or Inf"
+    return f"NaN or Inf, or beyond {limit:g} in magnitude"
+
+
 def as_vector(values) -> np.ndarray:
-    """values as a finite, non-empty 1-D float64 array."""
+    """values as a non-empty 1-D float64 array whose entries are at most
+    _FEATURE_LIMIT in magnitude: a feature vector."""
     try:
         vec = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
         raise InvalidInputError(f"expected a real vector: {exc}") from exc
     if vec.ndim != 1 or vec.size == 0:
         raise InvalidInputError(f"expected a non-empty 1-D vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidInputError("vector contains NaN or Inf")
+    if not _within_limit(vec):
+        raise InvalidInputError(f"vector contains a value that is {_limit_message()}")
     return vec
 
 
-def as_matrix(vectors) -> np.ndarray:
-    """vectors as a read-only copy: a finite, non-empty 2-D float64 array in
-    C order, one row per vector."""
+def as_matrix(vectors, limit: float = _FEATURE_LIMIT) -> np.ndarray:
+    """vectors as a read-only copy: a non-empty 2-D float64 array in C
+    order, one row per vector, whose entries are at most limit in
+    magnitude (by default the one of features)."""
     try:
         mat = np.array(vectors, dtype=np.float64, order="C")
     except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
         raise InvalidInputError(f"expected a stack of real vectors: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
         raise InvalidInputError(f"expected a non-empty 2-D stack of vectors, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidInputError("matrix contains NaN or Inf")
+    if not _within_limit(mat, limit):
+        raise InvalidInputError(f"matrix contains a value that is {_limit_message(limit)}")
     mat.setflags(write=False)
     return mat
 

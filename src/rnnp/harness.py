@@ -232,7 +232,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
     corr_seed = (config.seed ^ CORRUPTION_SEED_SALT) + index
     noise = [m.rnnp is not None and m.rnnp.hybrid_source == "gaussian_noise"
              for m in config.methods]
-    work, span = _span_episode(episode)
+    work = _span_episode(episode)
     out = []
     for rate in config.corruption_rates:
         corrupted = corrupt_labels(work, CorruptionSpec(rate=rate, seed=corr_seed))
@@ -242,7 +242,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
             out.append(None)
             continue
         full, full_protos = corrupted, protos
-        if span is not None and any(noise):
+        if work is not episode and any(noise):
             full = _checked(Episode, **{**vars(episode), "support_observed_labels":
                                         corrupted.support_observed_labels})
             full_protos = compute_prototypes(full, "observed")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .episodes import Episode, _check_type, as_matrix, as_vector
+from .episodes import _ANY_FINITE, Episode, _check_type, as_matrix, as_vector
 from .errors import DegenerateClassError, InvalidInputError
 
 LABEL_SOURCES = ("observed", "true")
@@ -88,12 +88,18 @@ def classify(prototypes, query) -> tuple[np.ndarray, int]:
     The predicted class is the argmin of those distances, exact ties to the
     lowest class index: the argmax of the probabilities, except where the
     softmax rounds two distances closer than about 1e-16 to one value.
+
+    The query is a feature vector (see as_vector); prototypes need only be
+    finite, but a squared distance to the query that overflows is refused.
     """
-    protos = as_matrix(prototypes)
+    protos = as_matrix(prototypes, _ANY_FINITE)
     q = as_vector(query)
     if q.shape[0] != protos.shape[1]:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {protos.shape[1]}")
-    dists = _pairwise_raw(q[None, :], protos)[0]
+    with np.errstate(over="ignore"):
+        dists = _pairwise_raw(q[None, :], protos)[0]
+    if dists.max() == np.inf:
+        raise InvalidInputError("a squared distance from the query to a prototype overflows")
     pred = int(np.argmin(dists))
     probs = _softmin_inplace(dists)
     probs.setflags(write=False)

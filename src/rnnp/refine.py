@@ -15,14 +15,13 @@ the harness share one path, _refine_queries: a batch of queries, each
 its own problem, with the library calling it for a batch of one.
 
 Supports, blend hybrids, class means and centers lie in the supports'
-span, and a query adds one residual axis. When KN + 1 < d, the harness
-projects each episode once into those KN + 1 coordinates (_span_episode),
-and everything after it runs there, with flops that scale with KN instead
-of d; only gaussian_noise hybrids, which leave the span, run in R^d. The
-library does so for blend hybrids clustered for a round, and maps its
-centers back. Distances are the same in exact arithmetic; centers move by
-about 1e-14, and no prediction, rectified label or report byte of the
-benchmark changes.
+span, and a query adds one residual axis. Only the harness uses this:
+when KN + 1 < d it projects each episode once into those KN + 1
+coordinates (_span_episode), and everything after it runs there, with
+flops that scale with KN instead of d; only gaussian_noise hybrids, which
+leave the span, run in R^d. Distances are the same in exact arithmetic;
+centers move by about 1e-14, and no prediction, rectified label or report
+byte of the benchmark changes. The library refines its query in R^d.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import (Episode, _check_int, _check_real, _check_size, _check_type, _checked,
-                       as_matrix, as_vector)
+from .episodes import (_ANY_FINITE, Episode, _check_int, _check_real, _check_size, _check_type,
+                       _checked, as_matrix, as_vector)
 from .errors import InvalidInputError
 from .nnp import _class_means, _softmin_inplace, classify, compute_prototypes
 
@@ -110,8 +109,8 @@ class RefinementTrace:
     rectified_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        initial, refined = as_matrix(self.initial_prototypes), as_matrix(self.refined_prototypes)
-        resp = as_matrix(self.support_responsibilities)
+        initial, refined, resp = (as_matrix(a, _ANY_FINITE) for a in (
+            self.initial_prototypes, self.refined_prototypes, self.support_responsibilities))
         if resp.shape[1] != initial.shape[0] or refined.shape != initial.shape:
             raise InvalidInputError("prototype shapes and responsibility columns must match")
         if np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-9:
@@ -320,56 +319,33 @@ def _cluster_batch(shared: np.ndarray, queries: np.ndarray, centers: np.ndarray,
             np.broadcast_to(kept_resp, (q,) + kept_resp.shape[1:]))
 
 
-def _span_coordinates(support: np.ndarray, queries: np.ndarray):
-    """(origin, basis, coords) of the supports' span, or None when KN + 1 >= d.
+def _span_episode(episode: Episode) -> Episode:
+    """The episode in its supports' span coordinates, or the episode itself
+    when KN + 1 >= d.
 
-    origin is the support mean and basis a (d, KN) orthonormal basis, from
-    np.linalg.qr, of a space that holds span(support - origin); a
-    rank-deficient span only adds unused directions. coords (Q, KN + 1)
-    places each query x at [(x - origin) basis, |r|], where r is the part of
-    x - origin outside that space. A point of the span sits at
-    [(p - origin) basis, 0], so every distance between a query and such a
-    point, or a weighted mean of both, is the one in R^d. Each query is
+    The span is centred on the support mean o and given a (d, KN)
+    orthonormal basis B, from np.linalg.qr, of a space that holds
+    span(support - o); a rank-deficient span only adds unused directions.
+    Supports sit at [(s - o) B, 0] and each query x at [(x - o) B, |r|],
+    where r is the part of x - o outside that space; labels, shape and seed
+    are kept. Every distance among them and their weighted means (class
+    means, blend hybrids, centers) is the one in R^d. Each query is
     projected by its own matrix product, so its coordinates are bit for bit
     the ones it gets alone, whatever the other queries.
     """
-    kn, d = support.shape
+    kn, d = episode.support_features.shape
     if kn + 1 >= d:
-        return None
-    origin = support.mean(axis=0)
-    basis = np.linalg.qr((support - origin).T)[0]
-    centred = (queries - origin)[:, None, :]
+        return episode
+    origin = episode.support_features.mean(axis=0)
+    centred_support = episode.support_features - origin
+    basis = np.linalg.qr(centred_support.T)[0]
+    centred = (episode.query_features - origin)[:, None, :]
     inside = np.matmul(centred, basis)
     resid = np.linalg.norm((centred - np.matmul(inside, basis.T))[:, 0], axis=1)
-    return origin, basis, np.column_stack([inside[:, 0], resid])
-
-
-def _span_episode(episode: Episode) -> tuple[Episode, tuple | None]:
-    """(span episode, _span_coordinates(supports, queries)) of an episode, or
-    (episode, None) when KN + 1 >= d. The span episode keeps the labels,
-    shape and seed, with supports at [(s - origin) basis, 0] and queries at
-    their coordinates: every distance among them and their weighted means
-    (class means, blend hybrids, centers) is the one in R^d."""
-    span = _span_coordinates(episode.support_features, episode.query_features)
-    if span is None:
-        return episode, None
-    origin, basis, coords = span
-    support = np.zeros((basis.shape[1], basis.shape[1] + 1))
-    np.matmul(episode.support_features - origin, basis, out=support[:, :-1])
+    support = np.zeros((kn, kn + 1))
+    np.matmul(centred_support, basis, out=support[:, :-1])
     return _checked(Episode, **{**vars(episode), "support_features": support,
-                                "query_features": coords}), span
-
-
-def _from_span(centers: np.ndarray, span, query: np.ndarray) -> np.ndarray:
-    """The (N, KN + 1) centers of one query's problem back in R^d:
-    origin + a basisᵀ + t u, with u the query's unit residual."""
-    origin, basis, coords = span
-    resid = query - origin - coords[0, :-1] @ basis.T
-    t = coords[0, -1]
-    out = centers[:, :-1] @ basis.T
-    out += np.outer(centers[:, -1], resid / t if t else resid)
-    out += origin
-    return out
+                                "query_features": np.column_stack([inside[:, 0], resid])})
 
 
 def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
@@ -408,9 +384,8 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     labeled_direct nothing is clustered: each hybrid inherits its parent's
     observed label, the prototypes are plain means of supports plus
     hybrids per class, and the trace reports the observed labels
-    unchanged (structurally, nothing was rectified). Blend hybrids
-    clustered for at least one round run on the span episode of the
-    supports and this query, and their centers are mapped back to R^d.
+    unchanged (structurally, nothing was rectified). The query is refined
+    in the episode's own coordinates, R^d for a caller's episode.
 
     Raises:
         DegenerateClassError: some class has no observed supports, so
@@ -421,18 +396,10 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     q = as_vector(query)
     if q.shape[0] != episode.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
-    # The one query's episode; refinement reads no query label.
-    work = _checked(Episode, **{**vars(episode), "query_features": q[None, :],
-                                "query_labels": np.zeros(1, dtype=np.int64)})
-    span = None
-    if (config.hybrid_source != "gaussian_noise"
-            and config.hybrid_labeling == "unlabeled_cluster" and config.iterations):
-        work, span = _span_episode(work)
-    centers, resp = _refine_queries(work, work.query_features, config,
-                                    initial if span is None else compute_prototypes(work))
+    centers, resp = _refine_queries(episode, q[None, :], config, initial)
     return RefinementTrace(
         initial_prototypes=initial,
-        refined_prototypes=centers[0] if span is None else _from_span(centers[0], span, q),
+        refined_prototypes=centers[0],
         support_responsibilities=resp[0].T,
     )
 

@@ -12,6 +12,11 @@ call reads: slice_quality (rectification, paired_delta) and save_reports.
 For the workloads in SLICED it also digests the full-size seed-0 slices,
 which a full --seed 0 run checks against recorded.json's slices_sha256_*,
 so a change of kernel arithmetic that moves a prediction fails here too.
+Each workload's reference call is also replayed once under perfbench's
+span tracer (layers.Tracer), as a traced benchmark run makes it: its
+spans must not overlap, each must fall in one of the tracer's layers,
+a harness.pool span must appear exactly when the call runs more than one
+worker, and tracing must change no prediction.
 They run in a subprocess because
 importing perfbench/run.py pins the BLAS thread variables of its process,
 and the csv-ingest pool is written to a temporary directory, not to
@@ -37,6 +42,7 @@ REFERENCE_CALLS = """
 import json, os, sys
 from dataclasses import replace
 sys.path.insert(0, sys.argv[1])
+import layers
 import run
 import rnnp
 csv_path = sys.argv[2]
@@ -51,6 +57,24 @@ for w in run.WORKLOADS:
     library[w] = run.library_problems(rnnp, pool, config, reports)
     quality[w] = run.slice_quality(rnnp, config, reports)
     saved[w] = rnnp.save_reports(config, reports, os.path.join("reports", w))
+traced = {}
+for w in run.WORKLOADS:
+    config = run.make_config(rnnp, w, 0, run.REFERENCE_EPISODES,
+                             csv_path if w == "csv-ingest" else None)
+    with layers.Tracer(sys.modules["rnnp.harness"]) as tracer:
+        reports = rnnp.run_experiment(config)
+    spans = tracer.take()
+    problems = [f"{a[:2]} ends after {b[:2]} starts" for a, b in zip(spans, spans[1:])
+                if a[3] > b[2]]
+    problems += [f"{layer}.{name} is in no layer" for layer, name, *_ in spans
+                 if layer not in layers.BUCKETS or (layer == "harness") != (name == "pool")]
+    pools = sum(span[:2] == ("harness", "pool") for span in spans)
+    workers = min(config.workers, config.n_episodes, run.nproc())
+    if pools != (workers > 1):
+        problems.append(f"{pools} harness.pool spans with {workers} workers")
+    if run.digest([reports]) != calls[w][0]:
+        problems.append("the traced call's digest differs from the untraced one")
+    traced[w] = problems
 slices = {}
 for w in sys.argv[3:]:
     episodes, n = run.SIZES[w]
@@ -58,7 +82,7 @@ for w in sys.argv[3:]:
     slices[w] = {f"slices_sha256_{episodes}x{n}": run.digest(
         [rnnp.run_experiment(replace(config, seed=config.seed + k * episodes))
          for k in range(n)])}
-print(json.dumps([calls, library, quality, saved, slices]))
+print(json.dumps([calls, library, quality, saved, traced, slices]))
 """
 
 
@@ -71,10 +95,11 @@ def test_reference_digests_match_the_record(tmp_path):
          *SLICED],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
-    calls, library, quality, saved, slices = json.loads(proc.stdout.splitlines()[-1])
+    calls, library, quality, saved, traced, slices = json.loads(proc.stdout.splitlines()[-1])
     recorded = json.loads((PERFBENCH / "recorded.json").read_text(encoding="utf-8"))
     assert {w: problems for w, (_, problems) in calls.items()} == {w: [] for w in recorded}
     assert library == {w: [] for w in recorded}
+    assert traced == {w: [] for w in recorded}
     assert {w: sorted(q) for w, q in quality.items()} == \
         {w: ["accuracy_mean", "paired_delta", "rectified_correct"] for w in recorded}
     assert all(math.isfinite(v) for q in quality.values() for v in q.values())

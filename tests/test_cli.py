@@ -158,6 +158,26 @@ class TestEval:
                      "--workers", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
+    def test_pool_beyond_the_feature_limit_exits_2(self, tmp_path, capsys):
+        # Squared distances of features near 1e160 overflow, so the pool is
+        # refused before any episode runs.
+        assert main(["generate", "--classes", "6", "--dim", "4", "--separation", "6",
+                     "--samples", "10", "--seed", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "embeddings.csv"
+        rows = path.read_text(encoding="utf-8").splitlines()
+        scaled = [rows[0]] + [",".join([r.split(",")[0]] + [repr(float(v) * 1e160)
+                                                             for v in r.split(",")[1:]])
+                              for r in rows[1:]]
+        path.write_text("\n".join(scaled) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, mixture=None, data_path=str(path), data_format="csv")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--workers", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: line 2: a feature value is NaN or Inf, or beyond 1e+150")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("edit, named", [
         (lambda cfg: {**cfg, "methods": [
             {"method": "rnnp", "beta": 10**15, "hybrid_source": "different_class"}]}, "beta="),

@@ -1,5 +1,6 @@
 """Unit tests for the mixture generator and file I/O."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -151,6 +152,26 @@ class TestFileRoundTrip:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(path)
 
+    # 1e150 is the largest feature magnitude; one ulp past it is refused by
+    # the line loop, which a plain file's fast pass leaves the verdict to.
+    @pytest.mark.parametrize("value, field", [
+        ("1e160", "0.25"),
+        (repr(-math.nextafter(1e150, math.inf)), "0.25"),
+        ("1e160", "2_5"),
+    ], ids=["fast_pass_defers", "one_ulp_past", "line_loop_only"])
+    def test_value_beyond_the_limit_rejected_with_line_number(self, tmp_path, value, field):
+        path = tmp_path / "big.csv"
+        path.write_text(f"label,f0,f1\n1,0.5,0.25\n2,{value},{field}\n", encoding="utf-8")
+        assert _load_csv_fast(path) is None
+        with pytest.raises(EmbeddingFormatError, match=r"^line 3: .* beyond 1e\+150 in magnitude$"):
+            load_embeddings(path)
+
+    def test_values_at_the_limit_load(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("label,f0,f1\n1,1e150,-1e150\n", encoding="utf-8")
+        assert _load_csv_fast(path) is not None
+        assert load_embeddings(path).features.tolist() == [[1e150, -1e150]]
+
     # Files in the removed JSONL format are refused at their first line.
     def test_jsonl_empty_features_rejected(self, tmp_path):
         assert_jsonl_refused(tmp_path, '{"label": 1, "features": []}\n')
@@ -298,6 +319,8 @@ def csv_texts(draw):
     floats = st.floats(allow_nan=False, allow_infinity=False)
     rows = [[str(draw(st.integers(-2**63, 2**63 - 1)))] + [repr(draw(floats)) for _ in range(dim)]
             for _ in range(n_rows)]
+    if any(abs(float(v)) > 1e150 for r in rows for v in r[1:]):
+        event("a value past the feature limit")
     if rows and draw(st.integers(0, 3)) == 0:
         rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(1, dim))] = \
             draw(st.sampled_from(NON_FINITE))
@@ -390,6 +413,10 @@ class TestFastCsvReader:
         path.write_bytes(text.encode("utf-8"))
         event("fast pass" if _load_csv_fast(path) is not None else "line loop")
         assert_matches_line_loop(path)
+        # The draws are unbounded: a value past the feature limit never loads.
+        loaded = line_loop(path)
+        if not isinstance(loaded, str):
+            assert np.abs(loaded[1]).max() <= 1e150
 
     @pytest.mark.parametrize("text", DIVERGENCES)
     def test_measured_divergences_equal_line_loop(self, tmp_path, text):

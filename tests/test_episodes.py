@@ -482,6 +482,27 @@ class TestCoercion:
         with pytest.raises(InvalidInputError):
             as_matrix(bad)
 
+    def test_features_are_limited_to_1e150_in_magnitude(self):
+        past = math.nextafter(1e150, math.inf)
+        assert as_vector([1e150, -1e150]).tolist() == [1e150, -1e150]
+        assert as_matrix([[-1e150]]).tolist() == [[-1e150]]
+        for bad in ([past], [-past]):
+            with pytest.raises(InvalidInputError, match=r"beyond 1e\+150 in magnitude"):
+                as_vector(bad)
+            with pytest.raises(InvalidInputError, match=r"beyond 1e\+150 in magnitude"):
+                as_matrix([bad])
+
+    @pytest.mark.parametrize("name", ["support_features", "query_features"])
+    def test_episode_refuses_features_beyond_the_limit(self, name):
+        at_limit = np.array([[1e150, 0.0], [0.0, -1e150]])
+        assert np.array_equal(getattr(_episode(**{name: at_limit}), name), at_limit)
+        with pytest.raises(InvalidInputError, match=r"beyond 1e\+150 in magnitude"):
+            _episode(**{name: at_limit * 10.0})
+
+    def test_pool_refuses_features_beyond_the_limit(self):
+        with pytest.raises(InvalidInputError, match=r"beyond 1e\+150 in magnitude"):
+            EmbeddingSet(features=[[0.0], [1e160]], labels=[0, 1])
+
     def test_as_matrix_returns_a_read_only_c_ordered_copy(self):
         source = np.asfortranarray(np.arange(6.0).reshape(2, 3))
         mat = as_matrix(source)

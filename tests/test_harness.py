@@ -511,14 +511,18 @@ class TestEpisodeAveragesMatchPublicApi:
                                                        methods=(method,)))
 
     @pytest.mark.parametrize("dim", [24, 12], ids=["span", "full_space"])
-    def test_predictions_off_the_default_method_match_per_query_calls(self, monkeypatch, dim):
+    def test_predictions_of_every_method_match_per_query_calls(self, monkeypatch, dim):
         from rnnp.datagen import generate_mixture
         from rnnp.episodes import CorruptionSpec, corrupt_labels, sample_episode
         from rnnp.nnp import classify, compute_prototypes
         from rnnp.refine import classify_rnnp, rectification_delta
 
-        cfg = tiny_config(mixture=replace(tiny_mixture(), dim=dim), methods=OFF_DEFAULT_METHODS)
-        # KN + 1 = 16: dim 24 runs on the span episode, dim 12 in R^d.
+        # The default soft same_class method and every method off it.
+        methods = OFF_DEFAULT_METHODS + (MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2),
+                                                    label="default"),)
+        cfg = tiny_config(mixture=replace(tiny_mixture(), dim=dim), methods=methods)
+        # KN + 1 = 16: dim 24 runs the harness on the span episode, dim 12 in
+        # R^d; the per-query library calls refine in R^d either way.
         assert (cfg.n_way * cfg.k_shot + 1 < dim) == (dim == 24)
         pool = generate_mixture(cfg.mixture)
         seen = []
@@ -556,9 +560,7 @@ class TestOneProjectionPerEpisode:
         ((0.4,), OFF_DEFAULT_METHODS[1:2]),
         ((0.0, 0.2, 0.4), OFF_DEFAULT_METHODS),
     ], ids=["one_rate_one_method", "three_rates_six_methods"])
-    def test_span_coordinates_run_once_per_episode(self, monkeypatch, rates, methods):
-        import rnnp.refine as refine
-
+    def test_span_episode_runs_once_per_episode(self, monkeypatch, rates, methods):
         inside, projections, refined_dims, classified_dims = [], [], [], []
 
         def outside_refinement(fn, record):
@@ -578,8 +580,8 @@ class TestOneProjectionPerEpisode:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(refine, "_span_coordinates",
-                            outside_refinement(refine._span_coordinates, projections))
+        monkeypatch.setattr(harness, "_span_episode",
+                            outside_refinement(harness._span_episode, projections))
         monkeypatch.setattr(np.linalg, "qr", outside_refinement(np.linalg.qr, []))
         monkeypatch.setattr(harness, "_refine_queries", refine_inside)
         pairwise = harness._pairwise_raw

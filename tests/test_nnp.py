@@ -208,6 +208,21 @@ class TestClassify:
         with pytest.raises(InvalidInputError):
             classify(protos, np.array([0.0, np.nan, 0.0]))
 
+    def test_rejects_query_beyond_the_feature_limit(self):
+        with pytest.raises(InvalidInputError, match=r"beyond 1e\+150 in magnitude"):
+            classify(np.eye(3), [1e160, 0.0, 0.0])
+
+    @pytest.mark.parametrize("protos, query", [
+        ([[1e200], [0.0]], [0.0]),
+        ([[1e300], [-1e300]], [1e150]),
+        ([[1.7e308], [0.0]], [-1e150]),
+    ], ids=["square_overflows", "every_distance_overflows", "difference_overflows"])
+    def test_rejects_prototypes_whose_distances_overflow(self, protos, query):
+        # Prototypes need only be finite, but no overflowed distance reaches
+        # the softmax, where it would give NaN or a silent 0.
+        with pytest.raises(InvalidInputError, match="overflows"):
+            classify(protos, query)
+
     @pytest.mark.parametrize("protos", [np.eye(3), np.eye(3).tolist(), np.eye(3).T.copy(order="F"),
                                         np.eye(3, dtype=np.int64)],
                              ids=["array", "nested-lists", "fortran-order", "int-array"])

@@ -19,9 +19,7 @@ from rnnp.refine import (
     _SCRATCH,
     _cluster_batch,
     _first_min_onehot,
-    _from_span,
     _refine_queries,
-    _span_coordinates,
     _span_episode,
     _update,
     build_hybrids,
@@ -537,6 +535,24 @@ class TestClassifyRnnp:
         expect[np.arange(15), ep.support_observed_labels] = 1.0
         assert np.array_equal(trace.support_responsibilities, expect)
 
+    @pytest.mark.parametrize("source", HYBRID_SOURCES)
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_no_nan_at_the_feature_limit(self, mode, source):
+        # At the 1e150 limit, centres land past it by rounding (blends) or by
+        # the draws (noise); their traces are kept, and every distance and
+        # probability stays finite.
+        rng = np.random.default_rng(12)
+        ep = small_episode(seed=12, n_way=3, k_shot=5, dim=64, queries=3)
+        limit = np.where(rng.random((15, 64)) < 0.5, -1e150, 1e150)
+        ep = corrupt_labels(Episode(**{**vars(ep), "support_features": limit,
+                                       "query_features": limit[3:12] * 0.5}),
+                            CorruptionSpec(rate=0.4, seed=12))
+        cfg = RnnpConfig(beta=4, clustering_mode=mode, hybrid_source=source, seed=3)
+        for q in ep.query_features:
+            probs, _, trace = classify_rnnp(ep, q, cfg)
+            assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12
+            assert np.isfinite(trace.refined_prototypes).all()
+
     def test_translation_invariance_of_predictions(self):
         rng = np.random.default_rng(42)
         ep = small_episode(seed=17, spread=4.0)
@@ -568,7 +584,7 @@ class TestClassifyRnnp:
             labels = []
             for e in (ep, moved):
                 # As in the harness: noise hybrids in R^d, blends on the span episode.
-                work = e if source == "gaussian_noise" else _span_episode(e)[0]
+                work = e if source == "gaussian_noise" else _span_episode(e)
                 initial = compute_prototypes(work, "observed")
                 centers, resp = _refine_queries(work, work.query_features, cfg, initial)
                 labels.append((predict(initial, work.query_features),
@@ -897,9 +913,9 @@ class TestSpanCoordinates:
         ep = span_problem(seed, n_way, k_shot, dim, batch, flat, duplicates, exponent)
         event(f"K={k_shot} {source} offset 1e{exponent} plane {flat} duplicates {duplicates}")
         queries = ep.query_features
-        work, span = _span_episode(ep)
-        assert span is not None and span[1].shape == (dim, kn)
-        assert work.support_features.shape == (kn, kn + 1) and work.query_features is span[2]
+        work = _span_episode(ep)
+        assert work.support_features.shape == (kn, kn + 1)
+        assert work.query_features.shape == (batch, kn + 1)
         initial = compute_prototypes(ep, "observed")
         work_initial = compute_prototypes(work, "observed")
         # Centres far from the origin carry their magnitude's rounding in either path.
@@ -914,12 +930,17 @@ class TestSpanCoordinates:
             assert centers.shape == (batch, n_way, kn + 1)
             assert np.array_equal(predict(centers, work.query_features), predict(full, queries))
             assert np.array_equal(np.argmax(resp, axis=1), np.argmax(full_resp, axis=1))
+            # Both coordinate systems share each centre's squared distances to
+            # every support and to its own query. Their square roots move by at
+            # most the centre's own error, so they are compared.
             for i, q in enumerate(queries):
-                back = _from_span(centers[i], (*span[:2], span[2][i:i + 1]), q)
-                np.testing.assert_allclose(back, full[i], rtol=0, atol=tol)
+                in_span = _pairwise_raw(np.vstack([work.support_features,
+                                                   work.query_features[i]]), centers[i])
+                in_r_d = _pairwise_raw(np.vstack([ep.support_features, q]), full[i])
+                np.testing.assert_allclose(np.sqrt(in_span), np.sqrt(in_r_d), rtol=0, atol=tol)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**31 - 1), kn=st.integers(1, 30),
+    @given(seed=st.integers(0, 2**31 - 1), kn=st.integers(2, 30),
            extra_dims=st.integers(1, 300), batch=st.integers(1, 40),
            exponent=st.sampled_from([0, 0, 3, 6]))
     def test_stacked_queries_get_their_one_query_coordinates(self, seed, kn, extra_dims, batch,
@@ -932,43 +953,43 @@ class TestSpanCoordinates:
         support = rng.normal(size=(kn, dim)) * 10.0 ** rng.uniform(-2, 3) + offset
         queries = rng.normal(size=(batch, dim)) * 3.0 + offset
         queries[0] = support[0]  # a query inside the span
-        origin, basis, coords = _span_coordinates(support, queries)
+
+        def projected(rows):
+            one_shot = np.arange(kn)
+            return _span_episode(Episode(
+                n_way=kn, k_shot=1, support_features=support, support_true_labels=one_shot,
+                support_observed_labels=one_shot, query_features=rows,
+                query_labels=np.zeros(rows.shape[0], dtype=np.int64)))
+
+        work = projected(queries)
         for i in range(batch):
-            alone = _span_coordinates(support, queries[i:i + 1])
-            assert np.array_equal(alone[0], origin) and np.array_equal(alone[1], basis)
-            assert np.array_equal(alone[2][0], coords[i])
+            alone = projected(queries[i:i + 1])
+            assert np.array_equal(alone.support_features, work.support_features)
+            assert np.array_equal(alone.query_features[0], work.query_features[i])
 
     @pytest.mark.parametrize("dim, kwargs", [
         (16, {}),
+        (40, {}),
+        (40, {"clustering_mode": "hard"}),
         (40, {"hybrid_source": "gaussian_noise"}),
         (40, {"hybrid_labeling": "labeled_direct"}),
         (40, {"iterations": 0}),
-    ], ids=["kn_plus_1_at_least_d", "gaussian_noise", "labeled_direct", "zero_iterations"])
-    def test_other_paths_are_the_full_space_path(self, dim, kwargs):
-        # The library's rule: only blend hybrids clustered for a round move to
-        # the span, and only when KN + 1 < d.
+    ], ids=["kn_plus_1_at_least_d", "soft_blend", "hard_blend", "gaussian_noise",
+            "labeled_direct", "zero_iterations"])
+    def test_every_library_path_is_the_full_space_path(self, dim, kwargs):
+        # Only the harness projects into the supports' span: the library
+        # refines each query in R^d, with one _refine_queries call.
         ep = corrupt_labels(small_episode(seed=6, n_way=3, k_shot=5, dim=dim),
                             CorruptionSpec(rate=0.4, seed=6))
         cfg = RnnpConfig(beta=3, seed=2, **kwargs)
-        work, span = _span_episode(ep)
-        assert (span is None) == (dim == 16) and (work is ep) == (dim == 16)
+        assert (_span_episode(ep) is ep) == (dim == 16)
         initial = compute_prototypes(ep, "observed")
         for q in ep.query_features:
-            alone = _refine_queries(ep, q[None, :], cfg, initial)[0][0]
-            assert np.array_equal(refine_for_query(ep, q, cfg).refined_prototypes, alone)
-
-    def test_library_maps_span_centres_back_to_r_d(self):
-        ep = corrupt_labels(small_episode(seed=9, n_way=3, k_shot=5, dim=40),
-                            CorruptionSpec(rate=0.4, seed=9))
-        cfg = RnnpConfig(beta=3, seed=2)
-        shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
-        initial = compute_prototypes(ep, "observed")
-        for q in ep.query_features:
+            centers, resp = _refine_queries(ep, q[None, :], cfg, initial)
             trace = refine_for_query(ep, q, cfg)
-            full, full_resp = _cluster_batch(shared, q[None, :], initial, cfg, kept=15)
-            assert trace.refined_prototypes.shape == (3, 40)
-            np.testing.assert_allclose(trace.refined_prototypes, full[0], rtol=0, atol=1e-12)
-            assert np.array_equal(trace.rectified_labels, np.argmax(full_resp[0], axis=0))
+            assert trace.refined_prototypes.shape == (3, dim)
+            assert np.array_equal(trace.refined_prototypes, centers[0])
+            assert np.array_equal(trace.support_responsibilities, resp[0].T)
 
 
 def in_fresh_thread(fn, *args):
@@ -990,7 +1011,7 @@ class TestScratch:
         ep = corrupt_labels(small_episode(seed=seed, n_way=n_way, k_shot=5, dim=dim,
                                           queries=queries),
                             CorruptionSpec(rate=0.4, seed=seed))
-        work = _span_episode(ep)[0]
+        work = _span_episode(ep)
         return _refine_queries(work, work.query_features, cfg, compute_prototypes(work, "observed"))
 
     @staticmethod
