@@ -22,7 +22,6 @@ from rnnp import (
     classify_rnnp,
     compute_prototypes,
     corrupt_labels,
-    count_corrupted,
     episode_accuracy,
     generate_mixture,
     rectification_delta,
@@ -46,7 +45,8 @@ def main():
     episode = corrupt_labels(episode, CorruptionSpec(rate=0.4, seed=123))
 
     banner("Support set after 40% label corruption")
-    print(f"{count_corrupted(episode)} of {episode.n_way * episode.k_shot} "
+    wrong = int(np.sum(episode.support_observed_labels != episode.support_true_labels))
+    print(f"{wrong} of {episode.n_way * episode.k_shot} "
           "support labels are wrong (2 per class):")
     print("  idx  true  observed")
     for i in range(episode.n_way * episode.k_shot):

@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from rnnp import MethodSpec, RnnpConfig, default_config, run_rectification_analysis
+from rnnp import MethodSpec, RnnpConfig, default_config, run_experiment
 
 
 def main():
@@ -28,18 +28,19 @@ def main():
     config = default_config(
         methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=4)),),
         corruption_rates=(args.corruption,), n_episodes=args.episodes, workers=1)
-    result = run_rectification_analysis(config)
+    report = run_experiment(config)[0]
+    pairs = report.per_episode_rectification  # (correct before, correct after) per episode
 
     total = config.n_way * config.k_shot
-    before = result["mean_correct_before"]
-    after = result["mean_correct_after"]
+    rect = report.rectification
+    before, after = rect["mean_correct_before"], rect["mean_correct_after"]
     print(f"{args.episodes} episodes at {args.corruption:.0%} corruption, "
           f"{total} supports each")
     print(f"mean correct labels: {before:.2f} before refinement, {after:.2f} after "
           f"({after - before:+.2f})")
 
     # distribution of the per-episode after-counts, rounded to integers
-    after_counts = np.rint([a for _, _, a in result["rows"]]).astype(int)
+    after_counts = np.rint([a for _, a in pairs]).astype(int)
     lo, hi = int(after_counts.min()), int(after_counts.max())
     print("\ncorrect-after histogram (episode counts):")
     for k in range(lo, hi + 1):
@@ -47,8 +48,8 @@ def main():
         bar = "#" * max(1, round(60 * n / args.episodes)) if n else ""
         print(f"  {k:3d} | {bar} {n}")
 
-    worse = sum(1 for _, b, a in result["rows"] if a < b)
-    better = sum(1 for _, b, a in result["rows"] if a > b)
+    worse = sum(1 for b, a in pairs if a < b)
+    better = sum(1 for b, a in pairs if a > b)
     print(f"\nepisodes improved: {better}, unchanged: "
           f"{args.episodes - better - worse}, made worse: {worse}")
 

@@ -13,12 +13,10 @@ from .episodes import (
     EmbeddingSet,
     Episode,
     corrupt_labels,
-    count_corrupted,
     sample_episode,
 )
 from .errors import (
     DegenerateClassError,
-    DegenerateInputError,
     EmbeddingFormatError,
     InvalidInputError,
 )
@@ -28,7 +26,6 @@ from .harness import (
     default_config,
     load_pool,
     run_experiment,
-    run_rectification_analysis,
     run_sweep,
     save_rectification,
     save_reports,
@@ -50,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CorruptionSpec",
     "DegenerateClassError",
-    "DegenerateInputError",
     "EmbeddingFormatError",
     "EmbeddingSet",
     "Episode",
@@ -66,7 +62,6 @@ __all__ = [
     "classify_rnnp",
     "compute_prototypes",
     "corrupt_labels",
-    "count_corrupted",
     "default_config",
     "episode_accuracy",
     "generate_mixture",
@@ -76,7 +71,6 @@ __all__ = [
     "rectification_delta",
     "refine_for_query",
     "run_experiment",
-    "run_rectification_analysis",
     "run_sweep",
     "sample_episode",
     "save_rectification",

@@ -19,15 +19,16 @@ from .datagen import MixtureSpec, generate_mixture, write_embeddings
 from .errors import InvalidInputError
 from .harness import (
     BENCHMARK_SEPARATION,
+    SWEEP_AXES,
     ExperimentConfig,
     default_config,
     run_experiment,
-    run_rectification_analysis,
     run_sweep,
     save_rectification,
     save_reports,
     save_sweep,
 )
+from .refine import CLUSTERING_MODES
 
 HYBRID_CLI = {"same": "same_class", "different": "different_class", "noise": "gaussian_noise"}
 LABELING_CLI = {"unlabeled": "unlabeled_cluster", "labeled": "labeled_direct"}
@@ -50,7 +51,7 @@ def _add_common(parser):
     parser.add_argument("--alpha", type=float, help="hybrid mixing weight override")
     parser.add_argument("--beta", type=int, help="hybrids per support override")
     parser.add_argument("--iterations", type=int, help="refinement rounds override")
-    parser.add_argument("--mode", dest="clustering_mode", choices=("soft", "hard"),
+    parser.add_argument("--mode", dest="clustering_mode", choices=CLUSTERING_MODES,
                         help="clustering mode override")
     parser.add_argument("--hybrid", dest="hybrid_source", choices=sorted(HYBRID_CLI),
                         help="hybrid source override")
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="sweep one hyper-parameter axis")
     _add_common(sw)
-    sw.add_argument("--axis", required=True, choices=("alpha", "beta", "iterations"))
+    sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sw.add_argument("--values", required=True,
                     help="comma-separated values, e.g. 0.5,0.6,0.7,0.8,0.9")
     sw.set_defaults(func=_cmd_sweep)
@@ -170,11 +171,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_rectify(args) -> int:
     config = _build_config(args, rnnp_only=True)
-    result = run_rectification_analysis(config)
-    print(f"mean correct labels: {result['mean_correct_before']:.3f} before, "
-          f"{result['mean_correct_after']:.3f} after refinement "
+    if len(config.corruption_rates) != 1:
+        raise InvalidInputError("rectification analysis needs exactly one corruption rate")
+    report = run_experiment(config)[0]
+    rect = report.rectification
+    print(f"mean correct labels: {rect['mean_correct_before']:.3f} before, "
+          f"{rect['mean_correct_after']:.3f} after refinement "
           f"(of {config.k_shot * config.n_way} supports)")
-    path = save_rectification(result, args.out)
+    path = save_rectification(report, args.out)
     print(f"wrote {path}")
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .episodes import (_FEATURE_LIMIT, EmbeddingSet, _check_int, _check_real, _check_size,
                        _check_type, _checked, _class_index, _limit_message, _within_limit)
-from .errors import DegenerateInputError, EmbeddingFormatError, InvalidInputError
+from .errors import EmbeddingFormatError, InvalidInputError
 from .nnp import _pairwise_raw
 
 
@@ -48,7 +48,9 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
     standard_normal draw of all class means, then one standard_normal
     draw of every sample, class-major, each added to its class mean.
     Class labels are 0..C-1, class-major. With a single class the raw mean
-    is kept unscaled (there is no pairwise distance to normalize).
+    is kept unscaled (there is no pairwise distance to normalize). A
+    separation that puts a class mean beyond 1e150 in magnitude is refused
+    before any sample is drawn.
     """
     _check_type("spec", spec, MixtureSpec)
     c, d, s = spec.num_classes, spec.dim, spec.samples_per_class
@@ -59,8 +61,12 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
         dists = np.sqrt(_pairwise_raw(raw, raw))
         mean_pairwise = float(dists[np.triu_indices(c, k=1)].mean())
         if mean_pairwise == 0.0:
-            raise DegenerateInputError("drawn class means coincide; cannot rescale")
-        means = raw * (spec.separation / mean_pairwise)
+            raise InvalidInputError("drawn class means coincide; cannot rescale")
+        scale = spec.separation / mean_pairwise
+        if scale * float(np.abs(raw).max()) > _FEATURE_LIMIT:
+            raise InvalidInputError(f"separation {spec.separation} puts the class means "
+                                    f"beyond {_FEATURE_LIMIT:g} in magnitude")
+        means = raw * scale
     else:
         means = raw
     feats = rng.standard_normal((c, s, d))

@@ -55,7 +55,7 @@ def _check_real(name: str, value, lo: float, hi: float, strict: bool) -> float:
     if not (lo < x < hi if strict else lo <= x <= hi):
         span = f"({lo:g}, {hi:g})" if strict else f"[{lo:g}, {hi:g}]"
         raise InvalidInputError(f"{name} must lie in {span}, got {x}")
-    return x
+    return x + 0.0  # -0.0 becomes 0.0, so both spellings write the same bytes
 
 
 def _check_type(name: str, value, cls: type):
@@ -369,8 +369,3 @@ def corrupt_labels(episode: Episode, spec: CorruptionSpec) -> Episode:
         observed[rows[c, slots]] = np.where(r < c, r, r + 1)
     return _checked(Episode, **{**vars(episode), "support_observed_labels": observed})
 
-
-def count_corrupted(episode: Episode) -> int:
-    """Number of supports whose observed label differs from the true label."""
-    _check_type("episode", episode, Episode)
-    return int(np.sum(episode.support_observed_labels != episode.support_true_labels))

@@ -5,11 +5,7 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateInputError(InvalidInputError):
-    """Input is structurally valid but numerically unusable (empty, zero weight)."""
-
-
-class DegenerateClassError(DegenerateInputError):
+class DegenerateClassError(InvalidInputError):
     """A class ended up with zero support examples under the labels in use."""
 
 

@@ -327,17 +327,6 @@ def _run_on_pool(config: ExperimentConfig, pool: EmbeddingSet) -> list:
     return reports
 
 
-def _single_rnnp_rate(config: ExperimentConfig, what: str) -> MethodSpec:
-    """The method of a config with one rnnp method and one corruption rate;
-    InvalidInputError naming `what` otherwise."""
-    _check_type("config", config, ExperimentConfig)
-    if len(config.methods) != 1 or config.methods[0].method != "rnnp":
-        raise InvalidInputError(f"{what} needs exactly one configured method, of type rnnp")
-    if len(config.corruption_rates) != 1:
-        raise InvalidInputError(f"{what} needs exactly one corruption rate")
-    return config.methods[0]
-
-
 def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
     """One report per value of alpha, beta, or iterations; streams stay paired.
 
@@ -352,7 +341,12 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
     values = list(values)
     if not values:
         raise InvalidInputError("sweep needs at least one value")
-    method = _single_rnnp_rate(config, "sweep")
+    _check_type("config", config, ExperimentConfig)
+    if len(config.methods) != 1 or config.methods[0].method != "rnnp":
+        raise InvalidInputError("sweep needs exactly one configured method, of type rnnp")
+    if len(config.corruption_rates) != 1:
+        raise InvalidInputError("sweep needs exactly one corruption rate")
+    method = config.methods[0]
     swept = []
     for v in values:
         v = _check_real(f"{sweep_axis} value", v, -math.inf, math.inf, False)
@@ -363,21 +357,6 @@ def run_sweep(config: ExperimentConfig, sweep_axis: str, values) -> list:
         swept.append(replace(method, label=repr(v),
                              rnnp=replace(method.rnnp, **{sweep_axis: v})))
     return _run_on_pool(replace(config, methods=tuple(swept)), load_pool(config))
-
-
-def run_rectification_analysis(config: ExperimentConfig) -> dict:
-    """Per-episode correct-label counts before and after refinement.
-
-    correct_before counts observed==true supports (query-independent);
-    correct_after averages the per-query rectified counts of the episode.
-    Returns {"rows": [(episode_index, before, after), ...],
-    "mean_correct_before": ..., "mean_correct_after": ...}.
-    """
-    _single_rnnp_rate(config, "rectification analysis")
-    report = run_experiment(config)[0]
-    rows = [(i, int(b), float(a)) for i, (b, a) in
-            zip(report.episode_indices, report.per_episode_rectification)]
-    return {"rows": rows, **report.rectification}
 
 
 def _write(out_dir, name: str, text: str) -> str:
@@ -398,6 +377,7 @@ def save_reports(config: ExperimentConfig, reports, out_dir) -> tuple[str, str]:
 
 
 def save_sweep(sweep_axis: str, reports, out_dir) -> str:
+    """Write sweep_<axis>.csv: one value,mean,ci95 row per run_sweep report."""
     _check_type("sweep_axis", sweep_axis, str)
     reports = [_check_type("report", r, EvalReport) for r in reports]
     lines = ["value,mean,ci95"]
@@ -405,9 +385,14 @@ def save_sweep(sweep_axis: str, reports, out_dir) -> str:
     return _write(out_dir, f"sweep_{sweep_axis}.csv", "\n".join(lines) + "\n")
 
 
-def save_rectification(result: dict, out_dir) -> str:
-    _check_type("result", result, dict)
+def save_rectification(report: EvalReport, out_dir) -> str:
+    """Write rectification.csv: an rnnp report's correct-label counts per episode, then means."""
+    _check_type("report", report, EvalReport)
+    if report.per_episode_rectification is None or report.episode_indices is None:
+        raise InvalidInputError("rectification needs an rnnp report with episode indices")
     lines = ["episode_index,correct_before,correct_after"]
-    lines += [f"{i},{before},{after!r}" for i, before, after in result["rows"]]
-    lines.append(f"mean,{result['mean_correct_before']!r},{result['mean_correct_after']!r}")
+    lines += [f"{i},{int(before)},{float(after)!r}" for i, (before, after) in
+              zip(report.episode_indices, report.per_episode_rectification)]
+    rect = report.rectification
+    lines.append(f"mean,{rect['mean_correct_before']!r},{rect['mean_correct_after']!r}")
     return _write(out_dir, "rectification.csv", "\n".join(lines) + "\n")

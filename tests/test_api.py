@@ -5,7 +5,6 @@ import rnnp
 PUBLIC_NAMES = [
     "CorruptionSpec",
     "DegenerateClassError",
-    "DegenerateInputError",
     "EmbeddingFormatError",
     "EmbeddingSet",
     "Episode",
@@ -21,7 +20,6 @@ PUBLIC_NAMES = [
     "classify_rnnp",
     "compute_prototypes",
     "corrupt_labels",
-    "count_corrupted",
     "default_config",
     "episode_accuracy",
     "generate_mixture",
@@ -31,7 +29,6 @@ PUBLIC_NAMES = [
     "rectification_delta",
     "refine_for_query",
     "run_experiment",
-    "run_rectification_analysis",
     "run_sweep",
     "sample_episode",
     "save_rectification",
@@ -42,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(rnnp.__all__) == PUBLIC_NAMES
 
 

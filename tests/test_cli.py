@@ -7,6 +7,8 @@ import pytest
 
 from rnnp.cli import build_parser, main
 from rnnp.datagen import load_embeddings
+from rnnp.harness import SWEEP_AXES
+from rnnp.refine import CLUSTERING_MODES
 
 
 def write_config(tmp_path, **overrides):
@@ -51,6 +53,16 @@ def test_option_strings_are_pinned():
     assert got == OPTIONS
 
 
+def test_choices_come_from_the_library():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {(name, a.dest): a.choices for name, sub in action.choices.items()
+               for a in sub._actions if a.dest in ("axis", "clustering_mode")}
+    for name in ("eval", "sweep", "rectify"):
+        assert choices[(name, "clustering_mode")] is CLUSTERING_MODES
+    assert choices[("sweep", "axis")] is SWEEP_AXES
+
+
 @pytest.mark.parametrize("args, flag", [
     (["eval", "--corruption", "0,x"], "--corruption"),
     (["sweep", "--corruption", "0.4", "--axis", "beta", "--values", "1,x"], "--values"),
@@ -71,6 +83,15 @@ class TestGenerate:
         pool = load_embeddings(tmp_path / "embeddings.csv")
         assert pool.features.shape == (24, 3)
         assert pool.num_classes == 4
+
+    def test_separation_beyond_the_feature_limit_exits_2(self, tmp_path, capsys):
+        args = ["generate", "--classes", "6", "--dim", "4", "--samples", "10", "--seed", "3"]
+        assert main(args + ["--separation", "1e200", "--out", str(tmp_path / "far")]) == 2
+        assert capsys.readouterr().err == \
+            "error: separation 1e+200 puts the class means beyond 1e+150 in magnitude\n"
+        assert not (tmp_path / "far").exists()
+        assert main(args + ["--separation", "1e149", "--out", str(tmp_path)]) == 0
+        assert load_embeddings(tmp_path / "embeddings.csv").features.shape == (60, 4)
 
     def test_impossible_sample_count_exits_2(self, tmp_path, capsys):
         assert main(["generate", "--samples", str(10**15), "--out", str(tmp_path)]) == 2
@@ -203,6 +224,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    def test_config_separation_beyond_the_feature_limit_exits_2(self, tmp_path, capsys):
+        mixture = {"num_classes": 6, "dim": 4, "separation": 1e200, "samples_per_class": 10,
+                   "seed": 3}
+        cfg = write_config(tmp_path, mixture=mixture)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: separation 1e+200 ")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_zero_rate_writes_the_bytes_of_zero(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for rates in ("0.4,0.0", "0.4,-0.0"):
+            assert main(["eval", "--config", cfg, "--workers", "1", "--corruption", rates,
+                         "--out", str(tmp_path / rates)]) == 0
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "0.4,0.0" / name).read_bytes() == \
+                (tmp_path / "0.4,-0.0" / name).read_bytes()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, k_shot=0)
         assert main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -288,6 +326,14 @@ class TestRectify:
         lines = (out_dir / "rectification.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "episode_index,correct_before,correct_after"
         assert len(lines) == 1 + 3 + 1
+
+    def test_requires_single_rate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["rectify", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--corruption", "0.2,0.4"]) == 2
+        assert capsys.readouterr().err == \
+            "error: rectification analysis needs exactly one corruption rate\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestDeterminism:

@@ -93,9 +93,10 @@ class TestGenerateMixture:
         assert pool.features.tobytes() == want.tobytes()
 
     def test_overflowing_mixture_rejected(self):
-        # Means scaled to 1e308 apart overflow to infinity in the pool.
+        # Means scaled to 1e308 apart would overflow to infinity in the pool; the
+        # separation is refused by name before any sample is drawn.
         spec = MixtureSpec(num_classes=2, dim=1, separation=1e308, samples_per_class=2, seed=0)
-        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+        with pytest.raises(InvalidInputError, match=r"^separation 1e\+308 puts the class means"):
             generate_mixture(spec)
 
     def test_invalid_specs_rejected(self):

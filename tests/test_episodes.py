@@ -16,13 +16,12 @@ from rnnp.episodes import (
     as_matrix,
     as_vector,
     corrupt_labels,
-    count_corrupted,
     sample_episode,
 )
 from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
 from rnnp.errors import InvalidInputError
-from rnnp.harness import (MethodSpec, default_config, run_experiment, run_rectification_analysis,
-                          run_sweep, save_rectification, save_reports, save_sweep)
+from rnnp.harness import (MethodSpec, default_config, run_experiment, run_sweep,
+                          save_rectification, save_reports, save_sweep)
 from rnnp.metrics import EvalReport, paired_delta
 from rnnp.nnp import compute_prototypes
 from rnnp.refine import (RefinementTrace, RnnpConfig, build_hybrids, classify_rnnp,
@@ -34,6 +33,11 @@ def make_pool(num_classes=20, per_class=25, dim=8, seed=0):
     feats = rng.normal(size=(num_classes * per_class, dim))
     labels = np.repeat(np.arange(num_classes), per_class)
     return EmbeddingSet(features=feats, labels=labels)
+
+
+def count_corrupted(ep):
+    """Number of supports whose observed label differs from the true label."""
+    return int(np.sum(ep.support_observed_labels != ep.support_true_labels))
 
 
 class TestEmbeddingSet:
@@ -339,7 +343,6 @@ WRONG_TYPES = {
         lambda o: corrupt_labels(o.ep_stand_in, CorruptionSpec(rate=0.5, seed=1)), "Episode"),
     "corrupt_labels.spec": (
         lambda o: corrupt_labels(o.ep, {"rate": 0.2, "seed": 1}), "CorruptionSpec"),
-    "count_corrupted": (lambda o: count_corrupted(o.ep_stand_in), "Episode"),
     "rectification_delta": (lambda o: rectification_delta(o.ep, None), "RefinementTrace"),
     "generate_mixture": (lambda o: generate_mixture(vars(_mixture())), "MixtureSpec"),
     "write_embeddings": (
@@ -347,13 +350,11 @@ WRONG_TYPES = {
     "paired_delta": (lambda o: paired_delta(None, None), "EvalReport"),
     "run_experiment": (lambda o: run_experiment(default_config().to_dict()), "ExperimentConfig"),
     "run_sweep": (lambda o: run_sweep(default_config().to_dict(), "beta", [1]), "ExperimentConfig"),
-    "run_rectification_analysis": (
-        lambda o: run_rectification_analysis(default_config().to_dict()), "ExperimentConfig"),
     "save_reports": (
         lambda o: save_reports(default_config(), [o.report, vars(o.report)], o.out), "EvalReport"),
     "save_sweep.reports": (lambda o: save_sweep("beta", [o.report, None], o.out), "EvalReport"),
     "save_sweep.sweep_axis": (lambda o: save_sweep(None, [o.report], o.out), "str"),
-    "save_rectification": (lambda o: save_rectification(None, o.out), "dict"),
+    "save_rectification": (lambda o: save_rectification(vars(o.report), o.out), "EvalReport"),
 }
 
 

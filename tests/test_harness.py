@@ -18,7 +18,6 @@ from rnnp.harness import (
     MethodSpec,
     default_config,
     run_experiment,
-    run_rectification_analysis,
     run_sweep,
     save_rectification,
     save_reports,
@@ -402,21 +401,26 @@ class TestSweep:
 
 
 class TestRectificationAnalysis:
-    def test_clean_separable_episodes_keep_all_labels(self):
+    def test_clean_separable_episodes_keep_all_labels(self, tmp_path):
         cfg = tiny_config(
             mixture=tiny_mixture(separation=25.0),
             methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
             corruption_rates=(0.0,),
             n_episodes=4,
         )
-        result = run_rectification_analysis(cfg)
-        assert len(result["rows"]) == 4
-        for i, (idx, before, after) in enumerate(result["rows"]):
-            assert idx == i
-            assert before == 15
-            assert after == 15.0
-        assert result["mean_correct_before"] == 15.0
-        assert result["mean_correct_after"] == 15.0
+        report = run_experiment(cfg)[0]
+        text = Path(save_rectification(report, tmp_path)).read_text(encoding="utf-8")
+        # Episode index, before as an int, after as a float's repr; then the means.
+        assert text.splitlines()[1:] == [f"{i},15,15.0" for i in range(4)] + ["mean,15.0,15.0"]
+        assert report.rectification == {"mean_correct_before": 15.0, "mean_correct_after": 15.0}
+
+    def test_report_without_rectification_is_refused(self, tmp_path):
+        nnp, rnnp = run_experiment(tiny_config(n_episodes=4, corruption_rates=(0.4,)))
+        assert nnp.per_episode_rectification is None
+        for report in (nnp, replace(rnnp, episode_indices=None)):
+            with pytest.raises(InvalidInputError, match="needs an rnnp report with episode indices"):
+                save_rectification(report, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSaving:
@@ -469,8 +473,7 @@ class TestSaving:
             methods=(MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2)),),
             corruption_rates=(0.4,), n_episodes=4,
         )
-        result = run_rectification_analysis(cfg)
-        path = save_rectification(result, tmp_path)
+        path = save_rectification(run_experiment(cfg)[0], tmp_path)
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "episode_index,correct_before,correct_after"
         assert len(lines) == 1 + 4 + 1
