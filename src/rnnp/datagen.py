@@ -7,12 +7,22 @@ add unit-variance isotropic noise. One knob (separation, in units of the
 within-class standard deviation) controls problem hardness.
 
 File format: CSV with header `label,f0,...,f{d-1}`, one sample per row,
-UTF-8, LF.
+UTF-8, LF. The first successful load of a CSV that is a regular file keeps
+the parsed table next to it, in `<csv path>.rnnp.npy` (the sidecar), keyed
+by the SHA-256 of the CSV's bytes; later loads of the same bytes read the
+table back instead of parsing again. A sidecar that cannot be written (a
+read-only directory) is skipped, and one that is missing, stale or damaged
+is parsed around and rewritten, so deleting it is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import os
+import stat
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -97,7 +107,16 @@ def load_embeddings(path) -> EmbeddingSet:
     and through the line loop _parse_csv otherwise; both give the same
     arrays, bit for bit, and any file the fast pass cannot vouch for gets
     the line loop's verdict. Both check what EmbeddingSet would, so the pool
-    holds their arrays read-only, uncopied: fast-pass features are a view.
+    holds views of their table, read-only and uncopied.
+
+    When path (a str or os.PathLike) names a regular file, the first
+    successful load writes the table to the sidecar `<path>.rnnp.npy`,
+    keyed by the SHA-256 of the file's bytes, and later loads of the same
+    bytes return the sidecar's table without parsing. Pipes and other
+    files that are not regular are parsed every time and never cached. A
+    sidecar is trusted as much as the directory that holds the CSV: one
+    under another key, or holding anything but a non-empty table of
+    values within 1e150, is ignored and rewritten.
 
     Raises:
         EmbeddingFormatError: empty file, bytes that are not UTF-8,
@@ -105,15 +124,99 @@ def load_embeddings(path) -> EmbeddingSet:
             or beyond 1e150 in magnitude, or a label outside int64;
             messages carry the offending line number.
     """
-    parsed = _load_csv_fast(path)
-    if parsed is None:
+    side, key = _sidecar(path)
+    table = _read_sidecar(side, key) if side else None
+    if table is None:
+        table = _parse_table(path)
+        # Keyed by the bytes parsed: a file rewritten during the parse is not cached.
+        if side and _csv_key(path) == key:
+            _write_sidecar(side, key, table)
+    labels = table["label"]
+    return _checked(EmbeddingSet, features=table["f"], labels=labels,
+                    class_index=_class_index(labels))
+
+
+def _parse_table(path) -> np.ndarray:
+    """The CSV's (label, features) rows as one _table_dtype table."""
+    table = _load_csv_fast(path)
+    if table is None:
         labels, rows = _parse_csv(_read_lines(path))
         if not rows:
             raise EmbeddingFormatError(f"{path}: file contains no samples")
-        parsed = np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)
-    labels, features = parsed
-    return _checked(EmbeddingSet, features=features, labels=labels,
-                    class_index=_class_index(labels))
+        table = np.empty(len(rows), dtype=_table_dtype(len(rows[0])))
+        table["label"] = labels
+        table["f"] = rows
+    return table
+
+
+def _table_dtype(dim: int) -> np.dtype:
+    """A parsed row: an int64 label, then dim float64 features."""
+    return np.dtype([("label", np.int64), ("f", np.float64, (dim,))])
+
+
+# Hashed ahead of a CSV's bytes into its sidecar key. Bump it whenever what
+# the readers accept changes, so no table parsed under other rules is reused.
+_SIDECAR_TAG = b"rnnp-csv-1\0"
+
+
+def _sidecar(path) -> tuple[str | None, bytes | None]:
+    """(sidecar path, key) when path is a str or os.PathLike naming a regular
+    file, else (None, None): a FIFO or /dev/stdin is read once, by the parser."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    try:
+        if isinstance(name, str) and stat.S_ISREG(os.stat(name).st_mode):
+            return name + ".rnnp.npy", _csv_key(name)
+    except OSError:  # the parser reports what is wrong with the file
+        pass
+    return None, None
+
+
+def _csv_key(path) -> bytes:
+    """SHA-256 of _SIDECAR_TAG and then the file's bytes."""
+    digest = hashlib.sha256(_SIDECAR_TAG)
+    with open(path, "rb") as fh:
+        # 64 KiB blocks keep the hash after a parse small beside the table.
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _read_sidecar(side: str, key: bytes):
+    """The table stored in side under key, or None: side is missing or
+    unreadable, carries another key, or holds anything but a non-empty 1-D
+    _table_dtype table whose features are within 1e150, and nothing after it."""
+    try:
+        with open(side, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.lib.format.read_array(fh, allow_pickle=False).tobytes() != key:
+                return None
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+            if fh.read(1):
+                return None
+    # On damaged bytes numpy's header parser raises more than ValueError
+    # (tokenize.TokenError, TypeError, a warning, or MemoryError for a huge
+    # shape); whatever it raises, the file holds no table this module wrote.
+    except Exception:
+        return None
+    dim = table.dtype.itemsize // 8 - 1
+    if (table.ndim != 1 or table.size == 0 or dim < 1 or table.dtype != _table_dtype(dim)
+            or not _within_limit(table["f"])):
+        return None
+    return table
+
+
+def _write_sidecar(side: str, key: bytes, table: np.ndarray) -> None:
+    """Store key and then table in side, by renaming a temporary file of this
+    process and thread into place; a file that cannot be written is skipped."""
+    tmp = f"{side}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.lib.format.write_array(fh, np.frombuffer(key, dtype=np.uint8))
+            np.lib.format.write_array(fh, table)
+        os.replace(tmp, side)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _read_lines(path) -> list[str]:
@@ -146,9 +249,8 @@ def _plain_lines(fh):
 
 
 def _load_csv_fast(path):
-    """(labels, features) of a plain CSV from one np.loadtxt pass, or None.
+    """The _table_dtype table of a plain CSV from one np.loadtxt pass, or None.
 
-    Both are strided views of one table, which the pool keeps read-only.
     None means the line loop must decide: the file is not plain ASCII,
     the header or any row does not parse, numpy warns (a header-only
     file), or a value is NaN, infinite or beyond 1e150 in magnitude. On
@@ -164,13 +266,13 @@ def _load_csv_fast(path):
             dim = _csv_dim(next(lines, "").rstrip("\n"))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = np.loadtxt(lines, dtype=[("label", np.int64), ("f", np.float64, (dim,))],
-                                   delimiter=",", comments=None, ndmin=1)
+                table = np.loadtxt(lines, dtype=_table_dtype(dim), delimiter=",",
+                                   comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     if not _within_limit(table["f"]):
         return None
-    return table["label"], table["f"]
+    return table
 
 
 def _csv_dim(header: str) -> int:

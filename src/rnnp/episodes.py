@@ -152,7 +152,7 @@ class EmbeddingSet:
     """Immutable pool of labeled feature vectors.
 
     The constructor checks the caller's arrays and stores read-only copies;
-    load_embeddings's features may be a read-only view of its parsed table.
+    load_embeddings's features and labels are read-only views of its parsed table.
 
     Attributes:
         features: (M, d) float64 array, one embedding per row.

@@ -1,6 +1,10 @@
 """Unit tests for the mixture generator and file I/O."""
 
+import io
+import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from rnnp import datagen
+from rnnp.cli import main
 from rnnp.datagen import (
     MixtureSpec,
     _load_csv_fast,
@@ -225,7 +231,8 @@ class TestFileRoundTrip:
         pool = generate_mixture(MixtureSpec(5, 9, 3.0, 40, seed=2))
         path = tmp_path / "pool.csv"
         write_embeddings(pool, path, "csv")
-        labels, features = _load_csv_fast(path)
+        table = _load_csv_fast(path)
+        labels, features = table["label"], table["f"]
         assert labels.dtype == np.int64 and np.array_equal(labels, pool.labels)
         assert features.dtype == np.float64 and np.array_equal(features, pool.features)
 
@@ -269,6 +276,180 @@ class TestLoadedPool:
         arrays = [loaded.features, loaded.labels, *loaded.class_index.values()]
         assert not any(a.flags.writeable for a in arrays)
         assert loaded.labels.tolist()[-1] == (10 if extra_row else 3)
+
+
+def written_pool(tmp_path, extra_row=""):
+    """Path of a small written pool, pool.csv, with extra_row appended."""
+    path = tmp_path / "pool.csv"
+    write_embeddings(generate_mixture(MixtureSpec(6, 4, 6.0, 10, seed=3)), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(extra_row)
+    return path
+
+
+def assert_same_pool(got, want):
+    for name in ("features", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSidecar:
+    """The first load keeps the parsed table in <csv>.rnnp.npy; a load of the
+    same bytes returns it without parsing, and nothing else is trusted."""
+
+    @pytest.mark.parametrize("extra_row", ["", "1_0,0.5,0.25,0.125,1.0\n"],
+                             ids=["fast_pass", "line_loop"])
+    def test_hit_equals_miss_bit_for_bit(self, tmp_path, monkeypatch, extra_row):
+        path = written_pool(tmp_path, extra_row)
+        assert (_load_csv_fast(path) is None) == bool(extra_row)
+        miss = load_embeddings(path)
+        assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv.rnnp.npy"]
+
+        def parsed(*args):
+            raise AssertionError("the CSV was parsed again")
+        monkeypatch.setattr(datagen, "_load_csv_fast", parsed)
+        monkeypatch.setattr(datagen, "_parse_csv", parsed)
+        hit = load_embeddings(str(path))
+        assert_same_pool(hit, miss)
+        assert list(hit.class_index) == list(miss.class_index)
+        for c, rows in miss.class_index.items():
+            assert np.array_equal(hit.class_index[c], rows)
+        arrays = [hit.features, hit.labels, *hit.class_index.values()]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_same_size_and_mtime_with_other_bytes_is_parsed(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n", encoding="utf-8")
+        assert load_embeddings(path).features.tolist() == [[0.5, 0.25], [1.5, 2.5]]
+        side = tmp_path / "pool.csv.rnnp.npy"
+        before, stamp = side.read_bytes(), os.stat(path)
+        path.write_text("label,f0,f1\n1,0.5,0.75\n2,1.5,2.5\n", encoding="utf-8")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert os.stat(path).st_size == stamp.st_size
+        assert load_embeddings(path).features.tolist() == [[0.5, 0.75], [1.5, 2.5]]
+        assert side.read_bytes() != before
+
+    def test_csv_rewritten_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        path.write_text("label,f0\n1,0.5\n", encoding="utf-8")
+        real = datagen._load_csv_fast
+
+        def rewritten_first(p):
+            path.write_text("label,f0\n1,0.75\n", encoding="utf-8")
+            return real(p)
+
+        monkeypatch.setattr(datagen, "_load_csv_fast", rewritten_first)
+        assert load_embeddings(path).features.tolist() == [[0.75]]
+        assert os.listdir(tmp_path) == ["pool.csv"]
+        monkeypatch.undo()
+        path.write_text("label,f0\n1,0.5\n", encoding="utf-8")
+        assert load_embeddings(path).features.tolist() == [[0.5]]
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "trailing_bytes", "wrong_key",
+                                        "past_limit", "nan"])
+    def test_damaged_sidecar_is_ignored_and_rewritten(self, tmp_path, damage):
+        path = written_pool(tmp_path)
+        want = load_embeddings(path)
+        side = tmp_path / "pool.csv.rnnp.npy"
+        good = side.read_bytes()
+        if damage == "truncated":
+            bad = good[:len(good) // 2]
+        elif damage == "garbage":
+            bad = bytes(range(256)) * 4
+        elif damage == "trailing_bytes":
+            bad = good + b"\0"
+        elif damage == "wrong_key":
+            # Another pool's sidecar, under that pool's key.
+            other = tmp_path / "other"
+            other.mkdir()
+            path_b = other / "pool.csv"
+            write_embeddings(generate_mixture(MixtureSpec(6, 4, 6.0, 10, seed=4)), path_b)
+            load_embeddings(path_b)
+            bad = (other / "pool.csv.rnnp.npy").read_bytes()
+        else:
+            # The right key over a table with one value the parser refuses.
+            fh = io.BytesIO(good)
+            key, table = np.lib.format.read_array(fh), np.lib.format.read_array(fh)
+            table["f"][3, 1] = 1e160 if damage == "past_limit" else math.nan
+            out = io.BytesIO()
+            np.lib.format.write_array(out, key)
+            np.lib.format.write_array(out, table)
+            bad = out.getvalue()
+        assert bad != good
+        side.write_bytes(bad)
+        assert_same_pool(load_embeddings(path), want)
+        assert side.read_bytes() == good
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["pool.csv", "pool.csv.rnnp.npy"] + (["other"] if damage == "wrong_key" else []))
+
+    def test_directory_at_the_sidecar_path_writes_nothing(self, tmp_path):
+        path = written_pool(tmp_path)
+        (tmp_path / "pool.csv.rnnp.npy").mkdir()
+        first = load_embeddings(path)
+        assert_same_pool(load_embeddings(path), first)
+        assert first.features.shape == (60, 4)
+        assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv.rnnp.npy"]
+        assert os.listdir(tmp_path / "pool.csv.rnnp.npy") == []
+
+    @pytest.mark.parametrize("body, match", [
+        (b"label,f0,f1\n1,0.5,1.0\n2,0.25\n", "^line 3: expected 3 fields, got 2$"),
+        (b"label,f0\n1,0.5\n2,0.\xff5\n", "^line 3: byte 0xff is not valid UTF-8$"),
+        (b"label,f0\n", "file contains no samples$"),
+    ], ids=["ragged", "not_utf8", "header_only"])
+    def test_malformed_csv_raises_and_writes_nothing(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError, match=match):
+                load_embeddings(path)
+        assert os.listdir(tmp_path) == ["bad.csv"]
+
+    def test_fifo_is_parsed_and_never_cached(self, tmp_path):
+        text = "label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n"
+        fifo = tmp_path / "pool.csv"
+        os.mkfifo(fifo)
+        loaded = []
+        loader = threading.Thread(target=lambda: loaded.append(load_embeddings(fifo)),
+                                  daemon=True)
+        loader.start()
+        with open(fifo, "w", encoding="utf-8") as fh:  # opens once the loader opens it
+            fh.write(text)
+        loader.join(timeout=30)
+        if loader.is_alive():  # a second open waits for a writer: give it an empty one
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            loader.join(timeout=30)
+        assert not loader.is_alive() and len(loaded) == 1
+        pool = loaded[0]
+        assert pool.labels.tolist() == [1, 2]
+        assert pool.features.tolist() == [[0.5, 0.25], [1.5, 2.5]]
+        assert os.listdir(tmp_path) == ["pool.csv"]
+
+    def test_second_eval_writes_the_same_reports_without_parsing(self, tmp_path, monkeypatch):
+        path = written_pool(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "mixture": None, "data_path": str(path), "data_format": "csv",
+            "n_way": 3, "k_shot": 5, "queries_per_class": 4, "n_episodes": 4,
+            "corruption_rates": [0.0, 0.4],
+            "methods": [{"method": "nnp"}, {"method": "rnnp", "beta": 2, "iterations": 2}],
+            "seed": 5,
+        }), encoding="utf-8")
+        calls = []
+        for name in ("_load_csv_fast", "_parse_csv"):
+            def counted(*args, _real=getattr(datagen, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(datagen, name, counted)
+        runs = []
+        for run in ("first", "second"):
+            calls.clear()
+            assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / run),
+                         "--workers", "1"]) == 0
+            runs.append(list(calls))
+        assert runs == [["_load_csv_fast"], []]
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == \
+                (tmp_path / "second" / name).read_bytes()
 
 
 def line_loop(path):
