@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import math
 import os
 import stat
@@ -111,7 +112,7 @@ def load_embeddings(path) -> EmbeddingSet:
 
     When path (a str or os.PathLike) names a regular file, the first
     successful load writes the table to the sidecar `<path>.rnnp.npy`,
-    keyed by the SHA-256 of the file's bytes, and later loads of the same
+    keyed by the SHA-256 of the bytes it parsed, and later loads of the same
     bytes return the sidecar's table without parsing. Pipes and other
     files that are not regular are parsed every time and never cached. A
     sidecar is trusted as much as the directory that holds the CSV: one
@@ -124,29 +125,32 @@ def load_embeddings(path) -> EmbeddingSet:
             or beyond 1e150 in magnitude, or a label outside int64;
             messages carry the offending line number.
     """
-    side, key = _sidecar(path)
-    table = _read_sidecar(side, key) if side else None
+    side = _sidecar(path)
+    table = _read_sidecar(side, path) if side else None
     if table is None:
-        table = _parse_table(path)
-        # Keyed by the bytes parsed: a file rewritten during the parse is not cached.
-        if side and _csv_key(path) == key:
+        table, key = _parse_table(path)
+        if side:
             _write_sidecar(side, key, table)
     labels = table["label"]
     return _checked(EmbeddingSet, features=table["f"], labels=labels,
                     class_index=_class_index(labels))
 
 
-def _parse_table(path) -> np.ndarray:
-    """The CSV's (label, features) rows as one _table_dtype table."""
-    table = _load_csv_fast(path)
+def _parse_table(path) -> tuple[np.ndarray, bytes]:
+    """The CSV's (label, features) rows as one _table_dtype table, and the
+    sidecar key of the bytes they were parsed from, hashed as they were read:
+    a file rewritten during the parse is stored under the key of what was read."""
+    digest = hashlib.sha256(_SIDECAR_TAG)
+    table = _load_csv_fast(path, digest)
     if table is None:
-        labels, rows = _parse_csv(_read_lines(path))
+        digest = hashlib.sha256(_SIDECAR_TAG)
+        labels, rows = _parse_csv(_read_lines(path, digest))
         if not rows:
             raise EmbeddingFormatError(f"{path}: file contains no samples")
         table = np.empty(len(rows), dtype=_table_dtype(len(rows[0])))
         table["label"] = labels
         table["f"] = rows
-    return table
+    return table, digest.digest()
 
 
 def _table_dtype(dim: int) -> np.dtype:
@@ -159,36 +163,51 @@ def _table_dtype(dim: int) -> np.dtype:
 _SIDECAR_TAG = b"rnnp-csv-1\0"
 
 
-def _sidecar(path) -> tuple[str | None, bytes | None]:
-    """(sidecar path, key) when path is a str or os.PathLike naming a regular
-    file, else (None, None): a FIFO or /dev/stdin is read once, by the parser."""
+def _sidecar(path) -> str | None:
+    """The sidecar path when path is a str or os.PathLike naming a regular
+    file, else None: a FIFO or /dev/stdin is read once, by the parser."""
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     try:
         if isinstance(name, str) and stat.S_ISREG(os.stat(name).st_mode):
-            return name + ".rnnp.npy", _csv_key(name)
+            return name + ".rnnp.npy"
     except OSError:  # the parser reports what is wrong with the file
         pass
-    return None, None
+    return None
 
 
 def _csv_key(path) -> bytes:
     """SHA-256 of _SIDECAR_TAG and then the file's bytes."""
     digest = hashlib.sha256(_SIDECAR_TAG)
     with open(path, "rb") as fh:
-        # 64 KiB blocks keep the hash after a parse small beside the table.
-        for block in iter(lambda: fh.read(1 << 16), b""):
+        for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.digest()
 
 
-def _read_sidecar(side: str, key: bytes):
-    """The table stored in side under key, or None: side is missing or
-    unreadable, carries another key, or holds anything but a non-empty 1-D
-    _table_dtype table whose features are within 1e150, and nothing after it."""
+class _HashedReader(io.RawIOBase):
+    """The unbuffered binary file fh, adding every byte read to digest."""
+
+    def __init__(self, fh, digest):
+        self._fh, self._digest = fh, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf)
+        self._digest.update(buf[:n])
+        return n
+
+
+def _read_sidecar(side: str, path):
+    """The table stored in side under the key of path's bytes, or None: side
+    is missing or unreadable, carries another key, or holds anything but a
+    non-empty 1-D _table_dtype table whose features are within 1e150, and
+    nothing after it. The CSV is hashed only once side's key has been read."""
     try:
         with open(side, "rb") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
-            if np.lib.format.read_array(fh, allow_pickle=False).tobytes() != key:
+            if np.lib.format.read_array(fh, allow_pickle=False).tobytes() != _csv_key(path):
                 return None
             table = np.lib.format.read_array(fh, allow_pickle=False)
             if fh.read(1):
@@ -196,6 +215,7 @@ def _read_sidecar(side: str, key: bytes):
     # On damaged bytes numpy's header parser raises more than ValueError
     # (tokenize.TokenError, TypeError, a warning, or MemoryError for a huge
     # shape); whatever it raises, the file holds no table this module wrote.
+    # An OSError from hashing the CSV is left for the parser to report.
     except Exception:
         return None
     dim = table.dtype.itemsize // 8 - 1
@@ -206,23 +226,28 @@ def _read_sidecar(side: str, key: bytes):
 
 
 def _write_sidecar(side: str, key: bytes, table: np.ndarray) -> None:
-    """Store key and then table in side, by renaming a temporary file of this
-    process and thread into place; a file that cannot be written is skipped."""
+    """Store key and then table in side: a temporary file of this process and
+    thread, synced to disk, is renamed into place, so a crash leaves either
+    no sidecar or a whole one. A file that cannot be written is skipped."""
     tmp = f"{side}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             np.lib.format.write_array(fh, np.frombuffer(key, dtype=np.uint8))
             np.lib.format.write_array(fh, table)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, side)
     except OSError:
         with contextlib.suppress(OSError):
             os.remove(tmp)
 
 
-def _read_lines(path) -> list[str]:
-    """The file's lines as open(path, encoding="utf-8").read().splitlines()."""
+def _read_lines(path, digest) -> list[str]:
+    """The file's lines as open(path, encoding="utf-8").read().splitlines();
+    its bytes are added to digest."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    digest.update(raw)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -248,8 +273,9 @@ def _plain_lines(fh):
         yield line
 
 
-def _load_csv_fast(path):
+def _load_csv_fast(path, digest):
     """The _table_dtype table of a plain CSV from one np.loadtxt pass, or None.
+    Every byte read from the file is added to digest.
 
     None means the line loop must decide: the file is not plain ASCII,
     the header or any row does not parse, numpy warns (a header-only
@@ -261,7 +287,9 @@ def _load_csv_fast(path):
     underscores (those files go to the line loop).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # open(path, encoding="utf-8") as it reads, with the bytes hashed on the way.
+        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_HashedReader(raw, digest)), encoding="utf-8") as fh:
             lines = _plain_lines(fh)
             dim = _csv_dim(next(lines, "").rstrip("\n"))
             with warnings.catch_warnings():

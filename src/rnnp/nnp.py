@@ -72,19 +72,10 @@ def _softmin_inplace(d: np.ndarray, axis: int = -1) -> np.ndarray:
 
     Computed as exp(min d - d) normalised to sum 1, which is bit for bit the
     max-shifted softmax of -d: min d - d equals (-d) - max(-d) exactly.
-    Along axis 0 the rows are summed one after another, the order numpy
-    sums an (N, Q) array in; numpy sums an (N, 1) column pairwise for N >= 8,
-    so one query's column would round differently from a batch's.
     """
     np.subtract(d.min(axis=axis, keepdims=True), d, out=d)
     np.exp(d, out=d)
-    if axis == 0:
-        total = d[0].copy()
-        for row in d[1:]:
-            total += row
-        d /= total
-    else:
-        d /= d.sum(axis=axis, keepdims=True)
+    d /= d.sum(axis=axis, keepdims=True)
     return d
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the mixture generator and file I/O."""
 
+import hashlib
 import io
 import json
 import math
@@ -169,14 +170,14 @@ class TestFileRoundTrip:
     def test_value_beyond_the_limit_rejected_with_line_number(self, tmp_path, value, field):
         path = tmp_path / "big.csv"
         path.write_text(f"label,f0,f1\n1,0.5,0.25\n2,{value},{field}\n", encoding="utf-8")
-        assert _load_csv_fast(path) is None
+        assert _load_csv_fast(path, hashlib.sha256()) is None
         with pytest.raises(EmbeddingFormatError, match=r"^line 3: .* beyond 1e\+150 in magnitude$"):
             load_embeddings(path)
 
     def test_values_at_the_limit_load(self, tmp_path):
         path = tmp_path / "edge.csv"
         path.write_text("label,f0,f1\n1,1e150,-1e150\n", encoding="utf-8")
-        assert _load_csv_fast(path) is not None
+        assert _load_csv_fast(path, hashlib.sha256()) is not None
         assert load_embeddings(path).features.tolist() == [[1e150, -1e150]]
 
     # Files in the removed JSONL format are refused at their first line.
@@ -231,7 +232,7 @@ class TestFileRoundTrip:
         pool = generate_mixture(MixtureSpec(5, 9, 3.0, 40, seed=2))
         path = tmp_path / "pool.csv"
         write_embeddings(pool, path, "csv")
-        table = _load_csv_fast(path)
+        table = _load_csv_fast(path, hashlib.sha256())
         labels, features = table["label"], table["f"]
         assert labels.dtype == np.int64 and np.array_equal(labels, pool.labels)
         assert features.dtype == np.float64 and np.array_equal(features, pool.features)
@@ -263,7 +264,7 @@ class TestLoadedPool:
         write_embeddings(pool, path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(extra_row)
-        assert (_load_csv_fast(path) is None) == bool(extra_row)
+        assert (_load_csv_fast(path, hashlib.sha256()) is None) == bool(extra_row)
         loaded = load_embeddings(path)
         rebuilt = EmbeddingSet(features=np.array(loaded.features), labels=np.array(loaded.labels))
         for name in ("features", "labels"):
@@ -297,11 +298,14 @@ class TestSidecar:
     """The first load keeps the parsed table in <csv>.rnnp.npy; a load of the
     same bytes returns it without parsing, and nothing else is trusted."""
 
-    @pytest.mark.parametrize("extra_row", ["", "1_0,0.5,0.25,0.125,1.0\n"],
-                             ids=["fast_pass", "line_loop"])
-    def test_hit_equals_miss_bit_for_bit(self, tmp_path, monkeypatch, extra_row):
+    # The key hashes the bytes as read, before universal newlines turn \r\n into \n.
+    @pytest.mark.parametrize("extra_row, newline", [("", "\n"), ("1_0,0.5,0.25,0.125,1.0\n", "\n"),
+                                                    ("", "\r\n")],
+                             ids=["fast_pass", "line_loop", "crlf"])
+    def test_hit_equals_miss_bit_for_bit(self, tmp_path, monkeypatch, extra_row, newline):
         path = written_pool(tmp_path, extra_row)
-        assert (_load_csv_fast(path) is None) == bool(extra_row)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert (_load_csv_fast(path, hashlib.sha256()) is None) == bool(extra_row)
         miss = load_embeddings(path)
         assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv.rnnp.npy"]
 
@@ -329,21 +333,30 @@ class TestSidecar:
         assert load_embeddings(path).features.tolist() == [[0.5, 0.75], [1.5, 2.5]]
         assert side.read_bytes() != before
 
-    def test_csv_rewritten_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("after", ["rewritten", "deleted"])
+    def test_csv_changed_after_the_parse_keeps_the_parsed_key(self, tmp_path, monkeypatch,
+                                                               after):
+        parsed = b"label,f0\n1,0.5\n"
         path = tmp_path / "pool.csv"
-        path.write_text("label,f0\n1,0.5\n", encoding="utf-8")
+        path.write_bytes(parsed)
         real = datagen._load_csv_fast
 
-        def rewritten_first(p):
-            path.write_text("label,f0\n1,0.75\n", encoding="utf-8")
-            return real(p)
+        def changed_after(*args):
+            table = real(*args)
+            if after == "rewritten":
+                path.write_bytes(b"label,f0\n1,0.75\n")
+            else:
+                path.unlink()
+            return table
 
-        monkeypatch.setattr(datagen, "_load_csv_fast", rewritten_first)
-        assert load_embeddings(path).features.tolist() == [[0.75]]
-        assert os.listdir(tmp_path) == ["pool.csv"]
-        monkeypatch.undo()
-        path.write_text("label,f0\n1,0.5\n", encoding="utf-8")
+        monkeypatch.setattr(datagen, "_load_csv_fast", changed_after)
         assert load_embeddings(path).features.tolist() == [[0.5]]
+        monkeypatch.undo()
+        with open(tmp_path / "pool.csv.rnnp.npy", "rb") as fh:
+            key = np.lib.format.read_array(fh).tobytes()
+        assert key == hashlib.sha256(b"rnnp-csv-1\0" + parsed).digest()
+        if after == "rewritten":
+            assert load_embeddings(path).features.tolist() == [[0.75]]
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "trailing_bytes", "wrong_key",
                                         "past_limit", "nan"])
@@ -593,7 +606,7 @@ class TestFastCsvReader:
     def test_equals_line_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "pool.csv"
         path.write_bytes(text.encode("utf-8"))
-        event("fast pass" if _load_csv_fast(path) is not None else "line loop")
+        event("fast pass" if _load_csv_fast(path, hashlib.sha256()) is not None else "line loop")
         assert_matches_line_loop(path)
         # The draws are unbounded: a value past the feature limit never loads.
         loaded = line_loop(path)
