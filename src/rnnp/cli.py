@@ -41,8 +41,15 @@ RNNP_FIELDS = ("alpha", "beta", "iterations", "clustering_mode", "hybrid_source"
 FIELD_WORDS = {"hybrid_source": HYBRID_CLI, "hybrid_labeling": LABELING_CLI}
 
 
+def _path(text: str) -> str:
+    """A path flag's value: any text but one holding a NUL byte, which no file name can."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot hold a NUL byte")
+    return text
+
+
 def _add_common(parser):
-    parser.add_argument("--config", help="JSON experiment config file")
+    parser.add_argument("--config", type=_path, help="JSON experiment config file")
     parser.add_argument("--seed", type=int, help="base seed override")
     parser.add_argument("--episodes", dest="n_episodes", type=int,
                         help="number of episodes override")
@@ -57,7 +64,8 @@ def _add_common(parser):
                         help="hybrid source override")
     parser.add_argument("--labeling", dest="hybrid_labeling", choices=sorted(LABELING_CLI),
                         help="hybrid labeling override")
-    parser.add_argument("--out", default=".", help="output directory (default: .)")
+    parser.add_argument("--out", type=_path, default=".",
+                        help="output directory (default: .)")
     parser.add_argument("--workers", type=int,
                         help="parallel workers (results do not depend on this)")
 
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--separation", type=float, default=BENCHMARK_SEPARATION)
     gen.add_argument("--samples", type=int, default=50, help="samples per class")
     gen.add_argument("--seed", type=int, default=11)
-    gen.add_argument("--out", default=".", help="output directory (default: .)")
+    gen.add_argument("--out", type=_path, default=".", help="output directory (default: .)")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("eval", help="benchmark all configured methods")

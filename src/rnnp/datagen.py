@@ -7,9 +7,10 @@ add unit-variance isotropic noise. One knob (separation, in units of the
 within-class standard deviation) controls problem hardness.
 
 File format: CSV with header `label,f0,...,f{d-1}`, one sample per row,
-UTF-8, LF. The first successful load of a CSV that is a regular file keeps
-the parsed table next to it, in `<csv path>.rnnp.npy` (the sidecar), keyed
-by the SHA-256 of the CSV's bytes; later loads of the same bytes read the
+UTF-8, LF or CRLF. A load opens the CSV once (a pipe is read into memory
+once). The first successful load of a CSV that is a regular file keeps the
+parsed table next to it, in `<csv path>.rnnp.npy` (the sidecar), keyed by
+the SHA-256 of the CSV's bytes; later loads of the same bytes read the
 table back instead of parsing again. A sidecar that cannot be written (a
 read-only directory) is skipped, and one that is missing, stale or damaged
 is parsed around and rewritten, so deleting it is always safe.
@@ -104,8 +105,10 @@ def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None
 def load_embeddings(path) -> EmbeddingSet:
     """Parse a CSV embeddings file into a pool.
 
-    A CSV goes through one numpy pass when it is plain (see _load_csv_fast)
-    and through the line loop _parse_csv otherwise; both give the same
+    The CSV is opened once and every pass reads that handle; one that cannot
+    seek (a pipe) is first read into memory once. A CSV goes through one
+    numpy pass when it is plain (see _load_csv_fast) and through the line
+    loop _parse_csv otherwise (lone-CR line ends too); both give the same
     arrays, bit for bit, and any file the fast pass cannot vouch for gets
     the line loop's verdict. Both check what EmbeddingSet would, so the pool
     holds views of their table, read-only and uncopied.
@@ -120,31 +123,40 @@ def load_embeddings(path) -> EmbeddingSet:
     values within 1e150, is ignored and rewritten.
 
     Raises:
+        InvalidInputError: a path that cannot name a file (a NUL byte).
         EmbeddingFormatError: empty file, bytes that are not UTF-8,
             malformed row, ragged dimensions, a value that is NaN, infinite
             or beyond 1e150 in magnitude, or a label outside int64;
             messages carry the offending line number.
     """
-    side = _sidecar(path)
-    table = _read_sidecar(side, path) if side else None
-    if table is None:
-        table, key = _parse_table(path)
-        if side:
-            _write_sidecar(side, key, table)
+    try:
+        raw = open(path, "rb")
+    except ValueError as exc:  # a NUL byte in the path
+        raise InvalidInputError(f"path {path!r}: {exc}") from exc
+    with raw:
+        name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+        regular = isinstance(name, str) and stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        side = name + ".rnnp.npy" if regular else None
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        table = _read_sidecar(side, fh) if side else None
+        if table is None:
+            table, key = _parse_table(fh, path)
+            if side:
+                _write_sidecar(side, key, table)
     labels = table["label"]
     return _checked(EmbeddingSet, features=table["f"], labels=labels,
                     class_index=_class_index(labels))
 
 
-def _parse_table(path) -> tuple[np.ndarray, bytes]:
-    """The CSV's (label, features) rows as one _table_dtype table, and the
-    sidecar key of the bytes they were parsed from, hashed as they were read:
-    a file rewritten during the parse is stored under the key of what was read."""
+def _parse_table(fh, path) -> tuple[np.ndarray, bytes]:
+    """The (label, features) rows of the CSV in fh as one _table_dtype table,
+    and the sidecar key of the bytes they were parsed from, hashed as they were
+    read: a file rewritten during the parse is stored under the key of what was read."""
     digest = hashlib.sha256(_SIDECAR_TAG)
-    table = _load_csv_fast(path, digest)
+    table = _load_csv_fast(fh, digest)
     if table is None:
         digest = hashlib.sha256(_SIDECAR_TAG)
-        labels, rows = _parse_csv(_read_lines(path, digest))
+        labels, rows = _parse_csv(_read_lines(fh, digest))
         if not rows:
             raise EmbeddingFormatError(f"{path}: file contains no samples")
         table = np.empty(len(rows), dtype=_table_dtype(len(rows[0])))
@@ -163,54 +175,22 @@ def _table_dtype(dim: int) -> np.dtype:
 _SIDECAR_TAG = b"rnnp-csv-1\0"
 
 
-def _sidecar(path) -> str | None:
-    """The sidecar path when path is a str or os.PathLike naming a regular
-    file, else None: a FIFO or /dev/stdin is read once, by the parser."""
-    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
-    try:
-        if isinstance(name, str) and stat.S_ISREG(os.stat(name).st_mode):
-            return name + ".rnnp.npy"
-    except OSError:  # the parser reports what is wrong with the file
-        pass
-    return None
-
-
-def _csv_key(path) -> bytes:
-    """SHA-256 of _SIDECAR_TAG and then the file's bytes."""
-    digest = hashlib.sha256(_SIDECAR_TAG)
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.digest()
-
-
-class _HashedReader(io.RawIOBase):
-    """The unbuffered binary file fh, adding every byte read to digest."""
-
-    def __init__(self, fh, digest):
-        self._fh, self._digest = fh, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._fh.readinto(buf)
-        self._digest.update(buf[:n])
-        return n
-
-
-def _read_sidecar(side: str, path):
-    """The table stored in side under the key of path's bytes, or None: side
+def _read_sidecar(side: str, fh):
+    """The table stored in side under the key of fh's bytes, or None: side
     is missing or unreadable, carries another key, or holds anything but a
     non-empty 1-D _table_dtype table whose features are within 1e150, and
-    nothing after it. The CSV is hashed only once side's key has been read."""
+    nothing after it. fh is hashed only once side's key has been read."""
     try:
-        with open(side, "rb") as fh, warnings.catch_warnings():
+        with open(side, "rb") as sf, warnings.catch_warnings():
             warnings.simplefilter("error")
-            if np.lib.format.read_array(fh, allow_pickle=False).tobytes() != _csv_key(path):
+            key = np.lib.format.read_array(sf, allow_pickle=False).tobytes()
+            digest = hashlib.sha256(_SIDECAR_TAG)
+            while block := fh.read(1 << 20):  # ends holding b"", not the last block
+                digest.update(block)
+            if key != digest.digest():
                 return None
-            table = np.lib.format.read_array(fh, allow_pickle=False)
-            if fh.read(1):
+            table = np.lib.format.read_array(sf, allow_pickle=False)
+            if sf.read(1):
                 return None
     # On damaged bytes numpy's header parser raises more than ValueError
     # (tokenize.TokenError, TypeError, a warning, or MemoryError for a huge
@@ -242,11 +222,11 @@ def _write_sidecar(side: str, key: bytes, table: np.ndarray) -> None:
             os.remove(tmp)
 
 
-def _read_lines(path, digest) -> list[str]:
-    """The file's lines as open(path, encoding="utf-8").read().splitlines();
-    its bytes are added to digest."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _read_lines(fh, digest) -> list[str]:
+    """fh's lines from its start, as open(path, encoding="utf-8").read().splitlines()
+    gives them; its bytes are added to digest."""
+    fh.seek(0)
+    raw = fh.read()
     digest.update(raw)
     try:
         text = raw.decode("utf-8")
@@ -259,23 +239,27 @@ def _read_lines(path, digest) -> list[str]:
     return text.splitlines()
 
 
-# ASCII characters that stop the fast CSV pass: str.splitlines breaks lines
-# at \v \f \x1c \x1d \x1e, and numpy strips \x1c-\x1f around a number as
-# whitespace where int() and float() do not. Outside ASCII they differ more.
-_NOT_PLAIN = "\v\f\x1c\x1d\x1e\x1f"
+# ASCII bytes that stop the fast CSV pass: str.splitlines breaks lines at
+# \v \f \x1c \x1d \x1e and at a \r that ends no \r\n (numpy refuses a CR
+# inside a line), and numpy strips \x1c-\x1f around a number as whitespace
+# where int() and float() do not. Outside ASCII they differ more.
+_NOT_PLAIN = b"\v\f\r\x1c\x1d\x1e\x1f"
 
 
-def _plain_lines(fh):
-    """fh's lines; ValueError at the first one that is not plain ASCII."""
+def _plain_lines(fh, digest):
+    """fh's binary lines, each added to digest as it is read; ValueError at
+    the first one that is not plain ASCII or holds a CR but in a final CRLF."""
     for line in fh:
-        if not line.isascii() or any(c in line for c in _NOT_PLAIN):
+        digest.update(line)
+        body = line[:-2] if line.endswith(b"\r\n") else line
+        if not body.isascii() or any(c in body for c in _NOT_PLAIN):
             raise ValueError("not a plain ASCII line")
         yield line
 
 
-def _load_csv_fast(path, digest):
-    """The _table_dtype table of a plain CSV from one np.loadtxt pass, or None.
-    Every byte read from the file is added to digest.
+def _load_csv_fast(fh, digest):
+    """The _table_dtype table of a plain CSV, read from the start of the binary
+    file fh in one np.loadtxt pass, or None. Every line read is added to digest.
 
     None means the line loop must decide: the file is not plain ASCII,
     the header or any row does not parse, numpy warns (a header-only
@@ -286,16 +270,14 @@ def _load_csv_fast(path, digest):
     only signed decimal digits as a label, where int() also takes
     underscores (those files go to the line loop).
     """
+    fh.seek(0)
     try:
-        # open(path, encoding="utf-8") as it reads, with the bytes hashed on the way.
-        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-                io.BufferedReader(_HashedReader(raw, digest)), encoding="utf-8") as fh:
-            lines = _plain_lines(fh)
-            dim = _csv_dim(next(lines, "").rstrip("\n"))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(lines, dtype=_table_dtype(dim), delimiter=",",
-                                   comments=None, ndmin=1)
+        lines = _plain_lines(fh, digest)
+        dim = _csv_dim(next(lines, b"").decode().rstrip("\r\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_table_dtype(dim), delimiter=",",
+                               comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     if not _within_limit(table["f"]):

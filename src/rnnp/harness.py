@@ -115,6 +115,9 @@ class ExperimentConfig:
                 else self.data_path
             if not isinstance(path, str):
                 raise InvalidInputError(f"data_path must be a str path, got {self.data_path!r}")
+            if "\0" in path:
+                raise InvalidInputError(f"data_path {path!r} holds a NUL byte, which no file "
+                                        "name can")
             object.__setattr__(self, "data_path", path)
         if self.data_format != ("csv" if self.data_path is not None else None):
             raise InvalidInputError("data_format must be 'csv' with a data_path and unset "

@@ -1,9 +1,16 @@
 """Command-line behavior, run in-process through main()."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from rnnp.cli import build_parser, main
 from rnnp.datagen import load_embeddings
@@ -71,6 +78,19 @@ def test_bad_number_list_exits_2(tmp_path, capsys, args, flag):
     cfg = write_config(tmp_path)
     assert main(args + ["--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad {flag} ")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["eval", "--out", "\x00"], "--out"),
+    (["generate", "--out", "\x00"], "--out"),
+    (["eval", "--config", "a\x00b.json"], "--config"),
+], ids=["eval_out", "generate_out", "eval_config"])
+def test_nul_byte_in_a_path_flag_exits_2_before_any_run(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"rnnp {args[0]}: error: argument {flag}: a path cannot hold a NUL byte"]
 
 
 class TestGenerate:
@@ -178,6 +198,13 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--workers", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+    def test_nul_byte_in_data_path_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mixture=None, data_path="a\x00b.csv", data_format="csv")
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == \
+            "error: data_path 'a\\x00b.csv' holds a NUL byte, which no file name can\n"
+        assert not (tmp_path / "run").exists()
 
     def test_pool_beyond_the_feature_limit_exits_2(self, tmp_path, capsys):
         # Squared distances of features near 1e160 overflow, so the pool is
@@ -345,3 +372,110 @@ class TestDeterminism:
         for name in ("report.json", "report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+
+# Values a caller might pass to any flag; \u0663 is an Arabic-Indic 3, which
+# int() and float() read, and \u00b2 a superscript 2, which they do not.
+HOSTILE = ("nan", "inf", "-0.0", "1e200", "1e-320", "1" * 25, "", "1_000", "0x10", "\u0663",
+           "\u00b2", "\x00")
+# Counts that would make a run endless or slow are left out where they are valid.
+SMALL = tuple(t for t in HOSTILE if t not in ("1" * 25, "1_000"))
+# Per flag: pairs of spellings of one value, then the hostile tokens it gets.
+INTS = [("1_000", "1000"), ("\u0663", "3"), ("7", "007")]
+COUNTS = [("\u0663", "3"), ("2", "02"), ("1", "+1")]
+FLOATS = [("0.8", "0.80"), ("0.5", "5e-1"), ("-0.0", "0.0")]
+EVAL_FLAGS = {
+    "--config": ([("config.json", "./config.json")], HOSTILE),
+    "--seed": (INTS, HOSTILE),
+    "--episodes": ([("\u0663", "3"), ("2", "02"), ("3", "+3")], SMALL),
+    "--corruption": ([("0.4,-0.0", "0.4,0.0"), ("0.2", "0.20"), ("0.4", "\u0660.\u0664")],
+                     HOSTILE),
+    "--alpha": (FLOATS, HOSTILE),
+    "--beta": (COUNTS, SMALL),
+    "--iterations": (COUNTS + [("0", "-0")], SMALL),
+    "--mode": ([("soft", "soft"), ("hard", "hard")], HOSTILE),
+    "--hybrid": ([(w, w) for w in ("same", "different", "noise")], HOSTILE),
+    "--labeling": ([(w, w) for w in ("labeled", "unlabeled")], HOSTILE),
+    "--out": ([("run", "./run/")], HOSTILE),
+    "--workers": ([("1", "01"), ("2", "+2")], HOSTILE),
+}
+GENERATE_FLAGS = {
+    "--classes": (COUNTS, SMALL),
+    "--dim": (COUNTS, SMALL),
+    "--separation": ([("6", "6.0"), ("-0.0", "0.0"), ("1_000", "1000")], HOSTILE),
+    "--samples": (COUNTS, SMALL),
+    "--seed": (INTS, HOSTILE),
+    "--out": ([("run", "./run/")], HOSTILE),
+}
+
+
+@st.composite
+def argv_pairs(draw):
+    """Two argvs for one rnnp eval or generate call, spelling each value
+    differently where a pair says how; a flag gets a hostile token one time
+    in five. Every eval names --episodes, so no run takes the default 1000."""
+    command = draw(st.sampled_from(["eval", "generate"]))
+    flags = EVAL_FLAGS if command == "eval" else GENERATE_FLAGS
+    first, second = [command], [command]
+    for flag, (pairs, hostile) in flags.items():
+        if flag != "--episodes" and draw(st.booleans()):
+            continue
+        if draw(st.integers(0, 4)):
+            a, b = draw(st.sampled_from(pairs))
+        else:
+            a = b = draw(st.sampled_from(hostile))
+        first += [flag, a]
+        second += [flag, b]
+    return first, second
+
+
+@contextlib.contextmanager
+def working_directory(path):
+    """Run the block with path as the working directory (contextlib.chdir
+    needs Python 3.11)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def run_in(directory, argv):
+    """main(argv) run from directory, which holds write_config's config.json:
+    its exit status and its stderr."""
+    write_config(directory)
+    err = io.StringIO()
+    with working_directory(directory), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def written_files(directory):
+    """Every file under directory, by relative path, with its bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argvs=argv_pairs())
+def test_any_argv_exits_cleanly_and_spelling_never_changes_the_bytes(argvs):
+    # Exit 0, or exit 2 with one error line; an uncaught exception fails the
+    # test with its traceback. Two spellings of one value write the same files.
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(argvs):
+            directory = pathlib.Path(tmp) / str(i)
+            directory.mkdir()
+            code, err = run_in(directory, argv)
+            assert code in (0, 2), (argv, code, err)
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == (code == 2) and "Traceback" not in err, (argv, err)
+            results.append((code, written_files(directory)))
+    event(f"{argvs[0][0]} exits {results[0][0]}")
+    assert results[0][0] == results[1][0], argvs
+    assert results[0][1] == results[1][1], argvs

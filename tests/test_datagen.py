@@ -1,5 +1,6 @@
 """Unit tests for the mixture generator and file I/O."""
 
+import builtins
 import hashlib
 import io
 import json
@@ -26,6 +27,12 @@ from rnnp.datagen import (
 from rnnp.episodes import EmbeddingSet
 from rnnp.errors import EmbeddingFormatError, InvalidInputError
 from rnnp.harness import default_config
+
+
+def fast_pass(path):
+    """The fast pass's table of the CSV at path, or None for the line loop."""
+    with open(path, "rb") as fh:
+        return _load_csv_fast(fh, hashlib.sha256())
 
 
 def true_means(spec):
@@ -170,14 +177,14 @@ class TestFileRoundTrip:
     def test_value_beyond_the_limit_rejected_with_line_number(self, tmp_path, value, field):
         path = tmp_path / "big.csv"
         path.write_text(f"label,f0,f1\n1,0.5,0.25\n2,{value},{field}\n", encoding="utf-8")
-        assert _load_csv_fast(path, hashlib.sha256()) is None
+        assert fast_pass(path) is None
         with pytest.raises(EmbeddingFormatError, match=r"^line 3: .* beyond 1e\+150 in magnitude$"):
             load_embeddings(path)
 
     def test_values_at_the_limit_load(self, tmp_path):
         path = tmp_path / "edge.csv"
         path.write_text("label,f0,f1\n1,1e150,-1e150\n", encoding="utf-8")
-        assert _load_csv_fast(path, hashlib.sha256()) is not None
+        assert fast_pass(path) is not None
         assert load_embeddings(path).features.tolist() == [[1e150, -1e150]]
 
     # Files in the removed JSONL format are refused at their first line.
@@ -221,6 +228,11 @@ class TestFileRoundTrip:
         with pytest.raises(EmbeddingFormatError, match=f"^line {line}: byte 0x.. is not valid UTF-8$"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("path", ["a\x00b.csv", b"a\x00b.csv"], ids=["str", "bytes"])
+    def test_nul_byte_in_the_path_rejected(self, path):
+        with pytest.raises(InvalidInputError, match="embedded null byte"):
+            load_embeddings(path)
+
     def test_other_write_format_rejected_and_nothing_written(self, tmp_path):
         pool = generate_mixture(MixtureSpec(2, 3, 3.0, 2, seed=1))
         path = tmp_path / "pool.jsonl"
@@ -232,7 +244,7 @@ class TestFileRoundTrip:
         pool = generate_mixture(MixtureSpec(5, 9, 3.0, 40, seed=2))
         path = tmp_path / "pool.csv"
         write_embeddings(pool, path, "csv")
-        table = _load_csv_fast(path, hashlib.sha256())
+        table = fast_pass(path)
         labels, features = table["label"], table["f"]
         assert labels.dtype == np.int64 and np.array_equal(labels, pool.labels)
         assert features.dtype == np.float64 and np.array_equal(features, pool.features)
@@ -264,7 +276,7 @@ class TestLoadedPool:
         write_embeddings(pool, path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(extra_row)
-        assert (_load_csv_fast(path, hashlib.sha256()) is None) == bool(extra_row)
+        assert (fast_pass(path) is None) == bool(extra_row)
         loaded = load_embeddings(path)
         rebuilt = EmbeddingSet(features=np.array(loaded.features), labels=np.array(loaded.labels))
         for name in ("features", "labels"):
@@ -305,7 +317,7 @@ class TestSidecar:
     def test_hit_equals_miss_bit_for_bit(self, tmp_path, monkeypatch, extra_row, newline):
         path = written_pool(tmp_path, extra_row)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
-        assert (_load_csv_fast(path, hashlib.sha256()) is None) == bool(extra_row)
+        assert (fast_pass(path) is None) == bool(extra_row)
         miss = load_embeddings(path)
         assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv.rnnp.npy"]
 
@@ -417,8 +429,12 @@ class TestSidecar:
                 load_embeddings(path)
         assert os.listdir(tmp_path) == ["bad.csv"]
 
-    def test_fifo_is_parsed_and_never_cached(self, tmp_path):
-        text = "label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n"
+    # A 1_0 label is read by the line loop, after the fast pass has drained the pipe.
+    @pytest.mark.parametrize("text, labels, features", [
+        ("label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n", [1, 2], [[0.5, 0.25], [1.5, 2.5]]),
+        ("label,f0\n1_0,0.5\n2,0.25\n", [10, 2], [[0.5], [0.25]]),
+    ], ids=["fast_pass", "line_loop"])
+    def test_fifo_is_parsed_and_never_cached(self, tmp_path, text, labels, features):
         fifo = tmp_path / "pool.csv"
         os.mkfifo(fifo)
         loaded = []
@@ -428,14 +444,54 @@ class TestSidecar:
         with open(fifo, "w", encoding="utf-8") as fh:  # opens once the loader opens it
             fh.write(text)
         loader.join(timeout=30)
-        if loader.is_alive():  # a second open waits for a writer: give it an empty one
+        rescued = loader.is_alive()
+        if rescued:  # a second open would wait for a writer: give it an empty one
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
             loader.join(timeout=30)
-        assert not loader.is_alive() and len(loaded) == 1
+        assert not rescued and not loader.is_alive() and len(loaded) == 1
         pool = loaded[0]
-        assert pool.labels.tolist() == [1, 2]
-        assert pool.features.tolist() == [[0.5, 0.25], [1.5, 2.5]]
+        assert pool.labels.tolist() == labels
+        assert pool.features.tolist() == features
         assert os.listdir(tmp_path) == ["pool.csv"]
+
+    @pytest.mark.parametrize("case", ["cold_fast_pass", "cold_line_loop", "warm", "stale"])
+    def test_each_load_opens_the_csv_once(self, tmp_path, monkeypatch, case):
+        path = written_pool(tmp_path, "1_0,0.5,0.25,0.125,1.0\n" * (case == "cold_line_loop"))
+        if case in ("warm", "stale"):
+            want = load_embeddings(path)  # and writes the sidecar
+        if case == "stale":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("7,0.5,0.25,0.125,1.0\n")
+        opened = []
+        for owner in (builtins, os):
+            def counted(file, *args, _real=owner.open, **kwargs):
+                opened.append(file)
+                return _real(file, *args, **kwargs)
+            monkeypatch.setattr(owner, "open", counted)
+        pool = load_embeddings(path)
+        monkeypatch.undo()
+        assert [os.fspath(f) for f in opened].count(str(path)) == 1, opened
+        if case == "warm":
+            assert_same_pool(pool, want)
+        assert pool.labels.tolist()[-1] == {"cold_line_loop": 10, "stale": 7}.get(case, 5)
+
+    # SHA-256 of the sidecar bytes each CSV gets (on a little-endian machine),
+    # as first written when the sidecar landed: a sidecar users already hold
+    # stays a hit.
+    @pytest.mark.parametrize("body, digest", [
+        (b"label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n",
+         "eaa0f7064c3a2e3c3e571cb5f8a08f3283d8c7ec9db8d13faa117384a79256c2"),
+        (b"label,f0\n1_0,0.5\n2,0.25\n",
+         "0f9fbe1e6b4a618e88467ecea87e28ee781ebe12fa03fb5ea61adc5d0020958e"),
+        (b"label,f0,f1\r\n1,0.5,0.25\r\n2,1.5,2.5\r\n",
+         "e6347d63c58a1d18785c824c5e85f2ecd2a64198153372b69ec0687f0f9cec1e"),
+    ], ids=["fast_pass", "line_loop", "crlf"])
+    def test_sidecar_bytes_are_pinned(self, tmp_path, body, digest):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(body)
+        load_embeddings(path)
+        side = (tmp_path / "pool.csv.rnnp.npy").read_bytes()
+        assert hashlib.sha256(side).hexdigest() == digest
 
     def test_second_eval_writes_the_same_reports_without_parsing(self, tmp_path, monkeypatch):
         path = written_pool(tmp_path)
@@ -570,6 +626,10 @@ DIVERGENCES = (
     'label,f0,f1\n"1",0.5,0.25\n',  # quoted field
     "label,f0,f1\n1,0.5#,0.25\n",  # '#' inside a field
     "label,f0,f1\r\n1,0.5,0.25\r\n2,1.5,-0.0\r\n",  # CRLF
+    "label,f0\r,f1\n1,0.5,0.25\n",  # a CR that ends no CRLF: a line break to splitlines
+    "label,f0,f1\r\r\n1,0.5,0.25\r\n",
+    "label,f0,f1\r\n1,0.5,0.25\r2,1.5,2.5\r\n",
+    "label,f0,f1\n1,0.5,0.25\r",
     "label,f0,f1\n 1 ,\t0.5 , +0.25\n",  # spaces around numbers
     "label,f0,f1\n\n1,0.5,0.25\n\n\n2,.5,5.\n",  # empty lines
     "label,f0,f1\n99999999999999999999,0.5,0.25\n",  # label outside int64
@@ -606,7 +666,7 @@ class TestFastCsvReader:
     def test_equals_line_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "pool.csv"
         path.write_bytes(text.encode("utf-8"))
-        event("fast pass" if _load_csv_fast(path, hashlib.sha256()) is not None else "line loop")
+        event("fast pass" if fast_pass(path) is not None else "line loop")
         assert_matches_line_loop(path)
         # The draws are unbounded: a value past the feature limit never loads.
         loaded = line_loop(path)
