@@ -39,7 +39,6 @@ from .refine import (
     build_hybrids,
     classify_rnnp,
     rectification_delta,
-    refine_for_query,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +68,6 @@ __all__ = [
     "load_pool",
     "paired_delta",
     "rectification_delta",
-    "refine_for_query",
     "run_experiment",
     "run_sweep",
     "sample_episode",

@@ -18,7 +18,6 @@ from dataclasses import replace
 from .datagen import MixtureSpec, generate_mixture, write_embeddings
 from .errors import InvalidInputError
 from .harness import (
-    BENCHMARK_SEPARATION,
     SWEEP_AXES,
     ExperimentConfig,
     default_config,
@@ -48,6 +47,17 @@ def _path(text: str) -> str:
     return text
 
 
+def _out_dir(text: str) -> str:
+    """An --out value: a path (see _path) whose nearest existing part is a directory."""
+    if not (head := _path(text)):
+        raise argparse.ArgumentTypeError("an output directory needs a name")
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise argparse.ArgumentTypeError(f"{head!r} exists and is not a directory")
+    return text
+
+
 def _add_common(parser):
     parser.add_argument("--config", type=_path, help="JSON experiment config file")
     parser.add_argument("--seed", type=int, help="base seed override")
@@ -64,7 +74,7 @@ def _add_common(parser):
                         help="hybrid source override")
     parser.add_argument("--labeling", dest="hybrid_labeling", choices=sorted(LABELING_CLI),
                         help="hybrid labeling override")
-    parser.add_argument("--out", type=_path, default=".",
+    parser.add_argument("--out", type=_out_dir, default=".",
                         help="output directory (default: .)")
     parser.add_argument("--workers", type=int,
                         help="parallel workers (results do not depend on this)")
@@ -77,13 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    mix = default_config().mixture
     gen = sub.add_parser("generate", help="write a synthetic embedding pool")
-    gen.add_argument("--classes", type=int, default=20)
-    gen.add_argument("--dim", type=int, default=64)
-    gen.add_argument("--separation", type=float, default=BENCHMARK_SEPARATION)
-    gen.add_argument("--samples", type=int, default=50, help="samples per class")
-    gen.add_argument("--seed", type=int, default=11)
-    gen.add_argument("--out", type=_path, default=".", help="output directory (default: .)")
+    gen.add_argument("--classes", type=int, default=mix.num_classes)
+    gen.add_argument("--dim", type=int, default=mix.dim)
+    gen.add_argument("--separation", type=float, default=mix.separation)
+    gen.add_argument("--samples", type=int, default=mix.samples_per_class, help="samples per class")
+    gen.add_argument("--seed", type=int, default=mix.seed)
+    gen.add_argument("--out", type=_out_dir, default=".", help="output directory (default: .)")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("eval", help="benchmark all configured methods")

@@ -95,7 +95,7 @@ def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None
     _check_type("pool", pool, EmbeddingSet)
     if file_format != "csv":
         raise InvalidInputError(f"file_format must be 'csv', got {file_format!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_file_name(path), "w", encoding="utf-8", newline="\n") as fh:
         dim = pool.features.shape[1]
         fh.write("label," + ",".join(f"f{i}" for i in range(dim)) + "\n")
         for label, row in zip(pool.labels, pool.features):
@@ -113,7 +113,7 @@ def load_embeddings(path) -> EmbeddingSet:
     the line loop's verdict. Both check what EmbeddingSet would, so the pool
     holds views of their table, read-only and uncopied.
 
-    When path (a str or os.PathLike) names a regular file, the first
+    When path (see _file_name) names a regular file, the first
     successful load writes the table to the sidecar `<path>.rnnp.npy`,
     keyed by the SHA-256 of the bytes it parsed, and later loads of the same
     bytes return the sidecar's table without parsing. Pipes and other
@@ -123,24 +123,18 @@ def load_embeddings(path) -> EmbeddingSet:
     values within 1e150, is ignored and rewritten.
 
     Raises:
-        InvalidInputError: a path that cannot name a file (a NUL byte).
+        InvalidInputError: a path that is no file name (see _file_name).
         EmbeddingFormatError: empty file, bytes that are not UTF-8,
             malformed row, ragged dimensions, a value that is NaN, infinite
             or beyond 1e150 in magnitude, or a label outside int64;
             messages carry the offending line number.
     """
-    try:
-        raw = open(path, "rb")
-    except ValueError as exc:  # a NUL byte in the path
-        raise InvalidInputError(f"path {path!r}: {exc}") from exc
-    with raw:
-        name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
-        regular = isinstance(name, str) and stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
-        side = name + ".rnnp.npy" if regular else None
+    with open(name := _file_name(path), "rb") as raw:
+        side = name + ".rnnp.npy" if stat.S_ISREG(os.fstat(raw.fileno()).st_mode) else None
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         table = _read_sidecar(side, fh) if side else None
         if table is None:
-            table, key = _parse_table(fh, path)
+            table, key = _parse_table(fh, name)
             if side:
                 _write_sidecar(side, key, table)
     labels = table["label"]
@@ -148,7 +142,19 @@ def load_embeddings(path) -> EmbeddingSet:
                     class_index=_class_index(labels))
 
 
-def _parse_table(fh, path) -> tuple[np.ndarray, bytes]:
+def _file_name(path) -> str:
+    """path (str, bytes or os.PathLike) as a str; anything else, an open file's
+    descriptor included, and a name holding a NUL byte raise InvalidInputError."""
+    try:
+        name = os.fsdecode(path)
+    except TypeError as exc:
+        raise InvalidInputError(f"path {path!r}: {exc}") from exc
+    if "\0" in name:
+        raise InvalidInputError(f"path {name!r}: embedded null byte")
+    return name
+
+
+def _parse_table(fh, path: str) -> tuple[np.ndarray, bytes]:
     """The (label, features) rows of the CSV in fh as one _table_dtype table,
     and the sidecar key of the bytes they were parsed from, hashed as they were
     read: a file rewritten during the parse is stored under the key of what was read."""
@@ -293,12 +299,6 @@ def _csv_dim(header: str) -> int:
     return len(fields) - 1
 
 
-def _check_label(num: int, label: int) -> int:
-    if not -2**63 <= label < 2**63:
-        raise EmbeddingFormatError(f"line {num}: label {label} is outside int64")
-    return label
-
-
 def _parse_csv(lines):
     if not lines:
         raise EmbeddingFormatError("line 1: empty file")
@@ -317,6 +317,8 @@ def _parse_csv(lines):
             raise EmbeddingFormatError(f"line {num}: {exc}") from exc
         if not all(abs(v) <= _FEATURE_LIMIT for v in values):
             raise EmbeddingFormatError(f"line {num}: a feature value is {_limit_message()}")
-        labels.append(_check_label(num, label))
+        if not -2**63 <= label < 2**63:
+            raise EmbeddingFormatError(f"line {num}: label {label} is outside int64")
+        labels.append(label)
         rows.append(values)
     return labels, rows

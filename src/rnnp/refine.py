@@ -10,9 +10,9 @@ classification, and the final soft assignment of each support doubles as
 a rectified label for diagnostics.
 
 Exactly one query participates per clustering run; queries never help
-classify each other. The library (refine_for_query, classify_rnnp) and
-the harness share one path, _refine_queries: a batch of queries, each
-its own problem, with the library calling it for a batch of one.
+classify each other. The library's one refinement call, classify_rnnp,
+and the harness share one path, _refine_queries: a batch of queries,
+each its own problem, with the library calling it for a batch of one.
 
 Supports, blend hybrids, class means and centers lie in the supports'
 span, and a query adds one residual axis. Only the harness uses this:
@@ -373,8 +373,9 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     return _cluster_batch(shared, queries, initial, config, kept=episode.support_features.shape[0])
 
 
-def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementTrace:
-    """Refine the episode's prototypes for one query.
+def classify_rnnp(episode: Episode, query,
+                  config: RnnpConfig) -> tuple[np.ndarray, int, RefinementTrace]:
+    """classify's (probs, pred) for one query against prototypes refined for it, and the trace.
 
     The Q = 1 case of the harness's batched refinement. With
     unlabeled_cluster, supports and hybrids are the shared rows and the
@@ -397,19 +398,9 @@ def refine_for_query(episode: Episode, query, config: RnnpConfig) -> RefinementT
     if q.shape[0] != episode.dim:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
     centers, resp = _refine_queries(episode, q[None, :], config, initial)
-    return RefinementTrace(
-        initial_prototypes=initial,
-        refined_prototypes=centers[0],
-        support_responsibilities=resp[0].T,
-    )
-
-
-def classify_rnnp(episode: Episode, query,
-                  config: RnnpConfig) -> tuple[np.ndarray, int, RefinementTrace]:
-    """Classify one query against refine_for_query's refined prototypes."""
-    trace = refine_for_query(episode, query, config)
-    probs, pred = classify(trace.refined_prototypes, query)
-    return probs, pred, trace
+    probs, pred = classify(centers[0], q)
+    return probs, pred, RefinementTrace(initial_prototypes=initial, refined_prototypes=centers[0],
+                                        support_responsibilities=resp[0].T)
 
 
 def rectification_delta(episode: Episode, trace: RefinementTrace) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from rnnp.datagen import MixtureSpec, generate_mixture
 from rnnp.episodes import CorruptionSpec, Episode, corrupt_labels, sample_episode
 from rnnp.metrics import mean_ci95, paired_delta
 from rnnp.nnp import classify, compute_prototypes
-from rnnp.refine import RnnpConfig, build_hybrids, classify_rnnp, refine_for_query
+from rnnp.refine import RnnpConfig, build_hybrids, classify_rnnp
 
 
 def _emit(capsys, number, ok, detail):
@@ -166,7 +166,7 @@ def test_6_clustering_objectives_never_increase(capsys):
                               build_hybrids(episode, configs[-1])[0], query[None, :]])
             values = []
             for cfg in configs:
-                centers = refine_for_query(episode, query, cfg).refined_prototypes
+                centers = classify_rnnp(episode, query, cfg)[2].refined_prototypes
                 values.append(objective(pool, centers))
             runs += 1
             for prev, nxt in zip(values, values[1:]):
@@ -306,7 +306,7 @@ def test_8_noop_and_invariance_suite(capsys):
         ep = corrupt_labels(sample_episode(pool, 5, 5, 2, 400 + i),
                             CorruptionSpec(rate=0.4, seed=1100 + i))
         for rcfg in (RnnpConfig(beta=4), RnnpConfig(beta=4, clustering_mode="hard")):
-            trace = refine_for_query(ep, ep.query_features[0], rcfg)
+            trace = classify_rnnp(ep, ep.query_features[0], rcfg)[2]
             resp = trace.support_responsibilities
             check(float(np.max(np.abs(resp.sum(axis=1) - 1.0))) <= 1e-9,
                   "responsibility rows sum to 1")

@@ -1,6 +1,11 @@
 """The public API, pinned: an added or dropped name shows up here."""
 
+import pathlib
+import re
+
 import rnnp
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
     "CorruptionSpec",
@@ -27,7 +32,6 @@ PUBLIC_NAMES = [
     "load_pool",
     "paired_delta",
     "rectification_delta",
-    "refine_for_query",
     "run_experiment",
     "run_sweep",
     "sample_episode",
@@ -39,10 +43,17 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(rnnp.__all__) == PUBLIC_NAMES
 
 
 def test_every_public_name_resolves():
     missing = [name for name in rnnp.__all__ if not hasattr(rnnp, name)]
     assert missing == []
+
+
+def test_every_public_name_is_documented():
+    # A code span is inline `...` text outside the fenced blocks.
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    spans = set(re.findall(r"`([^`\n]+)`", prose))
+    assert [name for name in rnnp.__all__ if name not in spans] == []

@@ -13,8 +13,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rnnp.cli import build_parser, main
-from rnnp.datagen import load_embeddings
-from rnnp.harness import SWEEP_AXES
+from rnnp.datagen import generate_mixture, load_embeddings, write_embeddings
+from rnnp.harness import SWEEP_AXES, default_config
 from rnnp.refine import CLUSTERING_MODES
 
 
@@ -80,17 +80,37 @@ def test_bad_number_list_exits_2(tmp_path, capsys, args, flag):
     assert capsys.readouterr().err.startswith(f"error: bad {flag} ")
 
 
-@pytest.mark.parametrize("args, flag", [
-    (["eval", "--out", "\x00"], "--out"),
-    (["generate", "--out", "\x00"], "--out"),
-    (["eval", "--config", "a\x00b.json"], "--config"),
-], ids=["eval_out", "generate_out", "eval_config"])
-def test_nul_byte_in_a_path_flag_exits_2_before_any_run(capsys, args, flag):
+NUL_REFUSED = "a path cannot hold a NUL byte"
+# The arguments each command needs besides --out.
+REQUIRED = {"eval": [], "sweep": ["--axis", "beta", "--values", "1"], "rectify": [],
+            "generate": []}
+
+
+@pytest.mark.parametrize("args, flag, message", [
+    (["eval", "--out", "\x00"], "--out", NUL_REFUSED),
+    (["generate", "--out", "\x00"], "--out", NUL_REFUSED),
+    (["eval", "--config", "a\x00b.json"], "--config", NUL_REFUSED),
+    *[([cmd, *REQUIRED[cmd], "--out", ""], "--out", "an output directory needs a name")
+      for cmd in REQUIRED],
+    *[([cmd, *REQUIRED[cmd], "--out", "{file}"], "--out", "'{file}' exists and is not a directory")
+      for cmd in REQUIRED],
+    *[([cmd, *REQUIRED[cmd], "--out", "{file}/sub/"], "--out",
+       "'{file}' exists and is not a directory") for cmd in REQUIRED],
+], ids=["eval_out", "generate_out", "eval_config", *(f"{cmd}_empty_out" for cmd in REQUIRED),
+        *(f"{cmd}_file_out" for cmd in REQUIRED), *(f"{cmd}_out_under_a_file" for cmd in REQUIRED)])
+def test_nul_byte_in_a_path_flag_exits_2_before_any_run(tmp_path, capsys, args, flag, message):
+    # Every refusal comes from argparse, so no episode runs and nothing is written.
+    file = tmp_path / "taken"
+    file.write_text("kept\n", encoding="utf-8")
+    args = [a.replace("{file}", str(file)) for a in args]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == [f"rnnp {args[0]}: error: argument {flag}: a path cannot hold a NUL byte"]
+    assert errors == [f"rnnp {args[0]}: error: argument {flag}: "
+                      + message.replace("{file}", str(file))]
+    assert file.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 class TestGenerate:
@@ -118,6 +138,12 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "samples_per_class=" in err
         assert not (tmp_path / "embeddings.csv").exists()
+
+    def test_defaults_write_the_benchmark_pool(self, tmp_path, capsys):
+        assert main(["generate", "--out", str(tmp_path / "d")]) == 0
+        write_embeddings(generate_mixture(default_config().mixture), tmp_path / "want.csv")
+        assert (tmp_path / "d" / "embeddings.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
     def test_jsonl_format(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -233,6 +233,30 @@ class TestFileRoundTrip:
         with pytest.raises(InvalidInputError, match="embedded null byte"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("path", [None, 3.5], ids=["none", "float"])
+    def test_non_path_rejected(self, path):
+        pool = generate_mixture(MixtureSpec(2, 3, 3.0, 2, seed=1))
+        with pytest.raises(InvalidInputError, match=f"^path {path!r}: expected str, bytes"):
+            load_embeddings(path)
+        with pytest.raises(InvalidInputError, match=f"^path {path!r}: expected str, bytes"):
+            write_embeddings(pool, path)
+
+    def test_file_descriptor_rejected_and_left_open(self, tmp_path):
+        pool = generate_mixture(MixtureSpec(2, 3, 3.0, 2, seed=1))
+        path = tmp_path / "pool.csv"
+        write_embeddings(pool, path)
+        before = path.read_bytes()
+        for flags, call in ((os.O_RDONLY, load_embeddings),
+                            (os.O_WRONLY, lambda fd: write_embeddings(pool, fd))):
+            fd = os.open(path, flags)
+            try:
+                with pytest.raises(InvalidInputError, match=f"^path {fd}: .* not int$"):
+                    call(fd)
+                os.fstat(fd)  # still open: EBADF here would mean it was closed
+            finally:
+                os.close(fd)
+        assert path.read_bytes() == before
+
     def test_other_write_format_rejected_and_nothing_written(self, tmp_path):
         pool = generate_mixture(MixtureSpec(2, 3, 3.0, 2, seed=1))
         path = tmp_path / "pool.jsonl"
@@ -332,6 +356,12 @@ class TestSidecar:
             assert np.array_equal(hit.class_index[c], rows)
         arrays = [hit.features, hit.labels, *hit.class_index.values()]
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_bytes_path_keeps_a_sidecar(self, tmp_path):
+        path = written_pool(tmp_path, "")
+        miss = load_embeddings(os.fsencode(path))
+        assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv.rnnp.npy"]
+        assert_same_pool(load_embeddings(os.fsencode(path)), miss)
 
     def test_same_size_and_mtime_with_other_bytes_is_parsed(self, tmp_path):
         path = tmp_path / "pool.csv"

@@ -25,7 +25,7 @@ from rnnp.harness import (MethodSpec, default_config, run_experiment, run_sweep,
 from rnnp.metrics import EvalReport, paired_delta
 from rnnp.nnp import compute_prototypes
 from rnnp.refine import (RefinementTrace, RnnpConfig, build_hybrids, classify_rnnp,
-                         rectification_delta, refine_for_query)
+                         rectification_delta)
 
 
 def make_pool(num_classes=20, per_class=25, dim=8, seed=0):
@@ -328,10 +328,6 @@ def _typed_objects(tmp_path):
 # with the name of the type they expect.
 WRONG_TYPES = {
     "sample_episode": (lambda o: sample_episode(o.pool_stand_in, 2, 1, 1, 0), "EmbeddingSet"),
-    "refine_for_query.episode": (
-        lambda o: refine_for_query(o.ep.support_features, o.query, o.rnnp), "Episode"),
-    "refine_for_query.config": (
-        lambda o: refine_for_query(o.ep, o.query, vars(o.rnnp)), "RnnpConfig"),
     "classify_rnnp.episode": (
         lambda o: classify_rnnp(o.ep.support_features, o.query, o.rnnp), "Episode"),
     "classify_rnnp.config": (

@@ -25,7 +25,6 @@ from rnnp.refine import (
     build_hybrids,
     classify_rnnp,
     rectification_delta,
-    refine_for_query,
 )
 
 from _reference import reference_hybrids, reference_refine
@@ -423,16 +422,18 @@ class TestUpdateCenters:
 
 
 class TestRefineForQuery:
+    """The RefinementTrace that classify_rnnp returns for one query."""
+
     def test_zero_iterations_is_identity(self):
         ep = small_episode()
         cfg = RnnpConfig(beta=4, iterations=0)
-        trace = refine_for_query(ep, ep.query_features[0], cfg)
+        trace = classify_rnnp(ep, ep.query_features[0], cfg)[2]
         assert np.array_equal(trace.refined_prototypes, trace.initial_prototypes)
 
     def test_matches_reference_on_1d_instance(self):
         ep = spec_1d_episode()
         cfg = RnnpConfig(beta=1, alpha=0.8, iterations=1)
-        trace = refine_for_query(ep, np.array([0.9]), cfg)
+        trace = classify_rnnp(ep, np.array([0.9]), cfg)[2]
         ref = reference_refine(
             ep.support_features.tolist(), ep.support_observed_labels.tolist(),
             ep.n_way, [0.9], alpha=0.8, beta=1, iterations=1,
@@ -457,7 +458,7 @@ class TestRefineForQuery:
         labels = np.concatenate([ep.support_observed_labels, parents])
         want = np.vstack([feats[labels == c].mean(axis=0) for c in range(3)])
         for q in ep.query_features:
-            trace = refine_for_query(ep, q, cfg)
+            trace = classify_rnnp(ep, q, cfg)[2]
             assert np.array_equal(trace.refined_prototypes, want)
             assert np.array_equal(trace.rectified_labels, ep.support_observed_labels)
 
@@ -465,14 +466,14 @@ class TestRefineForQuery:
         ep = small_episode(seed=2, spread=12.0)
         cfg = RnnpConfig(beta=4, iterations=3)
         for q in ep.query_features:
-            trace = refine_for_query(ep, q, cfg)
+            trace = classify_rnnp(ep, q, cfg)[2]
             assert np.array_equal(trace.rectified_labels, ep.support_observed_labels)
 
     def test_trace_is_deterministic(self):
         ep = small_episode(seed=4)
         cfg = RnnpConfig(beta=3, iterations=3, seed=2)
-        a = refine_for_query(ep, ep.query_features[0], cfg)
-        b = refine_for_query(ep, ep.query_features[0], cfg)
+        a = classify_rnnp(ep, ep.query_features[0], cfg)[2]
+        b = classify_rnnp(ep, ep.query_features[0], cfg)[2]
         assert np.array_equal(a.refined_prototypes, b.refined_prototypes)
         assert np.array_equal(a.support_responsibilities, b.support_responsibilities)
         assert np.array_equal(a.rectified_labels, b.rectified_labels)
@@ -481,13 +482,13 @@ class TestRefineForQuery:
         ep = small_episode(seed=6)
         for mode in ("soft", "hard"):
             cfg = RnnpConfig(beta=2, iterations=2, clustering_mode=mode, seed=3)
-            trace = refine_for_query(ep, ep.query_features[2], cfg)
+            trace = classify_rnnp(ep, ep.query_features[2], cfg)[2]
             np.testing.assert_allclose(trace.support_responsibilities.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         ep = small_episode()
         with pytest.raises(InvalidInputError):
-            refine_for_query(ep, np.zeros(ep.dim + 1), RnnpConfig(beta=2))
+            classify_rnnp(ep, np.zeros(ep.dim + 1), RnnpConfig(beta=2))[2]
 
 
 class TestClassifyRnnp:
@@ -652,7 +653,7 @@ class TestRectificationDelta:
     def test_uncorrupted_counts(self):
         ep = small_episode(seed=2, spread=12.0)
         cfg = RnnpConfig(beta=4, iterations=3)
-        trace = refine_for_query(ep, ep.query_features[0], cfg)
+        trace = classify_rnnp(ep, ep.query_features[0], cfg)[2]
         before, after = rectification_delta(ep, trace)
         assert before == 15
         assert after == 15
@@ -665,14 +666,14 @@ class TestRectificationDelta:
         )
         ep = sample_episode(pool, 5, 5, 5, seed=3)
         noisy = corrupt_labels(ep, CorruptionSpec(rate=0.4, seed=7))
-        trace = refine_for_query(noisy, noisy.query_features[0], RnnpConfig(beta=4))
+        trace = classify_rnnp(noisy, noisy.query_features[0], RnnpConfig(beta=4))[2]
         before, _ = rectification_delta(noisy, trace)
         assert before == 15
 
     def test_shape_mismatch_rejected(self):
         ep = small_episode()
         other = small_episode(n_way=4, k_shot=4, seed=3)
-        trace = refine_for_query(other, other.query_features[0], RnnpConfig(beta=2))
+        trace = classify_rnnp(other, other.query_features[0], RnnpConfig(beta=2))[2]
         with pytest.raises(InvalidInputError):
             rectification_delta(ep, trace)
 
@@ -814,7 +815,7 @@ class TestBatchedRefinement:
         centers, resp = _refine_queries(ep, ep.query_features, cfg, initial)
         assert centers.shape == (16, 4, ep.dim) and resp.shape == (16, 4, 20)
         for i, q in enumerate(ep.query_features):
-            trace = refine_for_query(ep, q, cfg)
+            trace = classify_rnnp(ep, q, cfg)[2]
             assert np.array_equal(centers[i], trace.refined_prototypes)
             assert np.array_equal(resp[i].T, trace.support_responsibilities)
 
@@ -986,7 +987,7 @@ class TestSpanCoordinates:
         initial = compute_prototypes(ep, "observed")
         for q in ep.query_features:
             centers, resp = _refine_queries(ep, q[None, :], cfg, initial)
-            trace = refine_for_query(ep, q, cfg)
+            trace = classify_rnnp(ep, q, cfg)[2]
             assert trace.refined_prototypes.shape == (3, dim)
             assert np.array_equal(trace.refined_prototypes, centers[0])
             assert np.array_equal(trace.support_responsibilities, resp[0].T)
@@ -1080,7 +1081,7 @@ class TestScratch:
         kept = [a.copy() for a in first]
         ep = corrupt_labels(small_episode(seed=22, n_way=4, k_shot=5, dim=6, queries=5),
                             CorruptionSpec(rate=0.4, seed=22))
-        trace = refine_for_query(ep, ep.query_features[0], cfg)
+        trace = classify_rnnp(ep, ep.query_features[0], cfg)[2]
         outputs = [*first, *self.refine(22, cfg), trace.refined_prototypes,
                    trace.support_responsibilities]
         buffers = self.scratch().values()
