@@ -97,7 +97,8 @@ def main():
     print(f"correct support labels: {before} before refinement, {after} after")
 
     banner("Full episode comparison")
-    rnnp_preds = [classify_rnnp(episode, q, cfg)[1] for q in episode.query_features]
+    # One stacked call: every query is still its own refinement problem.
+    rnnp_preds = classify_rnnp(episode, episode.query_features, cfg)[1]
     rnnp_acc = episode_accuracy(rnnp_preds, episode.query_labels)
     print(f"baseline accuracy: {base_acc:.3f}")
     print(f"refined accuracy:  {rnnp_acc:.3f}")

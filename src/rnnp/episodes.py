@@ -316,9 +316,9 @@ def sample_episode(pool: EmbeddingSet, n_way: int, k_shot: int,
 
 
 def _checked(cls: type, **values):
-    """A cls (Episode or EmbeddingSet) of values that already pass its
-    __post_init__'s checks, every field given, its arrays set read-only
-    instead of copied and checked again."""
+    """A cls (Episode, EmbeddingSet or RefinementTrace) of values that
+    already pass its __post_init__'s checks, every field given, its arrays
+    set read-only instead of copied and checked again."""
     obj = object.__new__(cls)
     for name, value in values.items():
         if isinstance(value, np.ndarray):

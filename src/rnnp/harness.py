@@ -195,22 +195,6 @@ def load_pool(config: ExperimentConfig) -> EmbeddingSet:
     return load_embeddings(config.data_path)
 
 
-def _evaluate_rnnp_episode(episode, rcfg: RnnpConfig, initial: np.ndarray):
-    """(accuracy, [correct_before, mean correct_after]) for one episode.
-
-    Equivalent to calling classify_rnnp per query: every query is its own
-    refinement problem, and one batched call runs them all, in the episode's
-    coordinates: a span episode's for blend hybrids, where every distance is
-    the one in R^d. A query's prediction is its nearest prototype.
-    """
-    true = episode.support_true_labels
-    before = int(np.sum(episode.support_observed_labels == true))
-    centers, resp = _refine_queries(episode, episode.query_features, rcfg, initial)
-    preds = np.argmin(_pairwise_raw(episode.query_features, centers), axis=1)
-    afters = np.sum(np.argmax(resp, axis=1) == true, axis=1)
-    return episode_accuracy(preds, episode.query_labels), [before, float(np.mean(afters))]
-
-
 def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) -> list:
     """Every method's result at every rate for one episode index.
 
@@ -225,7 +209,7 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
     and every rate and method runs on that span episode: corruption, class
     means, the nnp baseline and blend-hybrid refinement. gaussian_noise
     hybrids leave the span, so they get the R^d episode and class means
-    under the rate's observed labels.
+    under the rate's observed labels. rnnp runs classify_rnnp's unchecked step.
     """
     episode = sample_episode(pool, config.n_way, config.k_shot,
                              config.queries_per_class, config.seed + index)
@@ -246,15 +230,17 @@ def _evaluate_episode(pool: EmbeddingSet, config: ExperimentConfig, index: int) 
             full = _checked(Episode, **{**vars(episode), "support_observed_labels":
                                         corrupted.support_observed_labels})
             full_protos = compute_prototypes(full, "observed")
+        before = int(np.sum(corrupted.support_observed_labels == corrupted.support_true_labels))
         cells = []
         for m, in_full in zip(config.methods, noise):
-            if m.method == "nnp":
-                preds = np.argmin(_pairwise_raw(corrupted.query_features, protos), axis=1)
-                cells.append((episode_accuracy(preds, corrupted.query_labels), None))
-            elif in_full:
-                cells.append(_evaluate_rnnp_episode(full, m.rnnp, full_protos))
-            else:
-                cells.append(_evaluate_rnnp_episode(corrupted, m.rnnp, protos))
+            ep, centers = (full, full_protos) if in_full else (corrupted, protos)
+            rectification = None
+            if m.method == "rnnp":
+                centers, resp = _refine_queries(ep, ep.query_features, m.rnnp, centers)
+                rectified = np.argmax(resp, axis=1) == ep.support_true_labels
+                rectification = [before, float(np.mean(np.sum(rectified, axis=1)))]
+            preds = np.argmin(_pairwise_raw(ep.query_features, centers), axis=1)
+            cells.append((episode_accuracy(preds, ep.query_labels), rectification))
         out.append(cells)
     return out
 

@@ -96,11 +96,20 @@ def classify(prototypes, query) -> tuple[np.ndarray, int]:
     q = as_vector(query)
     if q.shape[0] != protos.shape[1]:
         raise InvalidInputError(f"query dim {q.shape[0]} does not match prototype dim {protos.shape[1]}")
+    probs, preds = _nearest(q[None, :], protos)
+    return probs[0], int(preds[0])
+
+
+def _nearest(queries: np.ndarray, prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """classify for each of the (Q, d) queries, unchecked but for overflow:
+    read-only probs (Q, N) and preds (Q,), against (N, d) prototypes or
+    (Q, N, d), one set per query."""
     with np.errstate(over="ignore"):
-        dists = _pairwise_raw(q[None, :], protos)[0]
-    if dists.max() == np.inf:
-        raise InvalidInputError("a squared distance from the query to a prototype overflows")
-    pred = int(np.argmin(dists))
-    probs = _softmin_inplace(dists)
-    probs.setflags(write=False)
-    return probs, pred
+        dists = _pairwise_raw(queries, prototypes)
+    if not dists.max() < np.inf:
+        raise InvalidInputError("a squared distance from a query to a prototype overflows")
+    preds = np.argmin(dists, axis=1)
+    probs = _softmin_inplace(dists, axis=1)
+    for a in (probs, preds):
+        a.setflags(write=False)
+    return probs, preds

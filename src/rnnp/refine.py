@@ -10,9 +10,10 @@ classification, and the final soft assignment of each support doubles as
 a rectified label for diagnostics.
 
 Exactly one query participates per clustering run; queries never help
-classify each other. The library's one refinement call, classify_rnnp,
-and the harness share one path, _refine_queries: a batch of queries,
-each its own problem, with the library calling it for a batch of one.
+classify each other. The library and the harness share one unchecked
+step, _refine_queries over a stack of queries, each its own problem, then
+each query's nearest refined prototype; classify_rnnp is its one checked
+entrance, for one query or a stack.
 
 Supports, blend hybrids, class means and centers lie in the supports'
 span, and a query adds one residual axis. Only the harness uses this:
@@ -21,7 +22,7 @@ coordinates (_span_episode), and everything after it runs there, with
 flops that scale with KN instead of d; only gaussian_noise hybrids, which
 leave the span, run in R^d. Distances are the same in exact arithmetic;
 centers move by about 1e-14, and no prediction, rectified label or report
-byte of the benchmark changes. The library refines its query in R^d.
+byte of the benchmark changes. The library refines its queries in R^d.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .episodes import (_ANY_FINITE, Episode, _check_int, _check_real, _check_size, _check_type,
                        _checked, as_matrix, as_vector)
 from .errors import InvalidInputError
-from .nnp import _class_means, _softmin_inplace, classify, compute_prototypes
+from .nnp import _class_means, _nearest, _softmin_inplace, compute_prototypes
 
 CLUSTERING_MODES = ("soft", "hard")
 HYBRID_SOURCES = ("same_class", "different_class", "gaussian_noise")
@@ -373,20 +374,17 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     return _cluster_batch(shared, queries, initial, config, kept=episode.support_features.shape[0])
 
 
-def classify_rnnp(episode: Episode, query,
-                  config: RnnpConfig) -> tuple[np.ndarray, int, RefinementTrace]:
-    """classify's (probs, pred) for one query against prototypes refined for it, and the trace.
+def classify_rnnp(episode: Episode, query, config: RnnpConfig) -> tuple:
+    """classify's (probs, pred) against prototypes refined for the query, and its trace.
 
-    The Q = 1 case of the harness's batched refinement. With
-    unlabeled_cluster, supports and hybrids are the shared rows and the
-    query its own row; the centers start at the per-class means of the
-    supports under observed labels and alternate assignment and center
-    update config.iterations times. No other query participates. With
-    labeled_direct nothing is clustered: each hybrid inherits its parent's
-    observed label, the prototypes are plain means of supports plus
-    hybrids per class, and the trace reports the observed labels
-    unchanged (structurally, nothing was rectified). The query is refined
-    in the episode's own coordinates, R^d for a caller's episode.
+    A (Q, d) stack is Q independent problems in one call that builds the
+    hybrids and class means once: probs (Q, N), preds (Q,) and a tuple of Q
+    traces. With unlabeled_cluster, supports and hybrids are shared rows and
+    each query its own problem's row, clustered config.iterations rounds
+    from the observed-label class means. With labeled_direct each hybrid
+    joins its parent's observed class, the prototypes are the class means of
+    supports plus hybrids, and the trace keeps the observed labels. Queries
+    are refined in R^d. The inputs are checked once, and nothing after that.
 
     Raises:
         DegenerateClassError: some class has no observed supports, so
@@ -394,13 +392,19 @@ def classify_rnnp(episode: Episode, query,
     """
     _check_type("config", config, RnnpConfig)
     initial = compute_prototypes(episode, "observed")
-    q = as_vector(query)
-    if q.shape[0] != episode.dim:
-        raise InvalidInputError(f"query dim {q.shape[0]} does not match episode dim {episode.dim}")
-    centers, resp = _refine_queries(episode, q[None, :], config, initial)
-    probs, pred = classify(centers[0], q)
-    return probs, pred, RefinementTrace(initial_prototypes=initial, refined_prototypes=centers[0],
-                                        support_responsibilities=resp[0].T)
+    try:
+        single = np.ndim(query) <= 1
+    except ValueError:  # ragged nesting, which as_matrix names
+        single = False
+    queries = as_vector(query)[None, :] if single else as_matrix(query)
+    if queries.shape[1] != episode.dim:
+        raise InvalidInputError(f"query dim {queries.shape[1]} does not match episode dim {episode.dim}")
+    centers, resp = _refine_queries(episode, queries, config, initial)
+    probs, preds = _nearest(queries, centers)
+    traces = tuple(_checked(RefinementTrace, initial_prototypes=initial, refined_prototypes=c,
+                            support_responsibilities=r.T, rectified_labels=labels)
+                   for c, r, labels in zip(centers, resp, np.argmax(resp, axis=1)))
+    return (probs[0], int(preds[0]), traces[0]) if single else (probs, preds, traces)
 
 
 def rectification_delta(episode: Episode, trace: RefinementTrace) -> tuple[int, int]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
-from rnnp.episodes import Episode
+from rnnp.episodes import EmbeddingSet, Episode
 from rnnp import harness
 from rnnp.cli import main
 from rnnp.errors import InvalidInputError
@@ -597,3 +597,56 @@ class TestOneProjectionPerEpisode:
         # KN + 1 = 16 for all but gaussian_noise, which refines and classifies in R^24.
         want = {16, 24} if any(m.label == "noise" for m in methods) else {16}
         assert set(refined_dims) == set(classified_dims) == want
+
+
+class TestInvariantsThroughTheHarness:
+    """The north star's invariants through a whole run: span projection,
+    corruption and the R^d gaussian_noise path included. Default pool, 60
+    episodes, rates 0, 0.2 and 0.4."""
+
+    METHODS = (MethodSpec(method="nnp"),) + tuple(
+        MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=4, **kwargs), label=label)
+        for label, kwargs in [("soft_same", {}),
+                              ("hard_same", {"clustering_mode": "hard"}),
+                              ("soft_different", {"hybrid_source": "different_class"}),
+                              ("soft_noise", {"hybrid_source": "gaussian_noise"}),
+                              ("direct", {"hybrid_labeling": "labeled_direct"})])
+    # Soft assignment has a fixed temperature of 1 in the pool's squared
+    # units, so scaling the pool changes soft results (README, Known
+    # limitations); these methods take an argmin or a mean and do not.
+    SCALE_FREE = {"nnp", "hard_same", "direct"}
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        """The run on the default pool: its config, the pool and its report dicts."""
+        cfg = default_config(n_episodes=60, methods=self.METHODS, workers=1)
+        pool = generate_mixture(cfg.mixture)
+        reports = harness._run_on_pool(cfg, pool)
+        assert [r.corruption_rate for r in reports[:3]] == [0.0, 0.2, 0.4]
+        return cfg, pool, [r.to_dict() for r in reports]
+
+    @staticmethod
+    def rerun(base, features, labels):
+        """The same run's report dicts on another pool."""
+        return [r.to_dict() for r in harness._run_on_pool(base[0], EmbeddingSet(features, labels))]
+
+    def test_renaming_the_classes_changes_no_report(self, base):
+        _, pool, reports = base
+        assert self.rerun(base, pool.features, pool.labels * 1000 - 7) == reports
+
+    @pytest.mark.parametrize("exponent", [2, 4, 6, 8])
+    def test_moving_the_pool_changes_no_episode_accuracy(self, base, exponent):
+        _, pool, reports = base
+        offset = np.random.default_rng(exponent).normal(size=pool.dim) * 10.0 ** exponent
+        moved = self.rerun(base, pool.features + offset, pool.labels)
+        assert [(r["method"], r["corruption_rate"], r["per_episode_accuracies"]) for r in moved] \
+            == [(r["method"], r["corruption_rate"], r["per_episode_accuracies"]) for r in reports]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaling_the_pool_changes_no_scale_free_report(self, base, scale):
+        _, pool, reports = base
+        scaled = self.rerun(base, pool.features * scale, pool.labels)
+        kept = [(a, b) for a, b in zip(reports, scaled) if a["method"] in self.SCALE_FREE]
+        assert len(kept) == 9
+        for a, b in kept:
+            assert a == b, (a["method"], a["corruption_rate"])

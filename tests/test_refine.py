@@ -616,6 +616,91 @@ class TestClassifyRnnp:
             assert np.array_equal(tr1.rectified_labels, perm[tr0.rectified_labels])
 
 
+def assert_trace_invariants(trace):
+    """trace equals, field by field, its rebuild through the public, fully
+    checked RefinementTrace constructor, and its arrays are read-only."""
+    again = RefinementTrace(initial_prototypes=trace.initial_prototypes,
+                            refined_prototypes=trace.refined_prototypes,
+                            support_responsibilities=trace.support_responsibilities)
+    for name in ("initial_prototypes", "refined_prototypes", "support_responsibilities",
+                 "rectified_labels"):
+        value, want = getattr(trace, name), getattr(again, name)
+        assert np.array_equal(value, want) and value.dtype == want.dtype, name
+        assert not value.flags.writeable, name
+
+
+class TestStackedQueries:
+    """classify_rnnp on a (Q, d) stack: Q independent problems in one call."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n_way=st.sampled_from([2, 3, 5, 8, 10]),
+           k_shot=st.integers(1, 5), below=st.booleans(), gap=st.integers(0, 20),
+           batch=st.integers(1, 12), beta=st.integers(1, 4), iterations=st.integers(0, 3),
+           mode=st.sampled_from(["soft", "hard"]), source=st.sampled_from(HYBRID_SOURCES),
+           labeling=st.sampled_from(["unlabeled_cluster", "labeled_direct"]))
+    def test_stack_equals_each_query_alone(self, seed, n_way, k_shot, below, gap, batch, beta,
+                                           iterations, mode, source, labeling):
+        if source == "same_class" and k_shot == 1:
+            source = "different_class"  # one shot has no classmates to blend with
+        if source == "gaussian_noise":
+            labeling = "unlabeled_cluster"  # noise hybrids have no parent class
+        kn = n_way * k_shot
+        dim = max(1, kn - gap) if below else kn + 2 + gap
+        event(f"N={n_way} K={k_shot} {'d <= KN + 1' if below else 'd > KN + 1'} {source}")
+        rng = np.random.default_rng(seed)
+        ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=2,
+                           spread=float(rng.uniform(0.5, 6.0)))
+        # Fewer than K corrupted per class, so every class keeps an observed support.
+        ep = corrupt_labels(ep, CorruptionSpec(rate=int(rng.integers(0, k_shot)) / k_shot,
+                                               seed=seed))
+        cfg = RnnpConfig(beta=beta if source != "same_class" else min(beta, k_shot - 1),
+                         iterations=iterations, clustering_mode=mode, hybrid_source=source,
+                         hybrid_labeling=labeling, seed=seed % 1000)
+        queries = ep.query_features[rng.permutation(np.arange(batch) % (2 * n_way))]
+        initial = compute_prototypes(ep)
+        probs, preds, traces = classify_rnnp(ep, queries, cfg)
+        assert probs.shape == (batch, n_way) and preds.shape == (batch,)
+        assert isinstance(traces, tuple) and len(traces) == batch
+        for i, q in enumerate(queries):
+            probs_q, pred_q, trace_q = classify_rnnp(ep, q, cfg)
+            assert preds[i] == pred_q
+            assert np.array_equal(traces[i].rectified_labels, trace_q.rectified_labels)
+            np.testing.assert_allclose(traces[i].refined_prototypes, trace_q.refined_prototypes,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(probs[i], probs_q, rtol=0, atol=1e-12)
+            assert np.array_equal(traces[i].initial_prototypes, initial)
+            if iterations == 0 and labeling == "unlabeled_cluster":
+                assert np.array_equal(traces[i].refined_prototypes, initial)
+            assert_trace_invariants(traces[i])
+
+    def test_one_query_and_a_stack_of_one(self):
+        ep = corrupt_labels(small_episode(seed=3), CorruptionSpec(rate=0.4, seed=3))
+        cfg = RnnpConfig(beta=2, seed=1)
+        q = ep.query_features[0]
+        probs, pred, trace = classify_rnnp(ep, q, cfg)
+        assert probs.shape == (3,) and type(pred) is int and isinstance(trace, RefinementTrace)
+        assert not probs.flags.writeable
+        for stack in (q[None, :], [q.tolist()]):
+            probs1, preds1, traces1 = classify_rnnp(ep, stack, cfg)
+            assert probs1.shape == (1, 3) and preds1.shape == (1,) and len(traces1) == 1
+            assert not probs1.flags.writeable and not preds1.flags.writeable
+            assert np.array_equal(probs1[0], probs) and preds1[0] == pred
+            for name in ("refined_prototypes", "support_responsibilities", "rectified_labels"):
+                assert np.array_equal(getattr(traces1[0], name), getattr(trace, name))
+        assert_trace_invariants(trace)
+
+    @pytest.mark.parametrize("stack", [
+        np.zeros((0, 6)),
+        [[0.0] * 6, [0.0] * 5],
+        np.zeros((2, 1, 6)),
+        np.zeros((2, 7)),
+        [[0.0] * 6, [0.0] * 5 + [math.nextafter(1e150, math.inf)]],
+    ], ids=["empty", "ragged", "3-d", "wrong-dim", "past-1e150"])
+    def test_bad_stacks_are_refused(self, stack):
+        with pytest.raises(InvalidInputError):
+            classify_rnnp(small_episode(), stack, RnnpConfig(beta=2))
+
+
 class TestRefinementTrace:
     def build(self, resp, **extra):
         protos = np.eye(3)
