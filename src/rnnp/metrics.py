@@ -9,7 +9,7 @@ streams, and the delta is aggregated per episode.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,28 +134,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "rectification": self.rectification}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        """The report a to_dict() gave; derived fields it stores (mean_accuracy,
-        ci95, n_episodes, rectification) must equal the ones the per-episode
-        lists give."""
-        if not isinstance(d, dict):
-            raise InvalidInputError(f"a report must be a JSON object, got {type(d).__name__}")
-        derived = [f.name for f in fields(cls) if not f.init] + ["rectification"]
-        unknown = set(d) - {f.name for f in fields(cls)} - set(derived)
-        missing = {f.name for f in fields(cls)
-                   if f.init and f.default is MISSING and f.name not in d}
-        if unknown or missing:
-            raise InvalidInputError(f"report keys: unknown {sorted(unknown)}, "
-                                    f"missing {sorted(missing)}")
-        d = dict(d)
-        stored = {k: d.pop(k) for k in derived if k in d}
-        report = cls(**d)
-        wrong = sorted(k for k, v in stored.items() if v != getattr(report, k))
-        if wrong:
-            raise InvalidInputError(f"stored {wrong} do not match the per-episode lists")
-        return report
 
 
 def paired_delta(report_a: EvalReport, report_b: EvalReport) -> tuple[float, float, float]:

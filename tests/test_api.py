@@ -1,9 +1,14 @@
 """The public API, pinned: an added or dropped name shows up here."""
 
+import ast
+import dataclasses
+import json
 import pathlib
 import re
 
 import rnnp
+from rnnp.harness import ExperimentConfig
+from rnnp.refine import RnnpConfig
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,3 +62,20 @@ def test_every_public_name_is_documented():
     prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
     spans = set(re.findall(r"`([^`\n]+)`", prose))
     assert [name for name in rnnp.__all__ if name not in spans] == []
+
+
+def test_rnnp_config_table_lists_every_field_with_its_default():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("`RnnpConfig` fields:"):].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", table, flags=re.M)
+    documented = {name: default if default == "required" else ast.literal_eval(default.strip("`"))
+                  for name, default in rows}
+    assert documented == {f.name: "required" if f.default is dataclasses.MISSING else f.default
+                          for f in dataclasses.fields(RnnpConfig)}
+    assert len(rows) == len(documented)
+
+
+def test_config_file_example_loads():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^### Config file$.*?^```json$(.*?)^```$", text, flags=re.S | re.M)
+    assert isinstance(ExperimentConfig.from_dict(json.loads(block[1])), ExperimentConfig)

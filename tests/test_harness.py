@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from rnnp.datagen import MixtureSpec, generate_mixture, write_embeddings
 from rnnp.episodes import EmbeddingSet, Episode
@@ -23,7 +25,7 @@ from rnnp.harness import (
     save_reports,
     save_sweep,
 )
-from rnnp.metrics import EvalReport, paired_delta
+from rnnp.metrics import paired_delta
 from rnnp.refine import RnnpConfig
 
 
@@ -430,8 +432,7 @@ class TestSaving:
         json_path, csv_path = save_reports(cfg, reports, tmp_path)
         payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
         assert payload["config"] == cfg.to_dict()
-        again = [EvalReport.from_dict(d) for d in payload["reports"]]
-        assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
+        assert payload["reports"] == [json.loads(json.dumps(r.to_dict())) for r in reports]
         lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "method,corruption_rate,k_shot,mean,ci95,n_episodes"
         assert len(lines) == 1 + len(reports)
@@ -599,10 +600,36 @@ class TestOneProjectionPerEpisode:
         assert set(refined_dims) == set(classified_dims) == want
 
 
+@st.composite
+def small_runs(draw):
+    """A run of TestInvariantsThroughTheHarness's methods on a small
+    generate_mixture pool at K = 5, rates 0 and 0.4, whose dimension lies on
+    either side of KN + 1 (above it, episodes are refined in their supports'
+    span); a strictly increasing map of the pool's labels 0..C-1; and a
+    power-of-two exponent to scale the pool by."""
+    n_way = draw(st.integers(2, 4))
+    span = n_way * 5 + 1
+    queries = draw(st.integers(1, 3))
+    spec = MixtureSpec(num_classes=draw(st.integers(n_way, n_way + 2)),
+                       dim=draw(st.one_of(st.integers(2, span), st.integers(span + 1, span + 12))),
+                       separation=draw(st.floats(1.0, 8.0)),
+                       samples_per_class=5 + queries + draw(st.integers(0, 3)),
+                       seed=draw(st.integers(0, 2**31 - 1)))
+    cfg = default_config(methods=TestInvariantsThroughTheHarness.METHODS, mixture=spec,
+                         n_way=n_way, queries_per_class=queries, n_episodes=3,
+                         corruption_rates=(0.0, 0.4), seed=draw(st.integers(0, 2**31 - 1)),
+                         workers=1)
+    gaps = draw(st.lists(st.integers(1, 2**20), min_size=spec.num_classes,
+                         max_size=spec.num_classes))
+    relabel = draw(st.integers(-2**40, 2**40)) + np.cumsum(gaps)
+    return cfg, relabel, draw(st.integers(-20, 20))
+
+
 class TestInvariantsThroughTheHarness:
     """The north star's invariants through a whole run: span projection,
     corruption and the R^d gaussian_noise path included. Default pool, 60
-    episodes, rates 0, 0.2 and 0.4."""
+    episodes, rates 0, 0.2 and 0.4; the two exact ones also over small
+    random pools."""
 
     METHODS = (MethodSpec(method="nnp"),) + tuple(
         MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=4, **kwargs), label=label)
@@ -650,3 +677,19 @@ class TestInvariantsThroughTheHarness:
         assert len(kept) == 9
         for a, b in kept:
             assert a == b, (a["method"], a["corruption_rate"])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=small_runs())
+    def test_small_pools_keep_the_invariants(self, run):
+        # Exact on any pool: an increasing relabelling keeps the classes'
+        # order, and a power of two rounds nothing in the sums, means, QR
+        # and argmins of the scale-free methods.
+        cfg, relabel, exponent = run
+        pool = generate_mixture(cfg.mixture)
+        event(f"N={cfg.n_way} {'span' if pool.dim > cfg.n_way * 5 + 1 else 'R^d'}")
+        reports = [r.to_dict() for r in harness._run_on_pool(cfg, pool)]
+        base = (cfg, pool, reports)
+        assert self.rerun(base, pool.features, relabel[pool.labels]) == reports
+        scaled = self.rerun(base, pool.features * 2.0 ** exponent, pool.labels)
+        kept = [(a, b) for a, b in zip(reports, scaled) if a["method"] in self.SCALE_FREE]
+        assert len(kept) == 6 and all(a == b for a, b in kept)

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,11 @@ def make_report(accs, method="m", seed=7, rate=0.4, rect=None):
         queries_per_class=15, per_episode_accuracies=list(accs),
         skipped_episodes=0, seed=seed, per_episode_rectification=rect,
     )
+
+
+def init_args(report):
+    """The report's constructor arguments, by name."""
+    return {f.name: getattr(report, f.name) for f in fields(EvalReport) if f.init}
 
 
 class TestEpisodeAccuracy:
@@ -122,40 +127,26 @@ class TestEvalReport:
         assert r.ci95 == want_ci
         assert r.n_episodes == 5
 
-    def test_round_trips_through_dict(self):
-        r = make_report([0.25, 0.75, 0.5])
+    def test_to_dict_carries_the_aggregates(self):
+        r = make_report([0.25, 0.75, 0.5], rect=[[15, 16.0], [14, 17.5], [16, 15.25]])
         d = r.to_dict()
-        back = EvalReport.from_dict(d)
-        assert back == r
+        for key in ("mean_accuracy", "ci95", "n_episodes", "rectification"):
+            assert d[key] == getattr(r, key)
+
+    def test_report_json_rebuilds_through_the_constructor(self):
+        r = EvalReport.from_accuracies(
+            method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
+            per_episode_accuracies=[0.25, 0.75], skipped_episodes=1, seed=7,
+            per_episode_rectification=[[15, 16.0], [15, 16.5]], episode_indices=[0, 2])
+        d = json.loads(json.dumps(r.to_dict()))
+        again = EvalReport(**{key: d[key] for key in init_args(r)})
+        assert again == r
+        assert paired_delta(again, r) == (0.0, 0.0, 0.0)
 
     def test_rectification_is_the_mean_of_the_per_episode_pairs(self):
         assert make_report([0.25, 0.75]).rectification is None
         r = make_report([0.25, 0.75, 0.5], rect=[[15, 16.0], [14, 17.5], [16, 15.25]])
         assert r.rectification == {"mean_correct_before": 15.0, "mean_correct_after": 16.25}
-        assert EvalReport.from_dict(r.to_dict()) == r
-
-    @pytest.mark.parametrize("key, value", [
-        ("rectification", {"mean_correct_before": 15.0, "mean_correct_after": 17.0}),
-        ("rectification", None),
-        ("n_episodes", 4),
-        ("mean_accuracy", 0.9),
-        ("mean_accuracy", math.nextafter(0.5, 1.0)),
-        ("ci95", 0.0),
-        ("ci95", math.nextafter(mean_ci95([0.25, 0.75])[1], 0.0)),
-    ], ids=["rectification", "rectification_none", "n_episodes", "mean", "mean_one_ulp_up",
-            "ci95", "ci95_one_ulp_down"])
-    def test_from_dict_rejects_tampered_derived_fields(self, key, value):
-        d = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]).to_dict()
-        assert d["mean_accuracy"] == 0.5
-        with pytest.raises(InvalidInputError, match=key):
-            EvalReport.from_dict({**d, key: value})
-
-    def test_from_dict_derives_the_aggregates_it_lacks(self):
-        r = make_report([0.25, 0.75, 0.5], rect=[[15, 16.0], [14, 17.5], [16, 15.25]])
-        d = r.to_dict()
-        for key in ("mean_accuracy", "ci95", "n_episodes", "rectification"):
-            del d[key]
-        assert EvalReport.from_dict(d) == r
 
     @pytest.mark.parametrize("key, value", [
         ("per_episode_rectification", [1, 2]),
@@ -170,39 +161,30 @@ class TestEvalReport:
         ("per_episode_accuracies", ["x", 0.75]),
     ], ids=["ints", "singletons", "strings", "bool", "nan", "negative", "before_above_nk",
             "after_above_nk", "not_a_list", "string_accuracy"])
-    def test_from_dict_rejects_hostile_lists(self, key, value):
-        # Without the stored rectification, only the lists' own checks can refuse them.
-        d = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]).to_dict()
-        del d["rectification"]
+    def test_constructor_rejects_hostile_lists(self, key, value):
+        args = init_args(make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]]))
         with pytest.raises(InvalidInputError):
-            EvalReport.from_dict({**d, key: value})
+            EvalReport(**{**args, key: value})
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: {**d, "skipped_episodes": "x"},
-        lambda d: {**d, "ci95": "x"},
-        lambda d: {**d, "mean_accuracy": None},
-        lambda d: {**d, "surplus": 1},
-        lambda d: [d],
-        lambda d: {**d, "episode_indices": [0, 2, 3]},
-        lambda d: {**d, "episode_indices": "02"},
-        lambda d: {**d, "episode_indices": [1, 1]},
-        lambda d: {**d, "episode_indices": [2, 0]},
-        lambda d: {**d, "n_way": "5"},
-        lambda d: {**d, "corruption_rate": "0.2"},
-        lambda d: {**d, "seed": "7"},
-        lambda d: {**{k: v for k, v in d.items() if k != "seed"}, "config": {"seed": 7}},
-    ], ids=["skipped_string", "ci95_string", "mean_none", "unknown_key", "list_not_dict",
-            "indices_too_many", "indices_string", "indices_repeated", "indices_decreasing",
-            "n_way_string", "rate_string", "seed_string", "old_config_layout"])
-    def test_from_dict_rejects_hostile_fields(self, edit):
-        d = EvalReport.from_accuracies(
+    @pytest.mark.parametrize("key, value", [
+        ("skipped_episodes", "x"),
+        ("episode_indices", [0, 2, 3]),
+        ("episode_indices", "02"),
+        ("episode_indices", [1, 1]),
+        ("episode_indices", [2, 0]),
+        ("n_way", "5"),
+        ("corruption_rate", "0.2"),
+        ("seed", "7"),
+    ], ids=["skipped_string", "indices_too_many", "indices_string", "indices_repeated",
+            "indices_decreasing", "n_way_string", "rate_string", "seed_string"])
+    def test_constructor_rejects_hostile_fields(self, key, value):
+        args = init_args(EvalReport.from_accuracies(
             method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
             per_episode_accuracies=[0.25, 0.75], skipped_episodes=1, seed=7,
             episode_indices=[0, 2],
-        ).to_dict()
-        assert EvalReport.from_dict(d).to_dict() == d
+        ))
         with pytest.raises(InvalidInputError):
-            EvalReport.from_dict(edit(d))
+            EvalReport(**{**args, key: value})
 
     def test_mean_and_ci_are_not_constructor_arguments(self):
         mean, ci = mean_ci95([0.25, 0.75])
@@ -231,13 +213,11 @@ class TestEvalReport:
             per_episode_rectification=[[15, 16.0], [15, 16.5]], episode_indices=[0, 2])
         with pytest.raises((AttributeError, TypeError)):
             edit(r)
-        assert EvalReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
 
     def test_editing_the_rectification_dict_leaves_the_report_alone(self):
         r = make_report([0.25, 0.75], rect=[[15, 16.0], [15, 16.5]])
         r.rectification["mean_correct_after"] = 0.0
         assert r.rectification == {"mean_correct_before": 15.0, "mean_correct_after": 16.25}
-        assert EvalReport.from_dict(r.to_dict()) == r
 
     def test_replace_derives_the_aggregates_again(self):
         r = replace(make_report([0.25, 0.75]), per_episode_accuracies=[0.5, 1.0, 0.0],

@@ -840,25 +840,32 @@ class TestAgainstReferenceLoop:
 
 BATCH_PROBLEMS = dict(
     seed=st.integers(0, 2**31 - 1),
-    n_way=st.integers(2, 5),
+    n_way=st.integers(2, 10),
     k_shot=st.integers(2, 6),
     dim=st.integers(1, 8),
     batch=st.integers(1, 20),
     beta=st.integers(1, 5),
     iterations=st.integers(0, 4),
     mode=st.sampled_from(["soft", "hard"]),
+    span=st.booleans(),
 )
 
 
-def batch_problem(seed, n_way, k_shot, dim, batch, beta, iterations, mode):
+def batch_problem(seed, n_way, k_shot, dim, batch, beta, iterations, mode, span):
     """A corrupted episode, its config, a shuffled batch of its queries, and
-    the kernel's shared rows and start centers for that batch."""
+    the kernel's shared rows and start centers for that batch. With span,
+    the episode lives in R^(KN + 1 + dim) and the problem is the one the
+    harness refines: that episode in its supports' span coordinates."""
     rng = np.random.default_rng(seed)
+    if span:
+        dim += n_way * k_shot + 1
     ep = small_episode(seed=seed, n_way=n_way, k_shot=k_shot, dim=dim, queries=4,
                        spread=float(rng.uniform(0.5, 6.0)))
     # Fewer than K corrupted per class, so every class keeps an observed support.
     wrong = int(rng.integers(0, k_shot))
     ep = corrupt_labels(ep, CorruptionSpec(rate=wrong / k_shot, seed=seed))
+    if span:
+        ep = _span_episode(ep)
     cfg = RnnpConfig(beta=min(beta, k_shot - 1), iterations=iterations,
                      clustering_mode=mode, seed=seed % 1000)
     # A shuffled batch of any size, queries repeated when it outgrows the episode.
@@ -871,16 +878,17 @@ def batch_problem(seed, n_way, k_shot, dim, batch, beta, iterations, mode):
 class TestBatchedRefinement:
     """Each query of a batch is its own clustering problem (no transduction)."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(**BATCH_PROBLEMS)
     def test_batch_equals_each_query_alone(self, seed, n_way, k_shot, dim, batch, beta,
-                                           iterations, mode):
+                                           iterations, mode, span):
         ep, cfg, queries, shared, initial = batch_problem(seed, n_way, k_shot, dim, batch,
-                                                          beta, iterations, mode)
+                                                          beta, iterations, mode, span)
+        event(f"N={n_way} span={span}")
         centers, resp = _cluster_batch(shared, queries, initial, cfg)
         preds = predict(centers, queries)
         kn = ep.support_features.shape[0]
-        assert centers.shape == (batch, n_way, dim)
+        assert centers.shape == (batch, n_way, kn + 1 if span else dim)
         assert resp.shape == (batch, n_way, shared.shape[0])
         for i, q in enumerate(queries):
             _, pred, trace = classify_rnnp(ep, q, cfg)
