@@ -98,13 +98,23 @@ def _limit_message(limit: float = _FEATURE_LIMIT) -> str:
     return f"NaN or Inf, or beyond {limit:g} in magnitude"
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as numpy reads them, if that is an array of integers or floats;
+    InvalidInputError naming `what` for ragged nesting or any other dtype:
+    bool, complex, strings, and objects such as integers past uint64."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise InvalidInputError(f"expected {what}: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"expected {what}, got dtype {arr.dtype}")
+    return arr
+
+
 def as_vector(values) -> np.ndarray:
     """values as a non-empty 1-D float64 array whose entries are at most
     _FEATURE_LIMIT in magnitude: a feature vector."""
-    try:
-        vec = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
-        raise InvalidInputError(f"expected a real vector: {exc}") from exc
+    vec = np.asarray(_real_array(values, "a real vector"), dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise InvalidInputError(f"expected a non-empty 1-D vector, got shape {vec.shape}")
     if not _within_limit(vec):
@@ -116,10 +126,7 @@ def as_matrix(vectors, limit: float = _FEATURE_LIMIT) -> np.ndarray:
     """vectors as a read-only copy: a non-empty 2-D float64 array in C
     order, one row per vector, whose entries are at most limit in
     magnitude (by default the one of features)."""
-    try:
-        mat = np.array(vectors, dtype=np.float64, order="C")
-    except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
-        raise InvalidInputError(f"expected a stack of real vectors: {exc}") from exc
+    mat = np.array(_real_array(vectors, "a stack of real vectors"), dtype=np.float64, order="C")
     if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
         raise InvalidInputError(f"expected a non-empty 2-D stack of vectors, got shape {mat.shape}")
     if not _within_limit(mat, limit):

@@ -45,14 +45,13 @@ class MethodSpec:
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
             raise InvalidInputError(f"method must be one of {METHOD_NAMES}, got {self.method!r}")
-        if self.method == "rnnp" and self.rnnp is None:
-            raise InvalidInputError("method 'rnnp' needs its hyper-parameters")
-        if self.method == "nnp" and self.rnnp is not None:
-            raise InvalidInputError("method 'nnp' takes no hyper-parameters")
-        if self.label is not None and not isinstance(self.label, str):
-            raise InvalidInputError(f"label must be a string, got {self.label!r}")
+        if self.method == "rnnp":
+            _check_type("rnnp", self.rnnp, RnnpConfig)
+        elif self.rnnp is not None:
+            raise InvalidInputError(f"method 'nnp' takes no hyper-parameters, got {self.rnnp!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.method)
+        _check_type("label", self.label, str)
 
     def to_dict(self) -> dict:
         d = {"method": self.method, "label": self.label}
@@ -64,20 +63,14 @@ class MethodSpec:
     def from_dict(cls, d: dict) -> "MethodSpec":
         if not isinstance(d, dict):
             raise InvalidInputError(f"a method must be a JSON object, got {type(d).__name__}")
-        d = dict(d)
-        method = d.pop("method", None)
-        label = d.pop("label", None)
-        if method == "nnp":
-            if d:
-                raise InvalidInputError(f"method 'nnp' takes no extra keys, got {sorted(d)}")
-            return cls(method="nnp", label=label)
+        rnnp = dict(d)
+        method, label = rnnp.pop("method", None), rnnp.pop("label", None)
         if method == "rnnp":
             try:
-                cfg = RnnpConfig(**d)
+                rnnp = RnnpConfig(**rnnp)
             except TypeError as exc:
                 raise InvalidInputError(f"bad rnnp method keys: {exc}") from exc
-            return cls(method="rnnp", rnnp=cfg, label=label)
-        raise InvalidInputError(f"method must be one of {METHOD_NAMES}, got {method!r}")
+        return cls(method=method, rnnp=rnnp or None, label=label)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,13 @@ class ExperimentConfig:
         if self.workers is not None:
             object.__setattr__(self, "workers", _check_int("workers", self.workers, 1))
 
-        methods = tuple(self.methods)
+        if self.mixture is not None:
+            _check_type("mixture", self.mixture, MixtureSpec)
+        try:
+            methods = tuple(_check_type("methods", m, MethodSpec) for m in self.methods)
+        except TypeError as exc:  # not iterable
+            raise InvalidInputError(
+                f"expected methods of type tuple, got {type(self.methods).__name__}") from exc
         if not methods:
             raise InvalidInputError("methods must not be empty")
         labels = [m.label for m in methods]

@@ -341,6 +341,10 @@ WRONG_TYPES = {
         lambda o: corrupt_labels(o.ep, {"rate": 0.2, "seed": 1}), "CorruptionSpec"),
     "rectification_delta": (lambda o: rectification_delta(o.ep, None), "RefinementTrace"),
     "generate_mixture": (lambda o: generate_mixture(vars(_mixture())), "MixtureSpec"),
+    "MethodSpec.rnnp": (lambda o: MethodSpec(method="rnnp", rnnp=vars(o.rnnp)), "RnnpConfig"),
+    "ExperimentConfig.methods": (
+        lambda o: default_config(methods=(MethodSpec(method="nnp").to_dict(),)), "MethodSpec"),
+    "ExperimentConfig.mixture": (lambda o: default_config(mixture=vars(_mixture())), "MixtureSpec"),
     "write_embeddings": (
         lambda o: write_embeddings(o.pool.features, o.out / "pool.csv"), "EmbeddingSet"),
     "paired_delta": (lambda o: paired_delta(None, None), "EvalReport"),
@@ -466,18 +470,40 @@ def test_real_fields_share_one_check(build, accepted):
         build(value)
 
 
+# Arrays of these dtypes are not real numbers, though a float64 cast would
+# read them as such (dropping an imaginary part, or parsing a string); an
+# integer past the uint64 range makes numpy build an object array.
+NOT_REAL_ROWS = [[1.0 + 2j, 3.0], [True, False], ["1", "2"], [b"1", b"2"], [2**64, 1],
+                 np.array([1.0, 2.0], dtype=object)]
+
+
 class TestCoercion:
     @pytest.mark.parametrize("bad", [[], [[1.0]], [1.0, math.nan], [math.inf],
-                                     [[1.0], [1.0, 2.0]]])
+                                     [[1.0], [1.0, 2.0]]] + NOT_REAL_ROWS)
     def test_as_vector_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             as_vector(bad)
 
     @pytest.mark.parametrize("bad", [[1.0], [[]], np.zeros((0, 2)), np.zeros((1, 1, 1)),
-                                     [[1.0, math.nan]], [[-math.inf]]])
+                                     [[1.0, math.nan]], [[-math.inf]]]
+                             + [[row] for row in NOT_REAL_ROWS])
     def test_as_matrix_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             as_matrix(bad)
+
+    @pytest.mark.parametrize("values", [
+        [[1, 2]], [[2**63, 1]], np.array([[2**64 - 1, 3]], dtype=np.uint64),
+        [[np.float32(0.1), 16777217]], np.array([[0.1, -2.5]], dtype=np.float32),
+        np.array([[7, -8]], dtype=np.int8), np.array([[1, -2]], dtype=np.longdouble) / 3])
+    def test_integer_and_float_arrays_keep_their_bits(self, values):
+        want = np.array(values, dtype=np.float64)
+        assert np.array_equal(as_matrix(values), want)
+        assert np.array_equal(as_vector(values[0]), want[0])
+
+    def test_complex_query_is_refused_not_truncated(self):
+        ep = sample_episode(make_pool(num_classes=3, per_class=4), 2, 2, 1, 0)
+        with pytest.raises(InvalidInputError, match="got dtype complex128"):
+            classify_rnnp(ep, ep.query_features[0] + 5j, RnnpConfig(beta=1))
 
     def test_features_are_limited_to_1e150_in_magnitude(self):
         past = math.nextafter(1e150, math.inf)

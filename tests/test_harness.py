@@ -133,6 +133,27 @@ class TestConfigValidation:
             MethodSpec(method="other")
         assert MethodSpec(method="nnp").label == "nnp"
 
+    def test_methods_must_be_iterable(self):
+        with pytest.raises(InvalidInputError, match=r"^expected methods of type tuple, got int$"):
+            tiny_config(methods=5)
+
+    # A method entry of a config file is read into a MethodSpec, whose
+    # constructor applies the same rules as for a caller in Python.
+    @pytest.mark.parametrize("entry, message", [
+        ({"method": "nnp", "beta": 2, "alpha": 0.5},
+         r"^method 'nnp' takes no hyper-parameters, got \{'beta': 2, 'alpha': 0.5\}$"),
+        ({"method": "rnnp", "alpha": 0.5}, r"^bad rnnp method keys: .*'beta'"),
+        ({"method": "knn"}, r"^method must be one of \('nnp', 'rnnp'\), got 'knn'$"),
+        ({"label": "m"}, r"^method must be one of \('nnp', 'rnnp'\), got None$"),
+        ({"method": "nnp", "label": 3}, r"^expected label of type str, got int$"),
+    ], ids=["nnp_with_keys", "rnnp_without_beta", "unknown_method", "missing_method",
+            "label_not_str"])
+    def test_from_dict_refuses_bad_method_entries(self, entry, message):
+        d = tiny_config().to_dict()
+        d["methods"] = [entry]
+        with pytest.raises(InvalidInputError, match=message):
+            ExperimentConfig.from_dict(d)
+
     def test_round_trip_through_dict(self):
         cfg = tiny_config()
         again = ExperimentConfig.from_dict(cfg.to_dict())
