@@ -17,7 +17,6 @@ from rnnp import (
     CorruptionSpec,
     MixtureSpec,
     RnnpConfig,
-    build_hybrids,
     classify,
     classify_rnnp,
     compute_prototypes,
@@ -70,11 +69,10 @@ def main():
     # Robust classifier: hybrids + per-query soft clustering
     # ------------------------------------------------------------------
     cfg = RnnpConfig(alpha=0.8, beta=4, iterations=3)
-    hybrids = build_hybrids(episode, cfg)[0]
     banner("Hybrid pool")
     print(f"each support blends with beta={cfg.beta} same-class partners at "
-          f"alpha={cfg.alpha}, giving {hybrids.shape[0]} unlabeled hybrids "
-          f"of dimension {hybrids.shape[1]}")
+          f"alpha={cfg.alpha}, giving {cfg.beta * episode.n_way * episode.k_shot} "
+          f"unlabeled hybrids of dimension {episode.dim}")
 
     banner("One query under the hood")
     q = episode.query_features[0]

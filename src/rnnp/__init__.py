@@ -36,7 +36,6 @@ from .nnp import classify, compute_prototypes
 from .refine import (
     RefinementTrace,
     RnnpConfig,
-    build_hybrids,
     classify_rnnp,
     rectification_delta,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "MixtureSpec",
     "RefinementTrace",
     "RnnpConfig",
-    "build_hybrids",
     "classify",
     "classify_rnnp",
     "compute_prototypes",

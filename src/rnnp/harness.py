@@ -24,7 +24,7 @@ from .episodes import (CorruptionSpec, EmbeddingSet, Episode, _check_int, _check
                        _check_size, _check_type, _checked, _corrupted_per_class, corrupt_labels,
                        sample_episode)
 from .errors import DegenerateClassError, InvalidInputError
-from .metrics import EvalReport, episode_accuracy, reports_to_csv
+from .metrics import EvalReport, episode_accuracy
 from .nnp import _pairwise_raw, compute_prototypes
 from .refine import RnnpConfig, _check_partners, _refine_queries, _span_episode
 
@@ -36,7 +36,8 @@ METHOD_NAMES = ("nnp", "rnnp")
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One evaluated method: the baseline or a refinement variant."""
+    """One evaluated method: the baseline or a refinement variant. label (by
+    default the method) names its reports, unquoted in report.csv."""
 
     method: str
     rnnp: RnnpConfig | None = None
@@ -52,6 +53,8 @@ class MethodSpec:
         if self.label is None:
             object.__setattr__(self, "label", self.method)
         _check_type("label", self.label, str)
+        if any(c in self.label for c in ',"\r\n'):
+            raise InvalidInputError(f"label {self.label!r} holds a comma, double quote, CR or LF")
 
     def to_dict(self) -> dict:
         d = {"method": self.method, "label": self.label}
@@ -110,7 +113,7 @@ class ExperimentConfig:
         if self.data_format != ("csv" if self.data_path is not None else None):
             raise InvalidInputError("data_format must be 'csv' with a data_path and unset "
                                     f"without one, got {self.data_format!r}")
-        for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1), ("n_episodes", 1),
+        for name, lo in (("n_way", 2), ("k_shot", 1), ("queries_per_class", 1), ("n_episodes", 2),
                          ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if self.workers is not None:
@@ -354,16 +357,22 @@ def _write(out_dir, name: str, text: str) -> str:
 
 
 def save_reports(config: ExperimentConfig, reports, out_dir) -> tuple[str, str]:
-    """Write report.json (full) and report.csv (flat) into out_dir."""
-    payload = {"config": _check_type("config", config, ExperimentConfig).to_dict(),
-               "reports": [_check_type("report", r, EvalReport).to_dict() for r in reports]}
+    """Write report.json (full) and report.csv (flat, one row per report) into out_dir."""
+    config = _check_type("config", config, ExperimentConfig)
+    reports = [_check_type("report", r, EvalReport) for r in reports]
+    payload = {"config": config.to_dict(), "reports": [r.to_dict() for r in reports]}
+    lines = ["method,corruption_rate,k_shot,mean,ci95,n_episodes"]
+    lines += [f"{r.method},{r.corruption_rate!r},{r.k_shot},{r.mean_accuracy!r},{r.ci95!r},"
+              f"{r.n_episodes}" for r in reports]
     return (_write(out_dir, "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"),
-            _write(out_dir, "report.csv", reports_to_csv(reports)))
+            _write(out_dir, "report.csv", "\n".join(lines) + "\n"))
 
 
 def save_sweep(sweep_axis: str, reports, out_dir) -> str:
     """Write sweep_<axis>.csv: one value,mean,ci95 row per run_sweep report."""
     _check_type("sweep_axis", sweep_axis, str)
+    if sweep_axis not in SWEEP_AXES:
+        raise InvalidInputError(f"sweep_axis must be one of {SWEEP_AXES}, got {sweep_axis!r}")
     reports = [_check_type("report", r, EvalReport) for r in reports]
     lines = ["value,mean,ci95"]
     lines += [f"{r.method},{r.mean_accuracy!r},{r.ci95!r}" for r in reports]
@@ -373,7 +382,7 @@ def save_sweep(sweep_axis: str, reports, out_dir) -> str:
 def save_rectification(report: EvalReport, out_dir) -> str:
     """Write rectification.csv: an rnnp report's correct-label counts per episode, then means."""
     _check_type("report", report, EvalReport)
-    if report.per_episode_rectification is None or report.episode_indices is None:
+    if report.per_episode_rectification is None:
         raise InvalidInputError("rectification needs an rnnp report with episode indices")
     lines = ["episode_index,correct_before,correct_after"]
     lines += [f"{i},{int(before)},{float(after)!r}" for i, (before, after) in

@@ -52,15 +52,15 @@ def mean_ci95(values) -> tuple[float, float]:
 class EvalReport:
     """Aggregate of one (method, corruption rate) evaluation.
 
-    seed is the run's base seed. per_episode_rectification, when present,
-    holds the (before, after) numbers of supports with correct labels per
-    evaluated episode, each at most n_way * k_shot. mean_accuracy, ci95
-    (mean_ci95 of the per-episode accuracies), n_episodes and rectification
-    (the means of the pairs) are derived from the per-episode sequences. The
-    report is frozen and stores those sequences as tuples, so they cannot go
-    stale; dataclasses.replace derives them again. episode_indices records,
-    strictly increasing, which episode indices were evaluated (skipped ones
-    are absent but counted in skipped_episodes).
+    seed is the run's base seed. episode_indices records, strictly
+    increasing, which episode indices were evaluated (skipped ones are
+    absent but counted in skipped_episodes). per_episode_rectification,
+    when present, holds the (before, after) numbers of supports with correct
+    labels per evaluated episode, each at most n_way * k_shot. mean_accuracy,
+    ci95 (mean_ci95 of the per-episode accuracies), n_episodes and
+    rectification (the means of the pairs) are derived from the per-episode
+    sequences. The report is frozen and stores those sequences as tuples, so
+    they cannot go stale; dataclasses.replace derives them again.
     """
 
     method: str
@@ -73,8 +73,8 @@ class EvalReport:
     ci95: float = field(init=False)
     skipped_episodes: int
     seed: int
+    episode_indices: tuple
     per_episode_rectification: tuple | None = None
-    episode_indices: tuple | None = None
     n_episodes: int = field(init=False)
 
     def __post_init__(self):
@@ -91,12 +91,11 @@ class EvalReport:
                      for a in self.per_episode_accuracies)
         mean, ci95 = mean_ci95(accs)
         indices = self.episode_indices
-        if indices is not None:
-            if not isinstance(indices, (list, tuple)) or len(indices) != len(accs):
-                raise InvalidInputError("episode_indices needs one index per evaluated episode")
-            indices = tuple(_check_int("episode index", i, 0) for i in indices)
-            if any(later <= earlier for earlier, later in zip(indices, indices[1:])):
-                raise InvalidInputError("episode_indices must be strictly increasing")
+        if not isinstance(indices, (list, tuple)) or len(indices) != len(accs):
+            raise InvalidInputError("episode_indices needs one index per evaluated episode")
+        indices = tuple(_check_int("episode index", i, 0) for i in indices)
+        if any(later <= earlier for earlier, later in zip(indices, indices[1:])):
+            raise InvalidInputError("episode_indices must be strictly increasing")
         rect = self.per_episode_rectification
         if rect is not None:
             if not isinstance(rect, (list, tuple)) or len(rect) != len(accs) or any(
@@ -121,14 +120,14 @@ class EvalReport:
 
     @classmethod
     def from_accuracies(cls, method, corruption_rate, n_way, k_shot, queries_per_class,
-                        per_episode_accuracies, skipped_episodes, seed,
-                        per_episode_rectification=None, episode_indices=None) -> "EvalReport":
+                        per_episode_accuracies, skipped_episodes, seed, episode_indices,
+                        per_episode_rectification=None) -> "EvalReport":
         return cls(
             method=method, corruption_rate=corruption_rate, n_way=n_way, k_shot=k_shot,
             queries_per_class=queries_per_class,
             per_episode_accuracies=list(per_episode_accuracies), skipped_episodes=skipped_episodes,
-            seed=seed, per_episode_rectification=per_episode_rectification,
-            episode_indices=episode_indices,
+            seed=seed, episode_indices=episode_indices,
+            per_episode_rectification=per_episode_rectification,
         )
 
     def to_dict(self) -> dict:
@@ -139,14 +138,12 @@ class EvalReport:
 def paired_delta(report_a: EvalReport, report_b: EvalReport) -> tuple[float, float, float]:
     """Per-episode accuracy difference a - b: (mean, ci95, win rate).
 
-    Requires paired reports: equal episode counts from the same base seed
-    (identical episode streams). The win rate is the fraction of episodes
-    where a is strictly better.
+    Requires paired reports: the same episode indices from the same base
+    seed (identical episode streams). The win rate is the fraction of
+    episodes where a is strictly better.
     """
     _check_type("report_a", report_a, EvalReport)
     _check_type("report_b", report_b, EvalReport)
-    if report_a.n_episodes != report_b.n_episodes:
-        raise InvalidInputError("reports cover different episode counts; not paired")
     if report_a.seed != report_b.seed:
         raise InvalidInputError("reports come from different base seeds; not paired")
     if report_a.episode_indices != report_b.episode_indices:
@@ -156,13 +153,3 @@ def paired_delta(report_a: EvalReport, report_b: EvalReport) -> tuple[float, flo
     deltas = a - b
     mean, ci = mean_ci95(deltas)
     return mean, ci, float(np.mean(deltas > 0.0))
-
-
-def reports_to_csv(reports) -> str:
-    """Flat summary table, one row per report."""
-    lines = ["method,corruption_rate,k_shot,mean,ci95,n_episodes"]
-    for r in reports:
-        lines.append(
-            f"{r.method},{r.corruption_rate!r},{r.k_shot},{r.mean_accuracy!r},{r.ci95!r},{r.n_episodes}"
-        )
-    return "\n".join(lines) + "\n"

@@ -131,8 +131,11 @@ def _check_partners(config: RnnpConfig, k_shot: int) -> None:
         )
 
 
-def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.ndarray | None]:
+def _build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """Hybrid features plus, when parents exist, the parent observed labels.
+
+    Unchecked: classify_rnnp, or the harness's config and pool checks,
+    refuse a same_class beta above K - 1 and hybrids numpy cannot allocate.
 
     Randomized choices come from np.random.default_rng([config.seed,
     episode.seed]) and are consumed as follows. For each support s in row
@@ -153,13 +156,9 @@ def build_hybrids(episode: Episode, config: RnnpConfig) -> tuple[np.ndarray, np.
     rng.normal call from the support set's per-dimension mean and
     (population) standard deviation, and has no parent labels.
     """
-    _check_type("episode", episode, Episode)
-    _check_type("config", config, RnnpConfig)
-    _check_partners(config, episode.k_shot)
     sup = episode.support_features
     kn = sup.shape[0]
     beta = config.beta
-    _check_size(f"beta={beta}", kn * beta, sup.shape[1])
     rng = np.random.default_rng([config.seed, episode.seed])
 
     if config.hybrid_source == "gaussian_noise":
@@ -362,7 +361,7 @@ def _refine_queries(episode: Episode, queries: np.ndarray, config: RnnpConfig,
     per-class means of supports plus hybrids, the same for every query,
     and the responsibilities are one-hot on the observed labels.
     """
-    hybrids, parents = build_hybrids(episode, config)
+    hybrids, parents = _build_hybrids(episode, config)
     shared = np.vstack([episode.support_features, hybrids])
     if config.hybrid_labeling == "labeled_direct":
         protos = _class_means(shared, np.concatenate([episode.support_observed_labels, parents]),
@@ -399,6 +398,8 @@ def classify_rnnp(episode: Episode, query, config: RnnpConfig) -> tuple:
     queries = as_vector(query)[None, :] if single else as_matrix(query)
     if queries.shape[1] != episode.dim:
         raise InvalidInputError(f"query dim {queries.shape[1]} does not match episode dim {episode.dim}")
+    _check_partners(config, episode.k_shot)
+    _check_size(f"beta={config.beta}", episode.n_way * episode.k_shot * config.beta, episode.dim)
     centers, resp = _refine_queries(episode, queries, config, initial)
     probs, preds = _nearest(queries, centers)
     traces = tuple(_checked(RefinementTrace, initial_prototypes=initial, refined_prototypes=c,

@@ -20,7 +20,7 @@ from rnnp.datagen import MixtureSpec, generate_mixture
 from rnnp.episodes import CorruptionSpec, Episode, corrupt_labels, sample_episode
 from rnnp.metrics import mean_ci95, paired_delta
 from rnnp.nnp import classify, compute_prototypes
-from rnnp.refine import RnnpConfig, build_hybrids, classify_rnnp
+from rnnp.refine import RnnpConfig, _build_hybrids, classify_rnnp
 
 
 def _emit(capsys, number, ok, detail):
@@ -163,7 +163,7 @@ def test_6_clustering_objectives_never_increase(capsys):
                                   clustering_mode=mode, hybrid_source=source, seed=cseed)
                        for t in range(iterations + 1)]
             pool = np.vstack([episode.support_features,
-                              build_hybrids(episode, configs[-1])[0], query[None, :]])
+                              _build_hybrids(episode, configs[-1])[0], query[None, :]])
             values = []
             for cfg in configs:
                 centers = classify_rnnp(episode, query, cfg)[2].refined_prototypes
@@ -316,7 +316,7 @@ def test_8_noop_and_invariance_suite(capsys):
     alpha = 0.8
     for i in range(20):
         ep = sample_episode(pool, 5, 5, 2, 600 + i)  # clean: full same-class pairing
-        hybrids = build_hybrids(ep, RnnpConfig(beta=4, alpha=alpha))[0]
+        hybrids = _build_hybrids(ep, RnnpConfig(beta=4, alpha=alpha))[0]
         obs = ep.support_observed_labels
         for s in range(25):
             partners = np.flatnonzero(obs == obs[s])

@@ -319,9 +319,13 @@ class TestEval:
         lambda cfg: b"[" * 200000 + b"]" * 200000,
         lambda cfg: b'{"seed": "\xff"}',
         lambda cfg: {**cfg, "data_format": "jsonl"},
+        lambda cfg: {**cfg, "n_episodes": 1},
+        lambda cfg: {**cfg, "methods": [{"method": "nnp", "label": "a,b"}]},
+        lambda cfg: {**cfg, "methods": [{"method": "nnp", "label": "a\nb"}]},
     ], ids=["top_level_list", "scalar_rates", "methods_object", "no_methods", "numeric_label",
             "best_of", "output_dir", "rnnp_metric", "separation_beyond_float",
-            "rate_beyond_float", "duplicate_rates", "deep_nesting", "not_utf8", "jsonl_data_format"])
+            "rate_beyond_float", "duplicate_rates", "deep_nesting", "not_utf8", "jsonl_data_format",
+            "one_episode", "comma_label", "newline_label"])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, edit):
         # An edit gives the new config as an object, or as the file's raw bytes.
         path = tmp_path / "config.json"

@@ -24,8 +24,7 @@ from rnnp.harness import (MethodSpec, default_config, run_experiment, run_sweep,
                           save_rectification, save_reports, save_sweep)
 from rnnp.metrics import EvalReport, paired_delta
 from rnnp.nnp import compute_prototypes
-from rnnp.refine import (RefinementTrace, RnnpConfig, build_hybrids, classify_rnnp,
-                         rectification_delta)
+from rnnp.refine import RefinementTrace, RnnpConfig, classify_rnnp, rectification_delta
 
 
 def make_pool(num_classes=20, per_class=25, dim=8, seed=0):
@@ -320,7 +319,7 @@ def _typed_objects(tmp_path):
         pool_stand_in=SimpleNamespace(**vars(pool)), ep_stand_in=SimpleNamespace(**vars(ep)),
         report=EvalReport(method="nnp", corruption_rate=0.0, n_way=2, k_shot=1,
                           queries_per_class=1, per_episode_accuracies=[0.5, 1.0],
-                          skipped_episodes=0, seed=0),
+                          skipped_episodes=0, seed=0, episode_indices=[0, 1]),
         out=tmp_path / "out")
 
 
@@ -332,8 +331,6 @@ WRONG_TYPES = {
         lambda o: classify_rnnp(o.ep.support_features, o.query, o.rnnp), "Episode"),
     "classify_rnnp.config": (
         lambda o: classify_rnnp(o.ep, o.query, vars(o.rnnp)), "RnnpConfig"),
-    "build_hybrids.episode": (lambda o: build_hybrids(o.ep_stand_in, o.rnnp), "Episode"),
-    "build_hybrids.config": (lambda o: build_hybrids(o.ep, None), "RnnpConfig"),
     "compute_prototypes": (lambda o: compute_prototypes(o.ep_stand_in), "Episode"),
     "corrupt_labels.episode": (
         lambda o: corrupt_labels(o.ep_stand_in, CorruptionSpec(rate=0.5, seed=1)), "Episode"),

@@ -1,7 +1,9 @@
 """Harness behavior: pairing, ordering, determinism, worker independence."""
 
+import csv
 import inspect
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from rnnp.harness import (
     save_reports,
     save_sweep,
 )
-from rnnp.metrics import paired_delta
+from rnnp.metrics import EvalReport, paired_delta
 from rnnp.refine import RnnpConfig
 
 
@@ -132,6 +134,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             MethodSpec(method="other")
         assert MethodSpec(method="nnp").label == "nnp"
+
+    # report.csv writes labels unquoted, so these would add a column or a row.
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_label_that_breaks_report_csv_is_refused(self, label):
+        message = f"^label {re.escape(repr(label))} holds a comma, double quote, CR or LF$"
+        with pytest.raises(InvalidInputError, match=message):
+            MethodSpec(method="nnp", label=label)
+        d = tiny_config().to_dict()
+        d["methods"][1]["label"] = label
+        with pytest.raises(InvalidInputError, match=message):
+            ExperimentConfig.from_dict(d)
+
+    def test_rejects_fewer_than_two_episodes(self):
+        with pytest.raises(InvalidInputError, match=r"^n_episodes must be an integer >= 2, got 1$"):
+            tiny_config(n_episodes=1)
 
     def test_methods_must_be_iterable(self):
         with pytest.raises(InvalidInputError, match=r"^expected methods of type tuple, got int$"):
@@ -338,6 +356,13 @@ class TestRunExperiment:
         idx = reports[0].episode_indices
         assert idx == tuple(sorted(idx)) and len(set(idx)) == len(idx)
 
+    def test_too_many_skipped_episodes_are_refused(self):
+        # With this seed, one of the two episodes loses a class at K=1, rate 1.
+        cfg = tiny_config(methods=(MethodSpec(method="nnp"),), k_shot=1, queries_per_class=2,
+                          n_episodes=2, corruption_rates=(1.0,))
+        with pytest.raises(InvalidInputError, match="^rate 1.0: only 1 evaluable episodes; "):
+            run_experiment(cfg)
+
 
 class TestSweep:
     def test_sweep_needs_single_rnnp_method_and_rate(self):
@@ -440,9 +465,8 @@ class TestRectificationAnalysis:
     def test_report_without_rectification_is_refused(self, tmp_path):
         nnp, rnnp = run_experiment(tiny_config(n_episodes=4, corruption_rates=(0.4,)))
         assert nnp.per_episode_rectification is None
-        for report in (nnp, replace(rnnp, episode_indices=None)):
-            with pytest.raises(InvalidInputError, match="needs an rnnp report with episode indices"):
-                save_rectification(report, tmp_path / "out")
+        with pytest.raises(InvalidInputError, match="needs an rnnp report with episode indices"):
+            save_rectification(nnp, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
 
@@ -476,7 +500,7 @@ class TestSaving:
         cfg = tiny_config(n_episodes=4)
         reports = run_experiment(cfg)
         save_reports(cfg, reports, tmp_path / "a")
-        save_reports(cfg, reports, tmp_path / "b")
+        save_reports(cfg, iter(reports), tmp_path / "b")  # an iterator is read once
         for name in ("report.json", "report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -489,6 +513,25 @@ class TestSaving:
         assert lines[0] == "value,mean,ci95"
         assert len(lines) == 3
         assert lines[1].startswith("0.6,")
+
+    @pytest.mark.parametrize("axis", ["a/b", "", "seed"])
+    def test_sweep_csv_refuses_an_unknown_axis(self, tmp_path, axis):
+        report = EvalReport(method="0.8", corruption_rate=0.4, n_way=3, k_shot=5,
+                            queries_per_class=4, per_episode_accuracies=[0.5, 1.0],
+                            skipped_episodes=0, seed=5, episode_indices=[0, 1])
+        with pytest.raises(InvalidInputError, match="^sweep_axis must be one of "):
+            save_sweep(axis, [report], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_report_csv_rows_parse_into_six_fields(self, tmp_path):
+        methods = (MethodSpec(method="nnp", label="base line; 'n'"),
+                   MethodSpec(method="rnnp", rnnp=RnnpConfig(beta=2), label="\u03b2=2\t|soft|"))
+        cfg = tiny_config(methods=methods, n_episodes=4)
+        csv_path = save_reports(cfg, run_experiment(cfg), tmp_path)[1]
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [6] * 5
+        assert [row[0] for row in rows[1:]] == [m.label for m in methods for _ in range(2)]
 
     def test_rectification_csv_has_mean_row(self, tmp_path):
         cfg = tiny_config(

@@ -15,7 +15,8 @@ def make_report(accs, method="m", seed=7, rate=0.4, rect=None):
     return EvalReport.from_accuracies(
         method=method, corruption_rate=rate, n_way=5, k_shot=5,
         queries_per_class=15, per_episode_accuracies=list(accs),
-        skipped_episodes=0, seed=seed, per_episode_rectification=rect,
+        skipped_episodes=0, seed=seed, episode_indices=list(range(len(accs))),
+        per_episode_rectification=rect,
     )
 
 
@@ -168,6 +169,7 @@ class TestEvalReport:
 
     @pytest.mark.parametrize("key, value", [
         ("skipped_episodes", "x"),
+        ("episode_indices", None),
         ("episode_indices", [0, 2, 3]),
         ("episode_indices", "02"),
         ("episode_indices", [1, 1]),
@@ -175,8 +177,8 @@ class TestEvalReport:
         ("n_way", "5"),
         ("corruption_rate", "0.2"),
         ("seed", "7"),
-    ], ids=["skipped_string", "indices_too_many", "indices_string", "indices_repeated",
-            "indices_decreasing", "n_way_string", "rate_string", "seed_string"])
+    ], ids=["skipped_string", "indices_none", "indices_too_many", "indices_string",
+            "indices_repeated", "indices_decreasing", "n_way_string", "rate_string", "seed_string"])
     def test_constructor_rejects_hostile_fields(self, key, value):
         args = init_args(EvalReport.from_accuracies(
             method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
@@ -191,7 +193,7 @@ class TestEvalReport:
         with pytest.raises(TypeError):
             EvalReport(method="m", corruption_rate=0.4, n_way=5, k_shot=5, queries_per_class=15,
                        per_episode_accuracies=[0.25, 0.75], mean_accuracy=mean, ci95=ci,
-                       skipped_episodes=0, seed=7)
+                       skipped_episodes=0, seed=7, episode_indices=[0, 1])
 
     @pytest.mark.parametrize("key", ["per_episode_accuracies", "mean_accuracy", "method",
                                      "seed"])
@@ -221,7 +223,7 @@ class TestEvalReport:
 
     def test_replace_derives_the_aggregates_again(self):
         r = replace(make_report([0.25, 0.75]), per_episode_accuracies=[0.5, 1.0, 0.0],
-                    method="other")
+                    episode_indices=[0, 1, 2], method="other")
         assert (r.method, r.n_episodes) == ("other", 3)
         assert (r.mean_accuracy, r.ci95) == mean_ci95([0.5, 1.0, 0.0])
 

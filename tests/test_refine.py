@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,12 @@ from rnnp.refine import (
     RefinementTrace,
     RnnpConfig,
     _SCRATCH,
+    _build_hybrids,
     _cluster_batch,
     _first_min_onehot,
     _refine_queries,
     _span_episode,
     _update,
-    build_hybrids,
     classify_rnnp,
     rectification_delta,
 )
@@ -154,19 +155,19 @@ class TestGenerateHybrids:
             query_features=np.zeros((1, 2)),
             query_labels=np.array([0]),
         )
-        hybrids = build_hybrids(ep, RnnpConfig(beta=1, alpha=0.8))[0]
+        hybrids = _build_hybrids(ep, RnnpConfig(beta=1, alpha=0.8))[0]
         # First support (1,0) has single classmate (0,1).
         np.testing.assert_allclose(hybrids[0], [0.8, 0.2], rtol=1e-12)
 
     def test_full_pairing_count(self):
         ep = small_episode(n_way=5, k_shot=5)
-        hybrids = build_hybrids(ep, RnnpConfig(beta=4))[0]
+        hybrids = _build_hybrids(ep, RnnpConfig(beta=4))[0]
         assert hybrids.shape == (100, ep.dim)
 
     def test_full_pairing_hits_every_classmate(self):
         ep = small_episode(n_way=2, k_shot=4, dim=3)
         cfg = RnnpConfig(beta=3, alpha=0.8)
-        hybrids = build_hybrids(ep, cfg)[0]
+        hybrids = _build_hybrids(ep, cfg)[0]
         # With beta == K-1 the partners of support s are its classmates in
         # ascending row order, so every hybrid is checkable by hand.
         row = 0
@@ -189,25 +190,25 @@ class TestGenerateHybrids:
             query_features=np.zeros((1, 2)),
             query_labels=np.array([0]),
         )
-        hybrids = build_hybrids(ep, RnnpConfig(beta=2, alpha=0.8))[0]
+        hybrids = _build_hybrids(ep, RnnpConfig(beta=2, alpha=0.8))[0]
         np.testing.assert_allclose(hybrids[:6], np.tile(v, (6, 1)), rtol=1e-12)
 
     def test_beta_above_k_minus_one_rejected(self):
         ep = small_episode(k_shot=3)
-        with pytest.raises(InvalidInputError):
-            build_hybrids(ep, RnnpConfig(beta=3))[0]
+        with pytest.raises(InvalidInputError, match="exceeds K-1"):
+            classify_rnnp(ep, ep.query_features[0], RnnpConfig(beta=3))
 
     def test_deterministic(self):
         ep = small_episode(seed=5, k_shot=6)
         cfg = RnnpConfig(beta=2, seed=9)
-        a = build_hybrids(ep, cfg)[0]
-        b = build_hybrids(ep, cfg)[0]
+        a = _build_hybrids(ep, cfg)[0]
+        b = _build_hybrids(ep, cfg)[0]
         assert np.array_equal(a, b)
 
     def test_subsampled_partners_stay_in_class(self):
         ep = small_episode(seed=3, n_way=3, k_shot=6, spread=50.0)
         cfg = RnnpConfig(beta=2, alpha=0.8, seed=4)
-        hybrids = build_hybrids(ep, cfg)[0]
+        hybrids = _build_hybrids(ep, cfg)[0]
         assert hybrids.shape == (36, ep.dim)
         # With spread 50 the classes are far apart, so every hybrid must
         # sit near its own class mean if both parents share a class.
@@ -222,7 +223,7 @@ class TestGenerateHybrids:
     def test_different_class_partners(self):
         ep = small_episode(seed=3, n_way=3, k_shot=4, spread=50.0)
         cfg = RnnpConfig(beta=2, alpha=0.8, hybrid_source="different_class", seed=4)
-        hybrids = build_hybrids(ep, cfg)[0]
+        hybrids = _build_hybrids(ep, cfg)[0]
         assert hybrids.shape == (24, ep.dim)
         # A cross-class blend at alpha=0.8 leaves the 20% foreign pull
         # visible: the hybrid is off its parent mean by a macroscopic amount.
@@ -235,7 +236,7 @@ class TestGenerateHybrids:
     def test_gaussian_noise_count_and_scale(self):
         ep = small_episode(seed=8, n_way=4, k_shot=5, dim=5)
         cfg = RnnpConfig(beta=3, hybrid_source="gaussian_noise", seed=21)
-        noise = build_hybrids(ep, cfg)[0]
+        noise = _build_hybrids(ep, cfg)[0]
         assert noise.shape == (60, 5)
         mu = ep.support_features.mean(axis=0)
         sd = ep.support_features.std(axis=0)
@@ -253,7 +254,7 @@ class TestGenerateHybrids:
         )
         ep = sample_episode(pool, 5, 5, 5, seed=13)
         noisy = corrupt_labels(ep, CorruptionSpec(rate=0.4, seed=3))
-        hybrids = build_hybrids(noisy, RnnpConfig(beta=4, seed=1))[0]
+        hybrids = _build_hybrids(noisy, RnnpConfig(beta=4, seed=1))[0]
         assert hybrids.shape == (100, 4)
         assert np.all(np.isfinite(hybrids))
 
@@ -289,7 +290,7 @@ class TestGenerateHybrids:
             event("partners: " + ("none" if mates == 0 else "> beta" if mates > beta
                                   else "= beta" if mates == beta else "< beta"))
 
-        feats, parents = build_hybrids(ep, cfg)
+        feats, parents = _build_hybrids(ep, cfg)
         want = reference_hybrids(sup.tolist(), observed, alpha, beta, source, *seeds)
         assert np.array_equal(feats, np.array(want).reshape(kn * beta, dim))
         assert np.array_equal(parents, np.repeat(observed, beta))
@@ -308,7 +309,7 @@ class TestGenerateHybrids:
             partners, branches = loop_partners(observed, beta, source,
                                                np.random.default_rng([cfg.seed, ep.seed]))
             reached[source].update(branches)
-            feats, parents = build_hybrids(ep, cfg)
+            feats, parents = _build_hybrids(ep, cfg)
             want = alpha * sup[:, None, :] + (1.0 - alpha) * sup[partners]
             assert np.array_equal(feats, want.reshape(kn * beta, 3)), i
             assert np.array_equal(parents, np.repeat(observed, beta)), i
@@ -316,7 +317,7 @@ class TestGenerateHybrids:
 
 
 def loop_partners(observed, beta, source, rng):
-    """build_hybrids' partner choice as one flatnonzero per support in row
+    """_build_hybrids' partner choice as one flatnonzero per support in row
     order, and the branch each support took."""
     kn = len(observed)
     partners = np.empty((kn, beta), dtype=np.int64)
@@ -481,7 +482,7 @@ class TestRefineForQuery:
         ep = corrupt_labels(small_episode(seed=16, n_way=3, k_shot=4),
                             CorruptionSpec(rate=0.25, seed=2))
         cfg = RnnpConfig(beta=2, hybrid_labeling="labeled_direct", seed=3)
-        hybrids, parents = build_hybrids(ep, cfg)
+        hybrids, parents = _build_hybrids(ep, cfg)
         feats = np.vstack([ep.support_features, hybrids])
         labels = np.concatenate([ep.support_observed_labels, parents])
         want = np.vstack([feats[labels == c].mean(axis=0) for c in range(3)])
@@ -517,6 +518,20 @@ class TestRefineForQuery:
         ep = small_episode()
         with pytest.raises(InvalidInputError):
             classify_rnnp(ep, np.zeros(ep.dim + 1), RnnpConfig(beta=2))[2]
+
+    def test_impossible_hybrid_count_is_refused_before_allocating(self):
+        # 25 supports x 10**15 hybrids each x 64 dims is past numpy's largest array;
+        # different_class has no K-1 bound to stop it first.
+        ep = small_episode(n_way=5, k_shot=5, dim=64)
+        cfg = RnnpConfig(beta=10**15, hybrid_source="different_class")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="beta="):
+                classify_rnnp(ep, ep.query_features[0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestClassifyRnnp:
@@ -950,7 +965,7 @@ def batch_problem(seed, n_way, k_shot, dim, batch, beta, iterations, mode, span)
                      clustering_mode=mode, seed=seed % 1000)
     # A shuffled batch of any size, queries repeated when it outgrows the episode.
     order = rng.permutation(np.arange(batch) % ep.query_features.shape[0])
-    shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
+    shared = np.vstack([ep.support_features, _build_hybrids(ep, cfg)[0]])
     initial = compute_prototypes(ep, "observed")
     return ep, cfg, ep.query_features[order], shared, initial
 
@@ -1004,7 +1019,7 @@ class TestBatchedRefinement:
                      support_observed_labels=ep.support_observed_labels,
                      query_features=ep.query_features, query_labels=ep.query_labels, seed=8)
         cfg = RnnpConfig(beta=2, iterations=iterations, clustering_mode=mode)
-        shared = np.vstack([sup, build_hybrids(ep, cfg)[0]])
+        shared = np.vstack([sup, _build_hybrids(ep, cfg)[0]])
         initial = compute_prototypes(ep, "observed")
         assert np.array_equal(initial[0], initial[2])
         queries = ep.query_features
@@ -1098,7 +1113,7 @@ class TestSpanCoordinates:
             cfg = RnnpConfig(beta=beta if source == "different_class" else min(beta, k_shot - 1),
                              iterations=iterations, clustering_mode=mode, hybrid_source=source,
                              seed=seed % 1000)
-            shared = np.vstack([ep.support_features, build_hybrids(ep, cfg)[0]])
+            shared = np.vstack([ep.support_features, _build_hybrids(ep, cfg)[0]])
             full, full_resp = _cluster_batch(shared, queries, initial, cfg, kept=kn)
             centers, resp = _refine_queries(work, work.query_features, cfg, work_initial)
             assert centers.shape == (batch, n_way, kn + 1)
