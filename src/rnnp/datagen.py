@@ -84,7 +84,8 @@ def generate_mixture(spec: MixtureSpec) -> EmbeddingSet:
     feats = rng.standard_normal((c, s, d))
     feats += means[:, None, :]
     labels = np.repeat(np.arange(c, dtype=np.int64), s)
-    return EmbeddingSet(features=feats.reshape(c * s, d), labels=labels)
+    return _checked(EmbeddingSet, features=feats.reshape(c * s, d), labels=labels,
+                    class_index=_class_index(labels))
 
 
 def write_embeddings(pool: EmbeddingSet, path, file_format: str = "csv") -> None:

@@ -154,12 +154,13 @@ def _check_size(what: str, rows: int, cols: int) -> None:
             f"{what} asks for a {rows} x {cols} float64 array, larger than numpy can allocate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """Immutable pool of labeled feature vectors.
+    """Immutable pool of labeled feature vectors. It compares and hashes by
+    identity, as Episode and RefinementTrace do: every record that holds arrays.
 
     The constructor checks the caller's arrays and stores read-only copies;
-    load_embeddings's features and labels are read-only views of its parsed table.
+    load_embeddings and generate_mixture set their own arrays read-only instead.
 
     Attributes:
         features: (M, d) float64 array, one embedding per row.
@@ -197,7 +198,7 @@ def _class_index(labels: np.ndarray) -> dict:
     return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Episode:
     """One N-way K-shot task with true and observed support labels.
 

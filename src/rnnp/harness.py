@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,8 +80,8 @@ class MethodSpec:
 class ExperimentConfig:
     """Everything one run needs; JSON config files mirror it field-for-field.
 
-    workers is a runtime knob: it never influences results and is left out
-    of to_dict.
+    workers is a runtime knob: it never influences results, so to_dict
+    leaves it out and equality and hashing ignore it.
     """
 
     methods: tuple
@@ -94,7 +94,7 @@ class ExperimentConfig:
     n_episodes: int = 1000
     corruption_rates: tuple = (0.0, 0.2, 0.4)
     seed: int = 7
-    workers: int | None = None
+    workers: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.mixture is None) == (self.data_path is None):
@@ -149,7 +149,7 @@ class ExperimentConfig:
         object.__setattr__(self, "corruption_rates", rates)
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         d.update(mixture=None if self.mixture is None else asdict(self.mixture),
                  corruption_rates=list(self.corruption_rates),
                  methods=[m.to_dict() for m in self.methods])
@@ -383,7 +383,7 @@ def save_rectification(report: EvalReport, out_dir) -> str:
     """Write rectification.csv: an rnnp report's correct-label counts per episode, then means."""
     _check_type("report", report, EvalReport)
     if report.per_episode_rectification is None:
-        raise InvalidInputError("rectification needs an rnnp report with episode indices")
+        raise InvalidInputError("rectification needs an rnnp report")
     lines = ["episode_index,correct_before,correct_after"]
     lines += [f"{i},{int(before)},{float(after)!r}" for i, (before, after) in
               zip(report.episode_indices, report.per_episode_rectification)]

@@ -91,7 +91,7 @@ class RnnpConfig:
             raise InvalidInputError("gaussian_noise hybrids have no parent class to label them with")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementTrace:
     """Diagnostics from one refinement run.
 

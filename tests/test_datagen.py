@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rnnp import datagen
+from rnnp import datagen, episodes
 from rnnp.cli import main
 from rnnp.datagen import (
     MixtureSpec,
@@ -112,6 +112,30 @@ class TestGenerateMixture:
         spec = MixtureSpec(num_classes=2, dim=1, separation=1e308, samples_per_class=2, seed=0)
         with pytest.raises(InvalidInputError, match=r"^separation 1e\+308 puts the class means"):
             generate_mixture(spec)
+
+    # The generator sets its draws read-only in place of EmbeddingSet's copy and
+    # checks, which its own separation check makes redundant: share is the
+    # fraction of the largest separation it accepts, up to just under it.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=st.integers(1, 30), d=st.integers(1, 70), s=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1),
+           share=st.one_of(st.floats(0, 1e-148), st.floats(0, 1 - 2**-40), st.just(1 - 2**-40)))
+    def test_pool_equals_the_constructors(self, c, d, s, seed, share):
+        raw = np.random.default_rng(seed).standard_normal((c, d))
+        mean_pairwise = np.mean(np.sqrt(datagen._pairwise_raw(raw, raw))[np.triu_indices(c, k=1)]) \
+            if c > 1 else 1.0
+        spec = MixtureSpec(c, d, share * 1e150 * mean_pairwise / np.abs(raw).max(), s, seed)
+        calls, as_matrix = [], episodes.as_matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(episodes, "as_matrix", lambda *a: calls.append(a) or as_matrix(*a))
+            pool = generate_mixture(spec)
+        assert calls == []
+        want = EmbeddingSet(features=pool.features, labels=pool.labels)
+        for got, exp in [(pool.features, want.features), (pool.labels, want.labels),
+                         *zip(pool.class_index.values(), want.class_index.values())]:
+            assert (got.dtype, got.shape, got.tobytes()) == (exp.dtype, exp.shape, exp.tobytes())
+            assert got.flags.c_contiguous and not got.flags.writeable
+        assert list(pool.class_index) == list(want.class_index) == list(range(c))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -172,12 +172,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match=message):
             ExperimentConfig.from_dict(d)
 
-    def test_round_trip_through_dict(self):
-        cfg = tiny_config()
+    # workers is neither written nor compared, so the copy read back from
+    # to_dict, which has workers None, equals the config whatever it holds.
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_round_trip_through_dict(self, workers):
+        cfg = tiny_config(workers=workers)
         again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
-        assert again.methods == cfg.methods
-        assert again.mixture == cfg.mixture
+        assert again == cfg
+        assert hash(again) == hash(cfg)
+
+    def test_configs_differing_in_a_written_field_differ(self):
+        base = tiny_config()
+        variants = [
+            dict(methods=base.methods[:1]),
+            dict(mixture=tiny_mixture(seed=4)),
+            dict(mixture=None, data_path="pool.csv", data_format="csv"),
+            dict(n_way=4), dict(k_shot=10), dict(queries_per_class=5), dict(n_episodes=7),
+            dict(corruption_rates=(0.0, 0.2)), dict(seed=6),
+        ]
+        written = set()
+        for overrides in variants:
+            other = replace(base, **overrides)
+            assert other != base
+            written |= {k for k, v in other.to_dict().items() if v != base.to_dict()[k]}
+        assert written == set(base.to_dict())
 
     def test_runtime_knobs_stay_out_of_snapshot(self):
         d = tiny_config(workers=4).to_dict()
@@ -465,7 +483,7 @@ class TestRectificationAnalysis:
     def test_report_without_rectification_is_refused(self, tmp_path):
         nnp, rnnp = run_experiment(tiny_config(n_episodes=4, corruption_rates=(0.4,)))
         assert nnp.per_episode_rectification is None
-        with pytest.raises(InvalidInputError, match="needs an rnnp report with episode indices"):
+        with pytest.raises(InvalidInputError, match="needs an rnnp report"):
             save_rectification(nnp, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
