@@ -10,10 +10,12 @@ File format: CSV with header `label,f0,...,f{d-1}`, one sample per row,
 UTF-8, LF or CRLF. A load opens the CSV once (a pipe is read into memory
 once). The first successful load of a CSV that is a regular file keeps the
 parsed table next to it, in `<csv path>.rnnp.npy` (the sidecar), keyed by
-the SHA-256 of the CSV's bytes; later loads of the same bytes read the
-table back instead of parsing again. A sidecar that cannot be written (a
-read-only directory) is skipped, and one that is missing, stale or damaged
-is parsed around and rewritten, so deleting it is always safe.
+a two-half SHA-256 of the CSV's bytes (see _CsvKey, tag `rnnp-csv-2`);
+later loads of the same bytes hash the two halves at once, in two threads,
+and read the table back instead of parsing again. A sidecar that cannot be
+written (a read-only directory) is skipped, and one that is missing, stale,
+damaged or under an older tag (`rnnp-csv-1`) is parsed around and
+rewritten, so deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import io
 import math
 import os
 import stat
+import struct
 import threading
 import warnings
 from dataclasses import dataclass
@@ -114,14 +117,16 @@ def load_embeddings(path) -> EmbeddingSet:
     the line loop's verdict. Both check what EmbeddingSet would, so the pool
     holds views of their table, read-only and uncopied.
 
-    When path (see _file_name) names a regular file, the first
-    successful load writes the table to the sidecar `<path>.rnnp.npy`,
-    keyed by the SHA-256 of the bytes it parsed, and later loads of the same
-    bytes return the sidecar's table without parsing. Pipes and other
-    files that are not regular are parsed every time and never cached. A
-    sidecar is trusted as much as the directory that holds the CSV: one
-    under another key, or holding anything but a non-empty table of
-    values within 1e150, is ignored and rewritten.
+    When path (see _file_name) names a regular file, the first successful
+    load writes the table to the sidecar `<path>.rnnp.npy`, keyed by the
+    two-half SHA-256 of the bytes it parsed (see _CsvKey). Later loads of
+    the same bytes hash the front and back halves at once on the descriptor
+    already open and return the sidecar's table without parsing; a sidecar
+    under the older `rnnp-csv-1` key is parsed around once more and
+    rewritten. Pipes and other files that are not regular are parsed every
+    time and never cached. A sidecar is trusted as much as the directory
+    that holds the CSV: one under another key, or holding anything but a
+    non-empty table of values within 1e150, is ignored and rewritten.
 
     Raises:
         InvalidInputError: a path that is no file name (see _file_name).
@@ -131,11 +136,12 @@ def load_embeddings(path) -> EmbeddingSet:
             messages carry the offending line number.
     """
     with open(name := _file_name(path), "rb") as raw:
-        side = name + ".rnnp.npy" if stat.S_ISREG(os.fstat(raw.fileno()).st_mode) else None
+        info = os.fstat(raw.fileno())
+        side = name + ".rnnp.npy" if stat.S_ISREG(info.st_mode) else None
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        table = _read_sidecar(side, fh) if side else None
+        table = _read_sidecar(side, fh, info.st_size) if side else None
         if table is None:
-            table, key = _parse_table(fh, name)
+            table, key = _parse_table(fh, name, info.st_size)
             if side:
                 _write_sidecar(side, key, table)
     labels = table["label"]
@@ -155,14 +161,15 @@ def _file_name(path) -> str:
     return name
 
 
-def _parse_table(fh, path: str) -> tuple[np.ndarray, bytes]:
+def _parse_table(fh, path: str, size: int) -> tuple[np.ndarray, bytes]:
     """The (label, features) rows of the CSV in fh as one _table_dtype table,
-    and the sidecar key of the bytes they were parsed from, hashed as they were
-    read: a file rewritten during the parse is stored under the key of what was read."""
-    digest = hashlib.sha256(_SIDECAR_TAG)
+    and the sidecar key (see _CsvKey, split at size // 2) of the bytes they
+    were parsed from, hashed as they were read: a file rewritten during the
+    parse is stored under the key of what was read."""
+    digest = _CsvKey(size)
     table = _load_csv_fast(fh, digest)
     if table is None:
-        digest = hashlib.sha256(_SIDECAR_TAG)
+        digest = _CsvKey(size)
         labels, rows = _parse_csv(_read_lines(fh, digest))
         if not rows:
             raise EmbeddingFormatError(f"{path}: file contains no samples")
@@ -177,12 +184,97 @@ def _table_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", np.int64), ("f", np.float64, (dim,))])
 
 
-# Hashed ahead of a CSV's bytes into its sidecar key. Bump it whenever what
-# the readers accept changes, so no table parsed under other rules is reused.
-_SIDECAR_TAG = b"rnnp-csv-1\0"
+# Hashed first into a CSV's sidecar key. Bump it whenever what the readers
+# accept or how the key is made changes, so no table parsed under other rules
+# is reused.
+_SIDECAR_TAG = b"rnnp-csv-2\0"
+# Bytes a warm load reads from the CSV at a time, into one reused buffer per half.
+_BLOCK = 1 << 18
 
 
-def _read_sidecar(side: str, fh):
+class _CsvKey:
+    """A CSV's sidecar key, fed the CSV's bytes in order.
+
+    The key is the SHA-256 of _SIDECAR_TAG, the split point (size // 2 of
+    the size fstat gave) and the number of bytes fed, each a little-endian
+    uint64, then the SHA-256 of the bytes before the split and that of the
+    bytes from it on. The halves are hashed apart, so a warm load can hash
+    both at once; the key is the same however the bytes were read. Equal
+    keys mean equal bytes: the count and the two digests pin both halves.
+    """
+
+    def __init__(self, size: int):
+        self.split, self.count = size // 2, 0
+        self.front, self.back = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, data) -> None:
+        cut, n = self.split - self.count, len(data)
+        self.count += n
+        if cut <= 0:
+            self.back.update(data)
+        elif cut >= n:
+            self.front.update(data)
+        else:
+            view = memoryview(data)
+            self.front.update(view[:cut])
+            self.back.update(view[cut:])
+
+    def digest(self) -> bytes:
+        return hashlib.sha256(_SIDECAR_TAG + struct.pack("<QQ", self.split, self.count)
+                              + self.front.digest() + self.back.digest()).digest()
+
+
+def _hash_span(fd: int, digest, start: int, stop: int | None = None) -> int:
+    """Add the bytes of fd from start up to stop (its end if None) to digest,
+    read with os.preadv into one reused buffer; the number of bytes added."""
+    view = memoryview(bytearray(_BLOCK))
+    pos = start
+    while stop is None or pos < stop:
+        n = os.preadv(fd, [view if stop is None else view[:min(_BLOCK, stop - pos)]], pos)
+        if n == 0:
+            break
+        digest.update(view[:n])
+        pos += n
+    return pos - start
+
+
+def _warm_key(fh, size: int) -> bytes:
+    """The _CsvKey of the bytes of the regular file fh, split at size // 2.
+
+    This thread hashes the front half while a second one hashes the back
+    half to the end of the file, both with os.preadv on fh's descriptor
+    (sha256 and preadv release the GIL). The second thread is joined
+    before anything returns or raises, and what it raised is raised here.
+    Without os.preadv, fh is read from its position in order instead.
+    """
+    key = _CsvKey(size)
+    if not hasattr(os, "preadv"):
+        while block := fh.read(_BLOCK):  # ends holding b"", not the last block
+            key.update(block)
+        return key.digest()
+    fd, back = fh.fileno(), []
+
+    def hash_back():
+        try:
+            back.append(_hash_span(fd, key.back, key.split))
+        except BaseException as exc:  # handed to the caller, which raises it
+            back.append(exc)
+
+    thread = threading.Thread(target=hash_back, name="rnnp-csv-key")
+    thread.start()
+    try:
+        front = _hash_span(fd, key.front, 0, key.split)
+    finally:
+        thread.join()
+    if isinstance(back[0], BaseException):
+        raise back[0]
+    # If the file shrank, a front half read short matches a parse's key only
+    # when the back half read nothing: the key still names just the bytes read.
+    key.count = front + back[0]
+    return key.digest()
+
+
+def _read_sidecar(side: str, fh, size: int):
     """The table stored in side under the key of fh's bytes, or None: side
     is missing or unreadable, carries another key, or holds anything but a
     non-empty 1-D _table_dtype table whose features are within 1e150, and
@@ -191,10 +283,7 @@ def _read_sidecar(side: str, fh):
         with open(side, "rb") as sf, warnings.catch_warnings():
             warnings.simplefilter("error")
             key = np.lib.format.read_array(sf, allow_pickle=False).tobytes()
-            digest = hashlib.sha256(_SIDECAR_TAG)
-            while block := fh.read(1 << 20):  # ends holding b"", not the last block
-                digest.update(block)
-            if key != digest.digest():
+            if key != _warm_key(fh, size):
                 return None
             table = np.lib.format.read_array(sf, allow_pickle=False)
             if sf.read(1):

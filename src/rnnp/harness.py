@@ -11,6 +11,7 @@ changes any output value.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -259,10 +260,31 @@ _WORKER_POOL = None
 _WORKER_CONFIG = None
 
 
+def _openblas_function(name: str):
+    """The function name of the scipy-openblas library that numpy's wheels
+    bundle under numpy.libs/, or None: a numpy built on another BLAS (a
+    system OpenBLAS, MKL, Accelerate) has no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+    except OSError:
+        return None
+    for lib in names:
+        if (fn := getattr(ctypes.CDLL(os.path.join(libs, lib)), name, None)) is not None:
+            return fn
+    return None
+
+
 def _init_worker(pool, config):
     global _WORKER_POOL, _WORKER_CONFIG
     _WORKER_POOL = pool
     _WORKER_CONFIG = config
+    # A worker's matrix products are small, and C workers each at one BLAS
+    # thread per core would run C² threads on C cores. Only this worker
+    # process changes; the caller keeps its own setting.
+    if (set_threads := _openblas_function("scipy_openblas_set_num_threads64_")) is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _worker_task(index):

@@ -1,17 +1,19 @@
 """Unit tests for the mixture generator and file I/O."""
 
 import builtins
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import struct
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rnnp import datagen, episodes
@@ -354,6 +356,38 @@ def assert_same_pool(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def two_half_key(data, size=None):
+    """The sidecar key of the bytes data, from a file whose fstat size was size
+    (len(data) if None), computed as README states it."""
+    split = (len(data) if size is None else size) // 2
+    return hashlib.sha256(b"rnnp-csv-2\0" + struct.pack("<QQ", split, len(data))
+                          + hashlib.sha256(data[:split]).digest()
+                          + hashlib.sha256(data[split:]).digest()).digest()
+
+
+def stored_key(path):
+    """The key array at the head of the sidecar of the CSV at path, as bytes."""
+    with open(f"{path}.rnnp.npy", "rb") as fh:
+        return np.lib.format.read_array(fh).tobytes()
+
+
+def warm_key(path):
+    """The key a warm load of the CSV at path computes."""
+    with open(path, "rb") as fh:
+        return datagen._warm_key(fh, os.fstat(fh.fileno()).st_size)
+
+
+def counting_parses(monkeypatch):
+    """A list that gets the name of each parser load_embeddings calls."""
+    calls = []
+    for name in ("_load_csv_fast", "_parse_csv"):
+        def counted(*args, _real=getattr(datagen, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(datagen, name, counted)
+    return calls
+
+
 class TestSidecar:
     """The first load keeps the parsed table in <csv>.rnnp.npy; a load of the
     same bytes returns it without parsing, and nothing else is trusted."""
@@ -392,12 +426,87 @@ class TestSidecar:
         path.write_text("label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n", encoding="utf-8")
         assert load_embeddings(path).features.tolist() == [[0.5, 0.25], [1.5, 2.5]]
         side = tmp_path / "pool.csv.rnnp.npy"
-        before, stamp = side.read_bytes(), os.stat(path)
-        path.write_text("label,f0,f1\n1,0.5,0.75\n2,1.5,2.5\n", encoding="utf-8")
-        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
-        assert os.stat(path).st_size == stamp.st_size
-        assert load_embeddings(path).features.tolist() == [[0.5, 0.75], [1.5, 2.5]]
-        assert side.read_bytes() != before
+        # The 33-byte file splits at byte 16: one edit changes the front half
+        # only, the next the back half only.
+        for text, front, labels, features in (
+                ("label,f0,f1\n3,0.5,0.25\n2,1.5,2.5\n", True, [3, 2], [[0.5, 0.25], [1.5, 2.5]]),
+                ("label,f0,f1\n3,0.5,0.75\n2,1.5,2.5\n", False, [3, 2], [[0.5, 0.75], [1.5, 2.5]])):
+            before, stamp, old = side.read_bytes(), os.stat(path), path.read_bytes()
+            path.write_text(text, encoding="utf-8")
+            os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            new = path.read_bytes()
+            assert os.stat(path).st_size == stamp.st_size
+            assert (old[:16] != new[:16], old[16:] != new[16:]) == (front, not front)
+            pool = load_embeddings(path)
+            assert pool.labels.tolist() == labels and pool.features.tolist() == features
+            assert side.read_bytes() != before
+
+    def test_csv_appended_to_after_the_sidecar_is_parsed(self, tmp_path, monkeypatch):
+        path = written_pool(tmp_path)
+        load_embeddings(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("7,0.5,0.25,0.125,1.0\n")
+        calls = counting_parses(monkeypatch)
+        assert load_embeddings(path).labels.tolist()[-1] == 7
+        assert calls == ["_load_csv_fast"]
+        assert stored_key(path) == two_half_key(path.read_bytes())
+        calls.clear()
+        assert load_embeddings(path).labels.tolist()[-1] == 7
+        assert calls == []
+
+    def test_a_sidecar_under_the_rnnp_csv_1_key_is_parsed_once_and_rewritten(self, tmp_path,
+                                                                             monkeypatch):
+        path = written_pool(tmp_path)
+        want = load_embeddings(path)
+        side = tmp_path / "pool.csv.rnnp.npy"
+        good = side.read_bytes()
+        fh = io.BytesIO(good)
+        np.lib.format.read_array(fh)
+        old = io.BytesIO()
+        np.lib.format.write_array(old, np.frombuffer(
+            hashlib.sha256(b"rnnp-csv-1\0" + path.read_bytes()).digest(), dtype=np.uint8))
+        np.lib.format.write_array(old, np.lib.format.read_array(fh))
+        side.write_bytes(old.getvalue())
+        calls = counting_parses(monkeypatch)
+        for parses in (["_load_csv_fast"], []):
+            calls.clear()
+            assert_same_pool(load_embeddings(path), want)
+            assert calls == parses
+            assert side.read_bytes() == good
+
+    def test_a_failing_back_half_read_ends_as_a_failed_check(self, tmp_path, monkeypatch):
+        path = written_pool(tmp_path)
+        want = load_embeddings(path)
+        side = tmp_path / "pool.csv.rnnp.npy"
+        good = side.read_bytes()
+        caller, real, failed = threading.current_thread(), os.preadv, []
+
+        def preadv(fd, buffers, offset):
+            if threading.current_thread() is not caller:
+                failed.append(offset)
+                raise OSError(errno.EIO, "injected read error")
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        calls = counting_parses(monkeypatch)
+        threads = set(threading.enumerate())
+        assert_same_pool(load_embeddings(path), want)
+        assert set(threading.enumerate()) == threads
+        assert failed == [os.path.getsize(path) // 2]
+        assert calls == ["_load_csv_fast"]
+        assert side.read_bytes() == good
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 18])
+    def test_without_preadv_a_warm_load_reads_the_handle_in_order(self, tmp_path, monkeypatch,
+                                                                  block):
+        path = written_pool(tmp_path)
+        want = load_embeddings(path)
+        monkeypatch.setattr(datagen, "_BLOCK", block)
+        monkeypatch.delattr(os, "preadv")
+        assert warm_key(path) == stored_key(path)
+        calls = counting_parses(monkeypatch)
+        assert_same_pool(load_embeddings(path), want)
+        assert calls == []
 
     @pytest.mark.parametrize("after", ["rewritten", "deleted"])
     def test_csv_changed_after_the_parse_keeps_the_parsed_key(self, tmp_path, monkeypatch,
@@ -420,7 +529,7 @@ class TestSidecar:
         monkeypatch.undo()
         with open(tmp_path / "pool.csv.rnnp.npy", "rb") as fh:
             key = np.lib.format.read_array(fh).tobytes()
-        assert key == hashlib.sha256(b"rnnp-csv-1\0" + parsed).digest()
+        assert key == two_half_key(parsed)
         if after == "rewritten":
             assert load_embeddings(path).features.tolist() == [[0.75]]
 
@@ -530,15 +639,15 @@ class TestSidecar:
         assert pool.labels.tolist()[-1] == {"cold_line_loop": 10, "stale": 7}.get(case, 5)
 
     # SHA-256 of the sidecar bytes each CSV gets (on a little-endian machine),
-    # as first written when the sidecar landed: a sidecar users already hold
+    # as first written under the rnnp-csv-2 key: a sidecar users already hold
     # stays a hit.
     @pytest.mark.parametrize("body, digest", [
         (b"label,f0,f1\n1,0.5,0.25\n2,1.5,2.5\n",
-         "eaa0f7064c3a2e3c3e571cb5f8a08f3283d8c7ec9db8d13faa117384a79256c2"),
+         "9c94254de1e888f473bc0f1c4f63b1e0ee2a80a5be6ad9ccd7dd3ade4f730ac1"),
         (b"label,f0\n1_0,0.5\n2,0.25\n",
-         "0f9fbe1e6b4a618e88467ecea87e28ee781ebe12fa03fb5ea61adc5d0020958e"),
+         "a19c94106d453596cd90f2f56043b5bd71b4c5f7af3b71a8b3eb19a70a67220e"),
         (b"label,f0,f1\r\n1,0.5,0.25\r\n2,1.5,2.5\r\n",
-         "e6347d63c58a1d18785c824c5e85f2ecd2a64198153372b69ec0687f0f9cec1e"),
+         "32152d0c972aa9844c222cc15794f2ca65cef8dc87722a9be4be3c856c9ee832"),
     ], ids=["fast_pass", "line_loop", "crlf"])
     def test_sidecar_bytes_are_pinned(self, tmp_path, body, digest):
         path = tmp_path / "pool.csv"
@@ -573,6 +682,68 @@ class TestSidecar:
         for name in ("report.json", "report.csv"):
             assert (tmp_path / "first" / name).read_bytes() == \
                 (tmp_path / "second" / name).read_bytes()
+
+
+@st.composite
+def csv_bodies(draw):
+    """The bytes of a CSV both readers load: LF or CRLF line ends, a final line
+    end or none, and a row only the line loop reads (a 1_0 label) or none."""
+    dim = draw(st.integers(1, 3))
+    value = (st.sampled_from(["0", "1", "-2.5", "0.125"])
+             | st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+    rows = draw(st.lists(st.tuples(st.integers(0, 99).map(str),
+                                   st.lists(value, min_size=dim, max_size=dim)),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows.append(("1_0", ["0"] * dim))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["label," + ",".join(f"f{i}" for i in range(dim))]
+    lines += [",".join([label, *values]) for label, values in rows]
+    return (newline.join(lines) + newline * draw(st.booleans())).encode()
+
+
+class TestSidecarKey:
+    """A warm load hashes the CSV's two halves at once, and its key equals the
+    one the cold parse fed in order, whatever the bytes and however read."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.binary(max_size=64), cuts=st.lists(st.integers(0, 64), max_size=8),
+           block=st.sampled_from([1, 2, 7, 1 << 18]))
+    def test_halves_at_once_equal_the_bytes_in_order(self, tmp_path_factory, data, cuts, block):
+        key = datagen._CsvKey(len(data))
+        edges = sorted({0, len(data), *(c for c in cuts if c <= len(data))})
+        for start, stop in zip(edges, edges[1:]):
+            key.update(data[start:stop])
+        assert key.digest() == two_half_key(data)
+        path = tmp_path_factory.mktemp("key") / "data"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "_BLOCK", block)
+            assert warm_key(path) == two_half_key(data)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(body=csv_bodies(), block=st.sampled_from([1, 3, 1 << 18]))
+    @example(body=b"label,f0\n0,0", block=1)
+    @example(body=b"label,f0\n1,0.12345\n", block=1)  # the midpoint starts line 2
+    @example(body=b"label,f0\r\n1_0,0.5\r\n2,0.25\r\n", block=3)
+    def test_warm_key_equals_the_cold_parse_key(self, tmp_path_factory, body, block):
+        path = tmp_path_factory.mktemp("csv") / "pool.csv"
+        path.write_bytes(body)
+        split = len(body) // 2
+        event("fast pass" if fast_pass(path) is not None else "line loop")
+        event("CRLF" if b"\r\n" in body else "LF")
+        event("the midpoint starts a line" if body[split - 1:split] == b"\n"
+              else "a line crosses the midpoint")
+        cold = load_embeddings(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "_BLOCK", block)
+            assert warm_key(path) == stored_key(path) == two_half_key(body)
+
+            def parsed(*args):
+                raise AssertionError("the CSV was parsed again")
+            mp.setattr(datagen, "_load_csv_fast", parsed)
+            mp.setattr(datagen, "_parse_csv", parsed)
+            assert_same_pool(load_embeddings(path), cold)
 
 
 def line_loop(path):

@@ -1,9 +1,13 @@
 """Harness behavior: pairing, ordering, determinism, worker independence."""
 
 import csv
+import ctypes
 import inspect
 import json
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,6 +67,30 @@ OFF_DEFAULT_METHODS = (MethodSpec(method="nnp"),) + tuple(
                           ("noise", {"hybrid_source": "gaussian_noise"}),
                           ("direct", {"hybrid_labeling": "labeled_direct"}),
                           ("zero", {"iterations": 0})])
+
+
+def blas_threads():
+    """The thread count of numpy's bundled scipy-openblas in this process, or
+    None where numpy has no such library."""
+    get = harness._openblas_function("scipy_openblas_get_num_threads64_")
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+_BARRIER = None
+
+
+def _init_blas_worker(barrier, *initargs):
+    global _BARRIER
+    _BARRIER = barrier
+    harness._init_worker(*initargs)
+
+
+def _worker_blas_threads():
+    _BARRIER.wait(timeout=60)  # two parties: each task holds its own worker
+    return os.getpid(), blas_threads()
 
 
 def test_harness_imports_functions_only_from_traced_layers():
@@ -253,6 +281,21 @@ class TestRunExperiment:
         serial = [r.to_dict() for r in run_experiment(tiny_config(n_episodes=8, workers=1))]
         parallel = [r.to_dict() for r in run_experiment(tiny_config(n_episodes=8, workers=2))]
         assert serial == parallel
+
+    def test_each_worker_runs_one_blas_thread(self):
+        caller = blas_threads()
+        if caller is None:
+            pytest.skip("numpy has no scipy-openblas under numpy.libs/, so workers keep "
+                        "the BLAS library's own thread setting")
+        context = multiprocessing.get_context()
+        pool = generate_mixture(tiny_mixture())
+        with ProcessPoolExecutor(max_workers=2, mp_context=context, initializer=_init_blas_worker,
+                                 initargs=(context.Barrier(2), pool, tiny_config())) as ex:
+            tasks = [ex.submit(_worker_blas_threads) for _ in range(2)]
+            reported = [task.result(timeout=120) for task in tasks]
+        assert len({pid for pid, _ in reported}) == 2
+        assert [threads for _, threads in reported] == [1, 1]
+        assert blas_threads() == caller
 
     def test_default_workers_count_only_usable_cpus(self, monkeypatch):
         # Eight CPUs on the machine, one in the affinity mask: no process pool.
